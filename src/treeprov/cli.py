@@ -128,13 +128,22 @@ def cmd_provenance(args):
     return 0
 
 
+_POSBOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
+
+
 def _parse_value(name, raw, semiring):
     if raw is None:
         return semiring.one
     if name == "N":
         return int(raw)
     if name == "posbool":
-        return bool(raw)
+        if isinstance(raw, bool):
+            return raw
+        if isinstance(raw, str) and raw in _POSBOOL_STRINGS:
+            return _POSBOOL_STRINGS[raw]
+        raise SystemExit("--semiring posbool takes true, false, \"true\", "
+                         "\"false\", \"1\" or \"0\", not %s"
+                         % json.dumps(raw))
     if name == "tropical":
         return None if raw == "inf" else int(raw)
     if name == "security":

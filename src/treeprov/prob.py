@@ -10,14 +10,13 @@ from fractions import Fraction
 
 from .automata import lift_boolean, memoized
 from .circuits import (Circuit, arity_two, circuit_relational_encoding,
-                       fix_inputs, rename_inputs, stitch,
-                       sum_decompositions)
+                       stitch, sum_decompositions)
 from .encoding import TreeEncoding, alphabet_label
 from .errors import NoDecomposition
-from .provcirc import bool_provenance_circuit
+from .provcirc import bool_provenance_circuit, name_inputs
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          normalize_decomposition, tree_decomposition)
-from .trees import Node, postorder
+from .trees import Node
 from .ucq import CQ, UCQ, Atom, compile_bool
 
 
@@ -551,16 +550,7 @@ def lineage_circuit(automaton, pcc, k=None):
     lifted = memoized(lift_boolean(automaton))
     res = bool_provenance_circuit(lifted, enc.root)
 
-    rename = {}
-    fixed = {}
-    for n in postorder(enc.root):
-        gate = res.input_map[id(n)]
-        g = cc.chi.get(id(n))
-        if g is not None:
-            rename[gate] = g
-        else:
-            fixed[gate] = 1
-    inner = fix_inputs(rename_inputs(res.circuit, rename), fixed)
+    inner, rename = name_inputs(res, cc.chi)
     inner_inputs = set(inner.inputs())
 
     # keep the lineage gates out of the outer circuit's id space

@@ -181,6 +181,22 @@ def monotone_provenance_circuit(automaton, root):
     return bool_provenance_circuit(automaton, root, monotone=True)
 
 
+def name_inputs(res, name_of):
+    """The circuit of a provenance result on a tree, with the input of
+    each node that has a name (name_of: id(node) -> name) renamed to it
+    and every other input fixed to 1.  Returns the circuit and the map
+    from old input gate ids to names."""
+    rename = {}
+    fixed = {}
+    for node_id, gate in res.input_map.items():
+        name = name_of.get(node_id)
+        if name is not None:
+            rename[gate] = name
+        else:
+            fixed[gate] = 1
+    return fix_inputs(rename_inputs(res.circuit, rename), fixed), rename
+
+
 def query_provenance_circuit(automaton, instance, k):
     """Boolean provenance of a query (given as a width-k encoding
     automaton) on a treelike instance: inputs are the fact ids; nodes
@@ -189,16 +205,7 @@ def query_provenance_circuit(automaton, instance, k):
     enc = encode(instance, normalize_decomposition(decomp))
     lifted = memoized(lift_boolean(automaton))
     res = bool_provenance_circuit(lifted, enc.root)
-    rename = {}
-    fixed = {}
-    for n in postorder(enc.root):
-        gate = res.input_map[id(n)]
-        fid = enc.node_fact.get(id(n))
-        if fid is not None:
-            rename[gate] = fid
-        else:
-            fixed[gate] = 1
-    circuit = fix_inputs(rename_inputs(res.circuit, rename), fixed)
+    circuit, rename = name_inputs(res, enc.node_fact)
 
     def conv(bag):
         return Bag({rename.get(g, g) for g in bag.dom},

@@ -1,27 +1,34 @@
-"""UCQs: parsing, evaluation oracles, compilation to tree automata, and
-the N[X]-provenance pipeline for treelike instances.
+"""UCQs: parsing, evaluation oracles, and compilation to tree automata
+over (annotated) tree encodings of treelike instances.
 
-Compilation uses a direct partial-match state construction: a state is
-the node's slot domain together with the set of partial-match
-descriptors (partial variable->slot maps plus matched-atom sets) that
-some valuation of the subtree can realize.  Inequality atoms (used
-internally for forced queries) are enforced eagerly: two variables
+Both compilations track partial-match descriptors: a partial map from
+variables to slots plus the set of atoms already matched in the
+subtree.  A variable whose element leaves scope while it still occurs in
+an unmatched atom kills its descriptor, and two children never both
+match one atom.  Inequality atoms are enforced eagerly: two variables
 required distinct can never share a slot, and elements that have gone
 out of scope are distinct from everything still in scope.
+
+- The Boolean automaton (`compile_bool`) is deterministic: its state is
+  the node's slot domain with the set of descriptors some valuation of
+  the subtree realizes.
+- The placement automaton (`placement_automaton`) is nondeterministic:
+  its state is one descriptor, and a fact node annotated `ann` places
+  exactly `ann` unmatched atoms on its fact.  Its accepting runs are the
+  query's matches, so its N[X] provenance circuit (`nx_provenance`) is
+  the query's N[X] provenance, and made monotone in the annotation it
+  tests bag semantics (`compile_bag`).
 """
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import automata
-from .automata import BNTA, EMPTY, intersect, lazy_determinize, memoized, union
-from .circuits import Circuit, Polynomial, fix_inputs, rename_inputs
-from .encoding import KFact, annotate, encode
-from .errors import NoDecomposition
-from .provcirc import nx_provenance_circuit
-from .relational import (Fact, Instance, normalize_decomposition,
-                         tree_decomposition)
+from .automata import BNTA, EMPTY, memoized, monotonize, union
+from .circuits import Polynomial
+from .encoding import encode
+from .provcirc import name_inputs, nx_provenance_circuit
+from .relational import normalize_decomposition, tree_decomposition
 from .trees import postorder
 
 
@@ -187,54 +194,40 @@ def bag_satisfies(cq, bag):
 
 
 # ---------------------------------------------------------------------------
-# Partial-match automaton
+# Partial-match automata
 
 
-@dataclass(frozen=True)
-class _MatchCQ:
-    """Internal CQ form: atoms carry a set of allowed relation names."""
-    atoms: tuple  # of (frozenset of rels, vars tuple)
-    diseqs: frozenset
-    variables: tuple
+def _bind(cq, mu, pairs):
+    """The binding mu extended by (variable, slot) pairs, or None if a
+    variable would get two slots or two variables required distinct
+    would share a slot (distinct slots are distinct elements)."""
+    new = dict(mu)
+    for v, s in pairs:
+        if new.setdefault(v, s) != s:
+            return None
+    for pair in cq.diseqs:
+        x, y = tuple(pair)
+        if x in new and y in new and new[x] == new[y]:
+            return None
+    return new
 
 
-def _match_form(cq):
-    vs = tuple(cq.variables)
-    return _MatchCQ(tuple((frozenset([a.rel]), a.vars) for a in cq.atoms),
-                    cq.diseqs, vs)
-
-
-def _close(mcq, descs, struct):
+def _close(cq, descs, struct):
     """Extend descriptors by matching the node's fact (if any) against
     unmatched atoms, to fixpoint.  struct = (rel, slot tuple) or None."""
     if struct is None:
         return descs
     rel, slots = struct
-    all_atoms = mcq.atoms
     out = set(descs)
     frontier = list(descs)
     while frontier:
         mu, matched = frontier.pop()
         mud = dict(mu)
-        for idx, (rels, avars) in enumerate(all_atoms):
-            if idx in matched or rel not in rels or len(avars) != len(slots):
+        for idx, a in enumerate(cq.atoms):
+            if idx in matched or a.rel != rel or len(a.vars) != len(slots):
                 continue
-            new = dict(mud)
-            ok = True
-            for v, s in zip(avars, slots):
-                if new.get(v, s) != s:
-                    ok = False
-                    break
-                new[v] = s
-            if not ok:
-                continue
-            # inequality atoms: distinct slots mean distinct elements
-            for pair in mcq.diseqs:
-                x, y = tuple(pair)
-                if x in new and y in new and new[x] == new[y]:
-                    ok = False
-                    break
-            if not ok:
+            new = _bind(cq, mud, zip(a.vars, slots))
+            if new is None:
                 continue
             d = (frozenset(new.items()), matched | {idx})
             if d not in out:
@@ -243,36 +236,33 @@ def _close(mcq, descs, struct):
     return out
 
 
-def _reinterpret(mcq, descs, child_dom, node_dom):
-    """Project descriptors into the parent's slot scope; a variable whose
-    element leaves scope while it still occurs in an unmatched atom kills
-    the descriptor."""
-    shared = child_dom & node_dom
-    out = set()
-    for mu, matched in descs:
-        keep = {}
-        dead = False
-        gone = set()
-        for v, s in mu:
-            if s in shared:
-                keep[v] = s
-            else:
-                gone.add(v)
-        if gone:
-            for idx, (rels, avars) in enumerate(mcq.atoms):
-                if idx not in matched and gone & set(avars):
-                    dead = True
-                    break
-        if not dead:
-            out.add((frozenset(keep.items()), matched))
-    return out
+def _project(cq, desc, dom):
+    """A child's descriptor seen from its parent, whose slots are dom.
+    A descriptor binds only slots of its own node, and a slot the parent
+    shares names the same element there, so bindings to slots outside dom
+    are dropped.  None if a dropped variable still occurs in an unmatched
+    atom: its element has left scope for good."""
+    mu, matched = desc
+    keep = {}
+    gone = set()
+    for v, s in mu:
+        if s in dom:
+            keep[v] = s
+        else:
+            gone.add(v)
+    if gone:
+        for idx, a in enumerate(cq.atoms):
+            if idx not in matched and gone & set(a.vars):
+                return None
+    return (frozenset(keep.items()), matched)
 
 
 def match_automaton(cq):
     """Lazy bNTA over KFact labels testing one CQ (with optional
-    inequality atoms) on valid tree encodings."""
-    mcq = cq if isinstance(cq, _MatchCQ) else _match_form(cq)
-    n_atoms = len(mcq.atoms)
+    inequality atoms) on valid tree encodings.  A state is the node's
+    slot domain with the set of descriptors some valuation of the
+    subtree can realize."""
+    n_atoms = len(cq.atoms)
     empty_desc = (frozenset(), frozenset())
 
     def struct_of(label):
@@ -280,36 +270,29 @@ def match_automaton(cq):
             return None
         return (label.rel, label.args)
 
+    def project(descs, dom):
+        return {d for d in (_project(cq, d, dom) for d in descs)
+                if d is not None}
+
     def iota(label):
-        descs = _close(mcq, {empty_desc}, struct_of(label))
+        descs = _close(cq, {empty_desc}, struct_of(label))
         return frozenset([(label.dom, frozenset(descs))])
 
     def delta(s1, s2, label):
-        dom1, descs1 = s1
-        dom2, descs2 = s2
-        r1 = _reinterpret(mcq, descs1, dom1, label.dom)
-        r2 = _reinterpret(mcq, descs2, dom2, label.dom)
+        r1 = project(s1[1], label.dom)
+        r2 = project(s2[1], label.dom)
         merged = set()
         for mu1, m1 in r1:
             d1 = dict(mu1)
             for mu2, m2 in r2:
-                new = dict(d1)
-                ok = True
-                for v, s in mu2:
-                    if new.get(v, s) != s:
-                        ok = False
-                        break
-                    new[v] = s
-                if not ok:
+                # an atom sits on one fact, at one node: the two sides
+                # never both matched it
+                if m1 & m2:
                     continue
-                for pair in mcq.diseqs:
-                    x, y = tuple(pair)
-                    if x in new and y in new and new[x] == new[y]:
-                        ok = False
-                        break
-                if ok:
+                new = _bind(cq, d1, mu2)
+                if new is not None:
                     merged.add((frozenset(new.items()), m1 | m2))
-        merged = _close(mcq, merged, struct_of(label))
+        merged = _close(cq, merged, struct_of(label))
         return frozenset([(label.dom, frozenset(merged))])
 
     full = frozenset(range(n_atoms))
@@ -328,225 +311,84 @@ def compile_bool(q, k=None):
     return memoized(union([match_automaton(d) for d in q.disjuncts]))
 
 
-# ---------------------------------------------------------------------------
-# Bag compilation (multiplicity-aware)
+def placement_automaton(cq):
+    """bNTA over (KFact, annotation) labels whose accepting runs on a
+    valid annotated encoding are in bijection with the matches of cq
+    that place exactly `ann` atoms on the fact of each fact node
+    annotated `ann`; other nodes must be annotated 0.
 
+    A state is one descriptor: a partial variable->slot map with the set
+    of atoms placed in the subtree.  Children that both placed an atom
+    are rejected, so each atom sits on exactly one fact.
+    """
+    atoms = cq.atoms
+    full = frozenset(range(len(atoms)))
 
-def set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+    def place(mu, matched, label):
+        kf, ann = label
+        if kf.rel is None:
+            if ann:
+                return EMPTY
+            return frozenset([(frozenset(mu.items()), matched)])
+        fit = [idx for idx, a in enumerate(atoms)
+               if idx not in matched and a.rel == kf.rel
+               and len(a.vars) == len(kf.args)]
+        out = set()
+        for chosen in itertools.combinations(fit, ann):
+            new = _bind(cq, mu, [(v, s) for idx in chosen
+                                 for v, s in zip(atoms[idx].vars, kf.args)])
+            if new is not None:
+                out.add((frozenset(new.items()), matched | set(chosen)))
+        return frozenset(out)
 
+    def iota(label):
+        return place({}, frozenset(), label)
 
-def forced_queries(cq):
-    """Equivalence-class expansion: one forced query (all variables
-    pairwise distinct) per partition of the variables."""
-    vs = cq.variables
-    out = []
-    for part in set_partitions(vs):
-        rep = {}
-        for cls in part:
-            r = cls[0]
-            for v in cls:
-                rep[v] = r
-        atoms = {}
-        for a in cq.atoms:
-            key = (a.rel, tuple(rep[v] for v in a.vars))
-            atoms[key] = atoms.get(key, 0) + 1
-        reps = sorted({rep[v] for v in vs}, key=str)
-        diseqs = frozenset(frozenset(p) for p in itertools.combinations(reps, 2))
-        out.append((atoms, diseqs, rep))
-    return out
+    def delta(q1, q2, label):
+        if q1[1] & q2[1]:
+            return EMPTY
+        dom = label[0].dom
+        d1 = _project(cq, q1, dom)
+        d2 = _project(cq, q2, dom)
+        if d1 is None or d2 is None:
+            return EMPTY
+        mu = _bind(cq, d1[0], d2[0])
+        if mu is None:
+            return EMPTY
+        return place(mu, d1[1] | d2[1], label)
+
+    return BNTA(iota, delta, lambda q: q[1] == full)
 
 
 def compile_bag(cq, k=None, p=None):
     """bNTA over (KFact, {0..p}) accepting an annotated encoding iff its
-    bag instance satisfies the CQ under bag-homomorphism semantics.
-
-    Built per the forced-query route: expand over variable equivalence
-    classes, move to the multiplicity-expanded signature (relation names
-    (R, i)), compile, and relabel the annotated alphabet back into it.
-    """
-    total = len(cq.atoms)
+    bag instance satisfies the CQ under bag-homomorphism semantics: some
+    match uses each fact at most as many times as its annotation, i.e.
+    the placement automaton made monotone in the annotation."""
     if p is None:
-        p = total
-    if p < total:
+        p = len(cq.atoms)
+    if p < len(cq.atoms):
         raise ValueError("p must be at least the total atom multiplicity")
-    branches = []
-    for atoms, diseqs, _rep in forced_queries(cq):
-        matoms = []
-        for (rel, avars), mult in sorted(atoms.items(), key=repr):
-            allowed = frozenset((rel, j) for j in range(mult, p + 1))
-            matoms.append((allowed, avars))
-        reps = tuple(sorted({v for _, avars in matoms for v in avars},
-                            key=str))
-        branches.append(match_automaton(
-            _MatchCQ(tuple(matoms), diseqs, reps)))
-
-    def h(lab):
-        kf, i = lab
-        if kf.rel is None or i == 0:
-            return KFact(kf.dom)
-        return KFact(kf.dom, (kf.rel, i), kf.args)
-
-    return memoized(automata.relabel_hom(union(branches), h))
+    return memoized(monotonize(placement_automaton(cq)))
 
 
 # ---------------------------------------------------------------------------
-# N[X] provenance pipeline
-
-
-def _p_rel(var):
-    return ("Px", var)
-
-
-def exactly_one_automaton(xvars, p):
-    """Accepts annotated encodings containing, for each x, exactly one
-    (Px,x)-fact with annotation 1 (annotations >= 2 rejected)."""
-    xset = frozenset(xvars)
-
-    def contribution(label, ann):
-        rel = label[0].rel
-        if isinstance(rel, tuple) and rel[0] == "Px" and rel[1] in xset:
-            if ann == 0:
-                return frozenset()
-            if ann == 1:
-                return frozenset([rel[1]])
-            return None  # reject
-        return frozenset()
-
-    def iota(lab):
-        c = contribution(lab, lab[1])
-        if c is None:
-            return EMPTY
-        return frozenset([c])
-
-    def delta(s1, s2, lab):
-        if s1 & s2:
-            return EMPTY
-        c = contribution(lab, lab[1])
-        if c is None or (c & (s1 | s2)):
-            return EMPTY
-        return frozenset([s1 | s2 | c])
-
-    return BNTA(iota, delta, lambda s: s == xset)
-
-
-def run_count_duplication(det, is_additional):
-    """State-duplication wrapper: on additional-fact labels annotated 1,
-    targets of the annotation-0 and annotation-1 transitions are kept
-    disjoint (copies 0 and 1) and both offered, so that accepting runs
-    count the accepted presence patterns of the additional facts."""
-
-    def spread(lab, t0, t1):
-        out = set()
-        out |= {(s, 0) for s in t0}
-        out |= {(s, 1) for s in t1}
-        return frozenset(out)
-
-    def iota(lab):
-        if is_additional(lab[0]) and lab[1] == 1:
-            return spread(lab, det.iota((lab[0], 0)), det.iota(lab))
-        return frozenset((s, 0) for s in det.iota(lab))
-
-    def delta(q1, q2, lab):
-        a, b = q1[0], q2[0]
-        if is_additional(lab[0]) and lab[1] == 1:
-            return spread(lab, det.delta(a, b, (lab[0], 0)),
-                          det.delta(a, b, lab))
-        return frozenset((s, 0) for s in det.delta(a, b, lab))
-
-    return BNTA(iota, delta, lambda s: det.is_final(s[0]))
-
-
-def _augmented_instance(instance, xvars):
-    dom = instance.domain
-    sig = dict(instance.signature)
-    facts = list(instance.facts)
-    extra_ids = set()
-    n = 0
-    for x in xvars:
-        sig[_p_rel(x)] = 1
-        for a in dom:
-            n += 1
-            fid = ("aux", n)
-            facts.append(Fact(_p_rel(x), (a,), fid))
-            extra_ids.add(fid)
-    return Instance(sig, facts), extra_ids
-
-
-def _zero_circuit():
-    return Circuit("semiring", {("out",): ("add", ())}, ("out",))
-
-
-def nx_disjunct_provenance(cq, instance, k=None):
-    """N[X] provenance circuit of one CQ disjunct, inputs = fact ids."""
-    if not instance.facts or not instance.domain:
-        return _zero_circuit()
-    xvars = cq.variables
-    aug = CQ(cq.atoms + tuple(Atom(_p_rel(x), (x,)) for x in xvars),
-             cq.diseqs)
-    inst2, extra_ids = _augmented_instance(instance, xvars)
-    l = len(aug.atoms)
-    p = l
-    a_bag = compile_bag(aug, k, p)
-    a_one = exactly_one_automaton(xvars, p)
-    det = lazy_determinize(memoized(intersect(a_bag, a_one)))
-
-    def is_additional(kf):
-        return isinstance(kf.rel, tuple) and kf.rel[0] == "Px"
-
-    a3 = memoized(run_count_duplication(memoized(det), is_additional))
-
-    decomp = tree_decomposition(inst2, k)
-    enc = encode(inst2, normalize_decomposition(decomp))
-    caps = {}
-    for n in postorder(enc.root):
-        fid = enc.node_fact.get(id(n))
-        if fid is None:
-            caps[id(n)] = 0
-        elif fid in extra_ids:
-            caps[id(n)] = 1
-    res = nx_provenance_circuit(a3, enc.root, l=l, p=p, ann_caps=caps)
-    rename = {}
-    fixed = {}
-    for n in postorder(enc.root):
-        gate = res.input_map[id(n)]
-        fid = enc.node_fact.get(id(n))
-        if fid is not None and fid not in extra_ids:
-            rename[gate] = fid
-        else:
-            fixed[gate] = 1
-    return fix_inputs(rename_inputs(res.circuit, rename), fixed)
+# N[X] provenance
 
 
 def nx_provenance(q, instance, k=None):
-    """N[X] provenance circuit of a UCQ on a treelike instance; the
-    per-disjunct circuits share their fact-id input gates and feed a top
-    sum gate."""
+    """N[X] provenance circuit of a UCQ on a treelike instance, with the
+    fact ids as inputs.  The union of the disjuncts' placement automata
+    has one accepting run per match of a disjunct, and the circuit
+    weighs each run by the product of the facts its match uses."""
     if isinstance(q, CQ):
         q = UCQ((q,))
-    gates = {}
-    outs = []
-    for j, d in enumerate(q.disjuncts):
-        c = nx_disjunct_provenance(d, instance, k)
-
-        def m(g, j=j):
-            if c.gates[g][0] == "inp":
-                return g
-            return (j, g)
-
-        for g, (t, ins) in c.gates.items():
-            if t == "inp":
-                gates[g] = ("inp", ())
-            else:
-                gates[m(g)] = (t, tuple(m(i) for i in ins))
-        outs.append(m(c.output))
-    gates[("top",)] = ("add", tuple(outs))
-    return Circuit("semiring", gates, ("top",))
+    enc = encode(instance, normalize_decomposition(
+        tree_decomposition(instance, k)))
+    automaton = memoized(union([placement_automaton(d)
+                                for d in q.disjuncts]))
+    caps = {id(n): 0 for n in postorder(enc.root)
+            if id(n) not in enc.node_fact}
+    p = max(len(d.atoms) for d in q.disjuncts)
+    res = nx_provenance_circuit(automaton, enc.root, p=p, ann_caps=caps)
+    return name_inputs(res, enc.node_fact)[0]

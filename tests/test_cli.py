@@ -101,6 +101,20 @@ def test_provenance_nx_semiring(capsys, instance_file, tmp_path):
     assert out.strip() == "3"
 
 
+def test_provenance_nx_posbool(capsys, instance_file, tmp_path):
+    assign = tmp_path / "assign.json"
+    args = ("provenance", "--instance", instance_file, "--query",
+            "R(x,y),R(y,x)", "--mode", "nx", "--semiring", "posbool",
+            "--assign", str(assign))
+    assign.write_text(json.dumps({"F1": "false", "F2": True, "F3": "1"}))
+    assert run_main(capsys, *args) == (0, "True\n")
+    assign.write_text(json.dumps({"F1": "false", "F2": "true", "F3": "0"}))
+    assert run_main(capsys, *args) == (0, "False\n")
+    assign.write_text(json.dumps({"F1": False, "F2": "yes"}))
+    with pytest.raises(SystemExit, match="posbool"):
+        main(list(args))
+
+
 def test_prob_pc(capsys, tmp_path):
     pc = {
         "signature": {"R": 1},

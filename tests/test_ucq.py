@@ -7,12 +7,12 @@ from treeprov.automata import accepts
 from treeprov.circuits import NAT, POSBOOL, eval_bool_vector, expand_polynomial
 from treeprov.encoding import annotate, encode
 from treeprov.provcirc import query_provenance_circuit
-from treeprov.relational import (make_instance, normalize_decomposition,
-                                 subinstance, tree_decomposition)
+from treeprov.relational import (Fact, Instance, make_instance,
+                                 normalize_decomposition, subinstance,
+                                 tree_decomposition)
 from treeprov.ucq import (CQ, UCQ, Atom, bag_satisfies, compile_bag,
-                          compile_bool, enumerate_matches, forced_queries,
-                          nx_provenance, nx_provenance_bruteforce, parse_ucq,
-                          satisfies, set_partitions)
+                          compile_bool, enumerate_matches, nx_provenance,
+                          nx_provenance_bruteforce, parse_ucq, satisfies)
 
 from genutil import rand_cq, rand_instance, rand_ucq
 
@@ -42,30 +42,6 @@ def test_enumerate_matches_and_satisfies():
     assert satisfies(parse_ucq("R(x,x);R(x,y)"), inst2)
 
 
-def test_set_partitions_bell_numbers():
-    assert len(list(set_partitions([1]))) == 1
-    assert len(list(set_partitions([1, 2]))) == 2
-    assert len(list(set_partitions([1, 2, 3]))) == 5
-    assert len(list(set_partitions([1, 2, 3, 4]))) == 15
-
-
-def test_forced_queries_partition_matches():
-    """Matches of the CQ = disjoint union of injective matches over the
-    forced queries."""
-    rng = random.Random(61)
-    for _ in range(20):
-        cq = rand_cq(rng)
-        inst = rand_instance(rng, max_facts=6, max_dom=4)
-        base = len([m for m in enumerate_matches(UCQ((cq,)), inst)])
-        total = 0
-        for atoms, diseqs, rep in forced_queries(cq):
-            fq = CQ(tuple(Atom(rel, avars) for (rel, avars), m
-                          in sorted(atoms.items(), key=repr)
-                          for _ in range(m)), diseqs)
-            total += len(enumerate_matches(UCQ((fq,)), inst))
-        assert total == base
-
-
 def test_compile_bool_on_full_encodings():
     """The compiled automaton accepts an encoding iff the instance
     satisfies the query."""
@@ -75,6 +51,62 @@ def test_compile_bool_on_full_encodings():
         inst = rand_instance(rng, max_facts=6, max_dom=4)
         enc = encode(inst, normalize_decomposition(tree_decomposition(inst)))
         assert accepts(compile_bool(q), enc.root) == satisfies(q, inst)
+
+
+def _directed(rng, edges):
+    """R-instance with each undirected edge given a random direction."""
+    facts = []
+    for i, (a, b) in enumerate(edges):
+        if rng.random() < 0.5:
+            a, b = b, a
+        facts.append(Fact("R", (a, b), "F%d" % (i + 1)))
+    return Instance({"R": 2}, facts)
+
+
+def _cycle(n):
+    return [("c%d" % i, "c%d" % ((i + 1) % n)) for i in range(n)]
+
+
+def _ladder(m):
+    """The 2 x m grid: two rails joined by rungs."""
+    edges = [("g%d_%d" % (r, j), "g%d_%d" % (r, j + 1))
+             for r in (0, 1) for j in range(m - 1)]
+    return edges + [("g0_%d" % j, "g1_%d" % j) for j in range(m)]
+
+
+def _width_two_instances(rng, n):
+    for i in range(n):
+        shape = _cycle(rng.randint(8, 10)) if i % 2 else _ladder(
+            rng.randint(4, 5))
+        yield _directed(rng, shape)
+
+
+def test_query_provenance_circuit_width_two():
+    """Boolean provenance of 3-atom queries on width-2 cycles and grids,
+    checked on every valuation: a world satisfies the query iff it keeps
+    all facts of some match."""
+    found = make_instance({"R": 2}, [
+        ("R", ("c08", "c07")), ("R", ("c07", "c01")), ("R", ("c03", "c04")),
+        ("R", ("c00", "c05")), ("R", ("c04", "c08")), ("R", ("c03", "c06")),
+        ("R", ("c05", "c01")), ("R", ("c02", "c06")), ("R", ("c00", "c02"))])
+    rng = random.Random(66)
+    cases = [(parse_ucq("R(x,y),R(y,z),R(z,w)"), found)]
+    for inst in _width_two_instances(rng, 8):
+        cases.append((UCQ((rand_cq(rng, 3, {"R": 2}),)), inst))
+    for q, inst in cases:
+        res, _enc = query_provenance_circuit(compile_bool(q), inst, 2)
+        key_to_id = {f.key(): f.id for f in inst.facts}
+        uses = [{key_to_id[(a.rel, tuple(asg[v] for v in a.vars))]
+                 for a in q.disjuncts[j].atoms}
+                for j, asg in enumerate_matches(q, inst)]
+        fids = [f.id for f in inst.facts]
+        width = 1 << len(fids)
+        vec = {fid: sum(1 << v for v in range(width) if (v >> i) & 1)
+               for i, fid in enumerate(fids)}
+        out = eval_bool_vector(res.circuit, vec, width)
+        for v in range(width):
+            world = {fid for i, fid in enumerate(fids) if (v >> i) & 1}
+            assert ((out >> v) & 1) == any(u <= world for u in uses)
 
 
 def test_compile_bag_oracle():
@@ -110,6 +142,28 @@ def test_nx_provenance_random_oracle():
         q = rand_ucq(rng, max_disjuncts=2, max_atoms=2)
         inst = rand_instance(rng, max_facts=4, max_dom=3)
         poly = expand_polynomial(nx_provenance(q, inst))
+        assert poly == nx_provenance_bruteforce(q, inst)
+
+
+def test_nx_provenance_width_two_oracle():
+    """N[X] provenance at width 2, beyond the 3-element instances of the
+    random oracle: 3-atom queries on cycles and grids, a UCQ whose
+    disjuncts differ in size, a disequality, and a self-join on a loop."""
+    rng = random.Random(67)
+    cases = []
+    for inst in _width_two_instances(rng, 30):
+        cases += [(rand_cq(rng, 3, {"R": 2}), inst) for _ in range(3)]
+    inst = _directed(rng, _cycle(9))
+    cases.append((parse_ucq("R(x,y);R(x,y),R(y,z),R(z,w)"), inst))
+    cases.append((CQ((Atom("R", ("x", "y")), Atom("R", ("z", "y"))),
+                     frozenset([frozenset(["x", "z"])])), inst))
+    loop = Instance({"R": 2}, inst.facts + (Fact("R", ("c0", "c0"), "L"),))
+    cases.append((parse_ucq("R(x,y),R(y,z)"), loop))
+    cases.append((parse_ucq("R(x,y),R(y,x),R(x,z)"), loop))
+    for q, inst in cases:
+        if isinstance(q, CQ):
+            q = UCQ((q,))
+        poly = expand_polynomial(nx_provenance(q, inst, 2))
         assert poly == nx_provenance_bruteforce(q, inst)
 
 
