@@ -2,7 +2,11 @@
 
 Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
-text; exit code 2 signals NoDecomposition or an invalid encoding.
+text.  Exit codes: 2 signals NoDecomposition or an invalid encoding,
+3 a state blowup, and 4 invalid input: a missing or unreadable file,
+malformed JSON, a query or formula that does not parse, or a query atom
+whose arity disagrees with the instance.  Each error is one line on
+stderr.
 """
 
 import argparse
@@ -23,8 +27,8 @@ from .provcirc import query_provenance_circuit
 from .prxml import (doc_from_json, doc_to_json, fie_to_pc,
                     muxind_to_binary, muxind_to_fie,
                     prxml_query_probability)
-from .relational import (decomposition_to_json, instance_to_json,
-                         load_instance, normalize_decomposition,
+from .relational import (decomposition_to_json, instance_from_json,
+                         instance_to_json, normalize_decomposition,
                          tree_decomposition)
 from .ucq import compile_bool, nx_provenance, parse_ucq
 from . import prob as _prob
@@ -32,7 +36,14 @@ from . import prob as _prob
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError("%s is not valid JSON: %s" % (path, exc))
+
+
+def _load_instance(path):
+    return instance_from_json(_load_json(path))
 
 
 def _emit(data, path=None):
@@ -58,7 +69,7 @@ def _query(args):
 
 
 def cmd_decompose(args):
-    instance = load_instance(args.instance)
+    instance = _load_instance(args.instance)
     decomp = tree_decomposition(instance, args.width)
     if args.normalize:
         decomp = normalize_decomposition(decomp)
@@ -67,7 +78,7 @@ def cmd_decompose(args):
 
 
 def cmd_encode(args):
-    instance = load_instance(args.instance)
+    instance = _load_instance(args.instance)
     decomp = normalize_decomposition(tree_decomposition(instance, args.width))
     _emit(encoding_to_json(encode(instance, decomp)), args.output)
     return 0
@@ -86,7 +97,7 @@ def cmd_decode(args):
 def cmd_compile(args):
     q = _query(args)
     if args.instance:
-        signature = load_instance(args.instance).signature
+        signature = _load_instance(args.instance).signature
     else:
         signature = _load_json(args.signature)
     labels = kfact_labels(signature, args.width)
@@ -96,7 +107,7 @@ def cmd_compile(args):
 
 
 def cmd_provenance(args):
-    instance = load_instance(args.instance)
+    instance = _load_instance(args.instance)
     if args.mode == "nx":
         if not args.query:
             raise SystemExit("--mode nx needs --query")
@@ -172,7 +183,7 @@ def cmd_prob(args):
 
 
 def cmd_count(args):
-    instance = load_instance(args.instance)
+    instance = _load_instance(args.instance)
     n = _prob.count_matches(_query(args), instance, args.width)
     _println(str(n), args.output)
     return 0
@@ -276,6 +287,9 @@ def main(argv=None):
     except StateBlowup as exc:
         sys.stderr.write("state blowup: %s\n" % exc)
         return 3
+    except (OSError, SyntaxError, ValueError) as exc:
+        sys.stderr.write("invalid input: %s\n" % exc)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,22 +1,30 @@
-"""Probabilistic applications: pc/pcc/BID instances, lineage circuits
-through cc-encodings and stitching, exact probability evaluation by
-junction-tree message passing, and match counting.
+"""Probabilistic applications: pc/pcc/BID instances, exact query
+probabilities, and match counting.
+
+- BID probabilities run the determinised query automaton bottom-up over
+  the instance's own tree encoding, with integer world weights per
+  automaton state (`query_probability_bid`).  Match counting reduces to
+  that: one uniform block per free variable (`count_matches`).
+- pcc and pc probabilities build a lineage circuit through the
+  cc-encoding and stitching, then run junction-tree message passing on
+  its tree decomposition (`query_probability_pcc`).
 
 All probabilities are exact rationals (fractions.Fraction).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from .automata import lift_boolean, memoized
+from .automata import lazy_determinize, lift_boolean, memoized
 from .circuits import (Circuit, arity_two, circuit_relational_encoding,
                        stitch, sum_decompositions)
-from .encoding import TreeEncoding, alphabet_label
+from .encoding import TreeEncoding, alphabet_label, encode
 from .errors import NoDecomposition
 from .provcirc import bool_provenance_circuit, name_inputs
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          normalize_decomposition, tree_decomposition)
-from .trees import Node
+from .trees import Node, parents, postorder
 from .ucq import CQ, UCQ, Atom, compile_bool
 
 
@@ -578,7 +586,25 @@ def _as_automaton(query):
     return query
 
 
+def _check_arities(query, signature):
+    """Refuse a query atom whose arity differs from its relation's arity
+    in the instance signature (it could never match)."""
+    if isinstance(query, CQ):
+        query = UCQ((query,))
+    if not isinstance(query, UCQ):
+        return
+    for d in query.disjuncts:
+        for a in d.atoms:
+            arity = signature.get(a.rel)
+            if arity is not None and arity != len(a.vars):
+                raise ValueError(
+                    "atom %s(%s) has %d arguments but %s has arity %d in "
+                    "the instance" % (a.rel, ",".join(a.vars), len(a.vars),
+                                      a.rel, arity))
+
+
 def query_probability_pcc(query, pcc, k=None):
+    _check_arities(query, pcc.instance.signature)
     automaton = _as_automaton(query)
     circuit, decomp = lineage_circuit(automaton, pcc, k)
     return message_passing_prob(circuit, decomp, pcc.probs)
@@ -789,9 +815,101 @@ def bid_worlds(bid):
 
 
 def query_probability_bid(query, bid, k=None):
-    # k bounds the data decomposition; the joint circuit+data instance
-    # is decomposed without a bound (its width is larger but controlled)
-    return query_probability_pcc(query, bid_to_pcc(bid, k), None)
+    """Exact probability of a UCQ (or of a Boolean automaton over KFact
+    labels) on a BID instance; k bounds the width of the instance's
+    tree decomposition."""
+    _check_arities(query, bid.instance.signature)
+    return _bid_dp(_as_automaton(query), bid, k)
+
+
+def _bid_dp(automaton, bid, k):
+    """Bottom-up run of the determinised automaton over the instance's
+    own tree encoding, summing integer world weights per state.
+
+    Each block B is scaled by d_B, the lcm of its denominators, so a
+    fact weighs a_f = p_f * d_B.  A fact node branches on its label
+    (present) and on the neutered label (absent).  A one-fact block
+    weighs its absent branch d_B - a_f.  A block of several facts is
+    tracked in the message key as "chosen below", two children that
+    both chose it are dropped, and at the top of the subtree of bags
+    holding its key elements the unchosen entries take d_B - sum a_f.
+    The automaton must be deterministic here: summing the runs of a
+    nondeterministic one would count a world once per accepting run.
+    """
+    instance = bid.instance
+    enc = encode(instance, normalize_decomposition(
+        tree_decomposition(instance, k)))
+    step = memoized(lazy_determinize(automaton))
+    parent = parents(enc.root)
+    scale = 1
+    branch_weights = {}  # fact id -> (present weight, absent weight, bit)
+    closings = {}  # id(node) -> [(bit, weight of "none chosen")]
+    multi = 0  # blocks of several facts so far, one bit each
+    for block, facts in bid.blocks().items():
+        d = 1
+        for f in facts:
+            d = math.lcm(d, bid.probs[f.id].denominator)
+        scale *= d
+        a = {f.id: int(bid.probs[f.id] * d) for f in facts}
+        if len(facts) == 1:
+            fid = facts[0].id
+            branch_weights[fid] = (a[fid], d - a[fid], 0)
+            continue
+        bit = 1 << multi
+        multi += 1
+        for f in facts:
+            branch_weights[f.id] = (a[f.id], 1, bit)
+        key_elems = set(block[1])
+        top = enc.fact_nodes[facts[0].id]
+        while top in parent and key_elems <= enc.node_bag[
+                id(parent[top])].dom:
+            top = parent[top]
+        closings.setdefault(id(top), []).append((bit, d - sum(a.values())))
+
+    messages = {}  # id(node) -> {(state, chosen bits): weight}
+    for n in postorder(enc.root):
+        if n.is_leaf():
+            below = {(None, None, 0): 1}
+        else:
+            below = {}
+            right = messages.pop(id(n.right)).items()
+            for (q1, c1), w1 in messages.pop(id(n.left)).items():
+                for (q2, c2), w2 in right:
+                    if not c1 & c2:
+                        key = (q1, q2, c1 | c2)
+                        below[key] = below.get(key, 0) + w1 * w2
+        fid = enc.node_fact.get(id(n))
+        if fid is None:
+            branches = ((n.label, 1, 0),)
+        else:
+            present, absent, bit = branch_weights[fid]
+            branches = ((n.label, present, bit),
+                        (n.label.neuter(), absent, 0))
+        out = {}
+        for label, bw, bit in branches:
+            if not bw:
+                continue
+            for (q1, q2, c), w in below.items():
+                if c & bit:
+                    continue
+                qs = step.iota(label) if q1 is None else \
+                    step.delta(q1, q2, label)
+                for q in qs:  # at most one: the automaton is deterministic
+                    key = (q, c | bit)
+                    out[key] = out.get(key, 0) + w * bw
+        for bit, none in closings.get(id(n), ()):
+            closed = {}
+            for (q, c), w in out.items():
+                if not c & bit:
+                    w *= none
+                if w:
+                    key = (q, c & ~bit)
+                    closed[key] = closed.get(key, 0) + w
+            out = closed
+        messages[id(n)] = out
+    total = sum(w for (q, _), w in messages[id(enc.root)].items()
+                if step.is_final(q))
+    return Fraction(total, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +925,7 @@ def count_matches(q, instance, k=None):
     block per free variable, probability times |dom|^{free}."""
     if isinstance(q, CQ):
         q = UCQ((q,))
+    _check_arities(q, instance.signature)
     free = tuple(q.free)
     dom = instance.domain
     if free and not dom:
@@ -860,9 +979,9 @@ def pc_from_json(data):
 
     instance = instance_from_json(data)
     conds = {}
-    for entry in data.get("facts", []):
+    for f, entry in zip(instance.facts, data.get("facts", [])):
         if "cond" in entry:
-            conds[entry["id"]] = parse_formula(entry["cond"])
+            conds[f.id] = parse_formula(entry["cond"])
     events = {e: Fraction(p) for e, p in data.get("events", {}).items()}
     return PCInstance(instance, conds, events)
 
@@ -883,8 +1002,8 @@ def bid_from_json(data):
 
     instance = instance_from_json(data)
     probs = {}
-    for entry in data.get("facts", []):
-        probs[entry["id"]] = Fraction(entry["prob"])
+    for f, entry in zip(instance.facts, data.get("facts", [])):
+        probs[f.id] = Fraction(entry["prob"])
     return BIDInstance(instance, data.get("key_positions", {}), probs)
 
 

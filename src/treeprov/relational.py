@@ -1,6 +1,5 @@
 """Relational instances, fact valuations, and tree decompositions."""
 
-import json
 from dataclasses import dataclass
 
 from .errors import NoDecomposition
@@ -431,11 +430,6 @@ def instance_from_json(data):
         facts.append(Fact(f["rel"], tuple(f["args"]),
                           f.get("id", "F%d" % (i + 1))))
     return Instance(data["signature"], facts)
-
-
-def load_instance(path):
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
 
 
 def decomposition_to_json(decomposition):

@@ -144,6 +144,31 @@ def test_prob_bid(capsys, tmp_path):
     assert out.strip() == "4/5"
 
 
+def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
+    bid = {"signature": {"R": 2},
+           "facts": [{"rel": "R", "args": ["k", "a"], "prob": "1/2"}]}
+    bid_file = tmp_path / "bid.json"
+    bid_file.write_text(json.dumps(bid))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{\"signature\": ")
+    cases = [
+        (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
+        (("count", "--query", "R(x)", "--free", "x",
+          "--instance", instance_file), "arity"),
+        (("prob", "--query", "R(x,", "--bid", str(bid_file)), "expected"),
+        (("count", "--query", "R(x,y)", "--free", "x",
+          "--instance", str(bad_json)), "not valid JSON"),
+        (("prob", "--query", "R(x,y)", "--bid",
+          str(tmp_path / "missing.json")), "missing.json"),
+    ]
+    for args, needle in cases:
+        assert main(list(args)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ")
+        assert captured.err.count("\n") == 1 and needle in captured.err
+
+
 def test_prob_prxml(capsys, tmp_path):
     doc = {"tree": {"label": "r", "children": [
         {"node": {"label": "ind", "kind": "ind",

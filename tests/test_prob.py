@@ -278,6 +278,168 @@ def test_query_probability_bid_oracle():
         assert got == pr_oracle(bid_worlds(bid), q)
 
 
+def random_directions(rng, edges):
+    return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+
+
+def cycle_edges(n):
+    return [("c%d" % i, "c%d" % ((i + 1) % n)) for i in range(n)]
+
+
+def grid_edges(m):
+    edges = [(("g", r, i), ("g", r, i + 1)) for r in (0, 1)
+             for i in range(m - 1)]
+    return edges + [(("g", 0, i), ("g", 1, i)) for i in range(m)]
+
+
+def random_bid(rng, edges, key):
+    """R facts on the edges keyed by R[key]; some blocks sum to 1, and
+    some one-fact blocks are certain."""
+    inst = make_instance({"R": 2}, [("R", e) for e in edges])
+    blocks = {}
+    for f in inst.facts:
+        blocks.setdefault(tuple(f.args[i] for i in key), []).append(f)
+    probs = {}
+    for facts in blocks.values():
+        weights = [rng.randint(1, 4) for _ in facts]
+        den = sum(weights) + rng.choice((0, 0, 1, 3))
+        for f, w in zip(facts, weights):
+            probs[f.id] = Fraction(w, den)
+    return BIDInstance(inst, {"R": key}, probs)
+
+
+def loop_guesser():
+    """Nondeterministic automaton over KFact labels that guesses one
+    present loop R(a,a): it has one accepting run per loop."""
+    from treeprov.automata import BNTA
+
+    def is_loop(label):
+        return label.rel == "R" and label.args[0] == label.args[1]
+
+    def iota(label):
+        return frozenset({0, 1}) if is_loop(label) else frozenset({0})
+
+    def delta(q1, q2, label):
+        out = {q1 + q2} if q1 + q2 <= 1 else set()
+        if q1 + q2 == 0 and is_loop(label):
+            out.add(1)
+        return frozenset(out)
+
+    return BNTA(iota, delta, lambda q: q == 1)
+
+
+def test_query_probability_bid_width_two_oracle():
+    """The automaton DP on the instance's encoding against possible
+    worlds: cycles and 2 x m grids of width 2, keys (), R[0], R[1] and
+    full, blocks summing to 1 and certain facts."""
+    from treeprov.ucq import UCQ
+
+    rng = random.Random(86)
+    queries = [parse_ucq(t) for t in (
+        "R(x,y),R(y,z)", "R(x,y),R(y,x)", "R(x,y),R(y,z),R(z,w)",
+        "R(x,y),R(z,y)", "R(x,x)")]
+    overlapping = parse_ucq("R(x,y) ; R(x,y),R(y,z)")
+    guesser = loop_guesser()
+    both = full = certain = 0
+    shapes = [cycle_edges(n) for n in (4, 5, 6)] + \
+        [grid_edges(m) for m in (2, 3)]
+    for edges in shapes:
+        for key in ((), (0,), (1,), (0, 1)):
+            edges2 = random_directions(rng, edges)
+            if rng.random() < 0.5:
+                edges2 += [(u, u) for u in sorted({edges2[0][0],
+                                                   edges2[1][0]})]
+            bid = random_bid(rng, edges2, key)
+            worlds = bid_worlds(bid)
+            for q in queries + [overlapping]:
+                assert query_probability_bid(q, bid) == pr_oracle(worlds, q)
+            assert query_probability_bid(guesser, bid) == \
+                pr_oracle(worlds, parse_ucq("R(x,x)"))
+            both += any(all(satisfies(UCQ((d,)), w)
+                            for d in overlapping.disjuncts)
+                        for w, _ in worlds)
+            for facts in bid.blocks().values():
+                mass = sum(bid.probs[f.id] for f in facts)
+                full += len(facts) > 1 and mass == 1
+                certain += len(facts) == 1 and mass == 1
+    # some world satisfies both disjuncts of the union, and the
+    # instances hold full blocks and certain facts
+    assert both and full and certain
+    empty = BIDInstance(make_instance({"R": 2}, []), {}, {})
+    assert query_probability_bid(queries[0], empty) == 0
+    assert query_probability_bid(guesser, empty) == 0
+
+
+def test_bid_two_fact_blocks_under_renaming():
+    """Two-fact blocks on a 5-edge path: each edge shares its key R[0]
+    with a pendant edge.  The cost once depended on element names."""
+    q = parse_ucq("R(x,y),R(y,z)")
+    rng = random.Random(87)
+    for _ in range(6):
+        names = ["n%d" % i for i in range(11)]
+        rng.shuffle(names)
+        facts, probs = [], []
+        for i in range(5):
+            a = rng.randint(1, 6)
+            b = rng.randint(1, 7 - a)
+            facts += [("R", (names[i], names[i + 1])),
+                      ("R", (names[i], names[6 + i]))]
+            probs += [Fraction(a, 8), Fraction(b, 8)]
+        inst = make_instance({"R": 2}, facts)
+        bid = BIDInstance(inst, {"R": (0,)},
+                          {f.id: p for f, p in zip(inst.facts, probs)})
+        assert query_probability_bid(q, bid) == pr_oracle(bid_worlds(bid), q)
+
+
+def test_bid_long_path_closed_form():
+    """20-edge path at p = 1/2: 1 - F(22)/2^20, two consecutive edges."""
+    inst = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(20)])
+    bid = BIDInstance(inst, {"R": (0,)}, {f.id: Fraction(1, 2)
+                                          for f in inst.facts})
+    assert query_probability_bid(parse_ucq("R(x,y),R(y,z)"), bid) == \
+        Fraction(1030865, 1048576)
+
+
+def test_bid_tuple_independent_grid():
+    rng = random.Random(88)
+    inst = make_instance({"R": 2}, [("R", e) for e in grid_edges(4)])
+    bid = BIDInstance(inst, {}, {f.id: rng.choice(
+        (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)))
+        for f in inst.facts})
+    q = parse_ucq("R(x,y),R(y,z)")
+    assert query_probability_bid(q, bid) == pr_oracle(bid_worlds(bid), q)
+
+
+def test_bid_and_count_skip_the_lineage_path(monkeypatch):
+    import treeprov.prob as prob
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BID probability built a lineage")
+
+    for name in ("bid_to_pcc", "lineage_circuit", "message_passing_prob"):
+        monkeypatch.setattr(prob, name, refuse)
+    rng = random.Random(89)
+    bid = random_bid(rng, random_directions(rng, cycle_edges(5)), (0,))
+    query_probability_bid(parse_ucq("R(x,y),R(y,z)"), bid)
+    query_probability_bid(loop_guesser(), bid)
+    count_matches(parse_ucq("R(x,y),R(y,z)", free=("x", "z")),
+                  bid.instance)
+
+
+def test_arity_mismatch_refused():
+    inst = make_instance({"R": 2}, [("R", ("a", "b"))])
+    q = parse_ucq("R(x)")
+    bid = BIDInstance(inst, {}, {"F1": Fraction(1, 2)})
+    with pytest.raises(ValueError, match="arity"):
+        query_probability_bid(q, bid)
+    pc = PCInstance(inst, {}, {})
+    with pytest.raises(ValueError, match="arity"):
+        query_probability_pcc(q, pc_to_pcc(pc))
+    with pytest.raises(ValueError, match="arity"):
+        count_matches(parse_ucq("R(x)", free=("x",)), inst)
+
+
 # ---------------------------------------------------------------------------
 # Counting
 
@@ -304,6 +466,14 @@ def test_count_matches_random_oracle():
         q = rand_ucq(rng, max_disjuncts=2, max_atoms=2, free=("x",))
         want = len({m["x"] for _, m in enumerate_matches(q, inst)})
         assert count_matches(q, inst) == want
+
+
+def test_count_matches_long_path():
+    """Named v0..v10 in order: message passing once ran out of memory."""
+    inst = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(10)])
+    q = parse_ucq("R(x,y),R(y,z)", free=("x",))
+    assert count_matches(q, inst) == 9
 
 
 def test_count_matches_empty():
