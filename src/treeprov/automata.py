@@ -7,6 +7,7 @@ materialize their label universe.  Table-backed automata additionally
 carry explicit state and label sets and support JSON round-trips.
 """
 
+import itertools
 import os
 
 from .encoding import label_from_json, label_to_json, teval_label
@@ -224,7 +225,9 @@ def intersect(a1, a2):
 
 def materialize(automaton, labels, cap=None):
     """Table-backed copy of a lazily-defined automaton, restricted to the
-    states reachable over the given finite label universe."""
+    states reachable over the given finite label universe.  A worklist
+    explorer: each round asks delta once for every (q1, q2, label) with a
+    state found in the round before."""
     labels = list(labels)
     cap = state_cap(cap)
     iota_map = {}
@@ -248,16 +251,16 @@ def materialize(automaton, labels, cap=None):
     delta_map = {}
     done = 0
     while done < len(states):
-        done = len(states)
-        for q1 in list(states):
-            for q2 in list(states):
-                for l in labels:
-                    if (q1, q2, l) in delta_map:
-                        continue
-                    s = automaton.delta(q1, q2, l)
-                    if s:
-                        delta_map[(q1, q2, l)] = s
-                        note(s)
+        known = list(states)
+        old, new = known[:done], known[done:]
+        done = len(known)
+        for q1, q2 in itertools.chain(itertools.product(new, known),
+                                      itertools.product(old, new)):
+            for l in labels:
+                s = automaton.delta(q1, q2, l)
+                if s:
+                    delta_map[(q1, q2, l)] = s
+                    note(s)
     final = {q for q in states if automaton.is_final(q)}
     return BNTA.from_tables(states, final, iota_map, delta_map)
 
@@ -268,43 +271,7 @@ def determinize(automaton, labels=None, cap=None):
         labels = automaton.labels
     if labels is None:
         raise ValueError("determinize needs a finite label universe")
-    labels = list(labels)
-    cap = state_cap(cap)
-    iota_map = {}
-    states = set()
-    for l in labels:
-        s = automaton.iota(l)
-        if s:
-            iota_map[l] = frozenset([s])
-            states.add(frozenset(s))
-    delta_map = {}
-    frontier = list(states)
-    while frontier:
-        new = []
-        for s1 in frontier:
-            for s2 in list(states):
-                for ordered in ((s1, s2), (s2, s1)) if s1 != s2 else ((s1, s1),):
-                    a, b = ordered
-                    for l in labels:
-                        if (a, b, l) in delta_map:
-                            continue
-                        acc = set()
-                        for q1 in a:
-                            for q2 in b:
-                                acc |= automaton.delta(q1, q2, l)
-                        if acc:
-                            t = frozenset(acc)
-                            delta_map[(a, b, l)] = frozenset([t])
-                            if t not in states:
-                                states.add(t)
-                                new.append(t)
-                                if len(states) > cap:
-                                    raise StateBlowup(
-                                        "determinization exceeded %d states"
-                                        % cap)
-        frontier = new
-    final = {s for s in states if any(automaton.is_final(q) for q in s)}
-    return BNTA.from_tables(list(states), final, iota_map, delta_map)
+    return materialize(lazy_determinize(automaton, cap), labels, cap)
 
 
 def lazy_determinize(automaton, cap=None):

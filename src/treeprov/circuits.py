@@ -9,7 +9,7 @@ and 0 (likewise nullary mul/add for semiring circuits).
 from fractions import Fraction
 
 from .errors import NotStitchable, SizeCap
-from .relational import Fact, Instance
+from .relational import Fact, Instance, json_field
 
 BOOL_TYPES = ("inp", "not", "and", "or")
 SEMIRING_TYPES = ("inp", "add", "mul")
@@ -481,9 +481,12 @@ def circuit_to_json(circuit):
 
 def circuit_from_json(data):
     ids = []
-    for i, e in enumerate(data["gates"]):
-        ids.append(e.get("name", i) if e["type"] == "inp" else i)
+    for i, e in enumerate(json_field(data, "gates", "circuit")):
+        kind = json_field(e, "type", "gate %d" % i)
+        ids.append(e.get("name", i) if kind == "inp" else i)
     gates = {}
     for i, e in enumerate(data["gates"]):
-        gates[ids[i]] = (e["type"], tuple(ids[j] for j in e["inputs"]))
-    return Circuit(data.get("kind", "bool"), gates, ids[data["output"]])
+        gates[ids[i]] = (e["type"], tuple(
+            ids[j] for j in json_field(e, "inputs", "gate %d" % i)))
+    return Circuit(data.get("kind", "bool"), gates,
+                   ids[json_field(data, "output", "circuit")])

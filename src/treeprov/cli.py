@@ -4,9 +4,9 @@ Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
 text.  Exit codes: 2 signals NoDecomposition or an invalid encoding,
 3 a state blowup, and 4 invalid input: a missing or unreadable file,
-malformed JSON, a query or formula that does not parse, or a query atom
-whose arity disagrees with the instance.  Each error is one line on
-stderr.
+malformed JSON, an input file without a required key, a query or
+formula that does not parse, or a query atom whose arity disagrees with
+the instance.  Each error is one line on stderr.
 """
 
 import argparse

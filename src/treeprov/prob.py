@@ -998,12 +998,13 @@ def bid_to_json(bid):
 
 
 def bid_from_json(data):
-    from .relational import instance_from_json
+    from .relational import instance_from_json, json_field
 
     instance = instance_from_json(data)
     probs = {}
-    for f, entry in zip(instance.facts, data.get("facts", [])):
-        probs[f.id] = Fraction(entry["prob"])
+    entries = data.get("facts", [])
+    for i, (f, entry) in enumerate(zip(instance.facts, entries)):
+        probs[f.id] = Fraction(json_field(entry, "prob", "fact %d" % (i + 1)))
     return BIDInstance(instance, data.get("key_positions", {}), probs)
 
 
@@ -1026,13 +1027,17 @@ def pcc_to_json(pcc):
 
 def pcc_from_json(data):
     from .circuits import circuit_from_json
-    from .relational import instance_from_json
+    from .relational import instance_from_json, json_field
 
-    instance = instance_from_json(data["instance"])
-    circuit = circuit_from_json(data["circuit"])
+    instance = instance_from_json(json_field(data, "instance", "pcc"))
+    circuit = circuit_from_json(json_field(data, "circuit", "pcc"))
     ids = []
     for i, e in enumerate(data["circuit"]["gates"]):
         ids.append(e.get("name", i) if e["type"] == "inp" else i)
-    phi = {e["fact"]: ids[e["gate"]] for e in data["phi"]}
-    probs = {ids[e["gate"]]: Fraction(e["prob"]) for e in data["probs"]}
+    phi = {json_field(e, "fact", "phi entry"):
+           ids[json_field(e, "gate", "phi entry")]
+           for e in json_field(data, "phi", "pcc")}
+    probs = {ids[json_field(e, "gate", "probs entry")]:
+             Fraction(json_field(e, "prob", "probs entry"))
+             for e in json_field(data, "probs", "pcc")}
     return PCCInstance(instance, circuit, phi, probs)

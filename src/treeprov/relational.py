@@ -424,12 +424,22 @@ def instance_to_json(instance):
     }
 
 
+def json_field(data, key, where):
+    """data[key] of parsed JSON, or ValueError naming the missing key."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError("%s has no %r key" % (where, key))
+    return data[key]
+
+
 def instance_from_json(data):
+    signature = json_field(data, "signature", "instance")
     facts = []
     for i, f in enumerate(data.get("facts", [])):
-        facts.append(Fact(f["rel"], tuple(f["args"]),
+        where = "fact %d" % (i + 1)
+        facts.append(Fact(json_field(f, "rel", where),
+                          tuple(json_field(f, "args", where)),
                           f.get("id", "F%d" % (i + 1))))
-    return Instance(data["signature"], facts)
+    return Instance(signature, facts)
 
 
 def decomposition_to_json(decomposition):

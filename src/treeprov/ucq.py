@@ -1,30 +1,27 @@
 """UCQs: parsing, evaluation oracles, and compilation to tree automata
 over (annotated) tree encodings of treelike instances.
 
-Both compilations track partial-match descriptors: a partial map from
-variables to slots plus the set of atoms already matched in the
-subtree.  A variable whose element leaves scope while it still occurs in
-an unmatched atom kills its descriptor, and two children never both
-match one atom.  Inequality atoms are enforced eagerly: two variables
-required distinct can never share a slot, and elements that have gone
-out of scope are distinct from everything still in scope.
+One automaton, `placement_automaton`, compiles a CQ.  Its state is one
+partial match: a partial map from variables to slots plus the set of
+atoms placed in the subtree.  A variable whose element leaves scope
+while it still occurs in an unplaced atom kills its match, two children
+never both place one atom, and two variables required distinct never
+share a slot (elements out of scope are distinct from all in scope).
 
-- The Boolean automaton (`compile_bool`) is deterministic: its state is
-  the node's slot domain with the set of descriptors some valuation of
-  the subtree realizes.
-- The placement automaton (`placement_automaton`) is nondeterministic:
-  its state is one descriptor, and a fact node annotated `ann` places
-  exactly `ann` unmatched atoms on its fact.  Its accepting runs are the
-  query's matches, so its N[X] provenance circuit (`nx_provenance`) is
-  the query's N[X] provenance, and made monotone in the annotation it
-  tests bag semantics (`compile_bag`).
+- Annotated view: a fact node annotated `ann` places exactly `ann`
+  atoms on its fact, so accepting runs are the query's matches.  This
+  gives N[X] provenance (`nx_provenance`) and, made monotone in the
+  annotation, bag semantics (`compile_bag`).
+- Boolean view (`compile_bool`): a fact may hold any number of atoms,
+  and each disjunct's automaton is determinised on demand.
 """
 
 import itertools
 import re
 from dataclasses import dataclass
 
-from .automata import BNTA, EMPTY, memoized, monotonize, union
+from .automata import (BNTA, EMPTY, lazy_determinize, memoized, monotonize,
+                       union)
 from .circuits import Polynomial
 from .encoding import encode
 from .provcirc import name_inputs, nx_provenance_circuit
@@ -212,30 +209,6 @@ def _bind(cq, mu, pairs):
     return new
 
 
-def _close(cq, descs, struct):
-    """Extend descriptors by matching the node's fact (if any) against
-    unmatched atoms, to fixpoint.  struct = (rel, slot tuple) or None."""
-    if struct is None:
-        return descs
-    rel, slots = struct
-    out = set(descs)
-    frontier = list(descs)
-    while frontier:
-        mu, matched = frontier.pop()
-        mud = dict(mu)
-        for idx, a in enumerate(cq.atoms):
-            if idx in matched or a.rel != rel or len(a.vars) != len(slots):
-                continue
-            new = _bind(cq, mud, zip(a.vars, slots))
-            if new is None:
-                continue
-            d = (frozenset(new.items()), matched | {idx})
-            if d not in out:
-                out.add(d)
-                frontier.append(d)
-    return out
-
-
 def _project(cq, desc, dom):
     """A child's descriptor seen from its parent, whose slots are dom.
     A descriptor binds only slots of its own node, and a slot the parent
@@ -257,65 +230,23 @@ def _project(cq, desc, dom):
     return (frozenset(keep.items()), matched)
 
 
-def match_automaton(cq):
-    """Lazy bNTA over KFact labels testing one CQ (with optional
-    inequality atoms) on valid tree encodings.  A state is the node's
-    slot domain with the set of descriptors some valuation of the
-    subtree can realize."""
-    n_atoms = len(cq.atoms)
-    empty_desc = (frozenset(), frozenset())
-
-    def struct_of(label):
-        if label.rel is None:
-            return None
-        return (label.rel, label.args)
-
-    def project(descs, dom):
-        return {d for d in (_project(cq, d, dom) for d in descs)
-                if d is not None}
-
-    def iota(label):
-        descs = _close(cq, {empty_desc}, struct_of(label))
-        return frozenset([(label.dom, frozenset(descs))])
-
-    def delta(s1, s2, label):
-        r1 = project(s1[1], label.dom)
-        r2 = project(s2[1], label.dom)
-        merged = set()
-        for mu1, m1 in r1:
-            d1 = dict(mu1)
-            for mu2, m2 in r2:
-                # an atom sits on one fact, at one node: the two sides
-                # never both matched it
-                if m1 & m2:
-                    continue
-                new = _bind(cq, d1, mu2)
-                if new is not None:
-                    merged.add((frozenset(new.items()), m1 | m2))
-        merged = _close(cq, merged, struct_of(label))
-        return frozenset([(label.dom, frozenset(merged))])
-
-    full = frozenset(range(n_atoms))
-
-    def is_final(state):
-        _, descs = state
-        return any(m == full for _, m in descs)
-
-    return BNTA(iota, delta, is_final)
-
-
 def compile_bool(q, k=None):
-    """bNTA over the k-fact alphabet testing a UCQ on valid encodings."""
+    """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
+    per disjunct, the placement automaton that lets a fact hold any
+    number of atoms, determinised on demand."""
     if isinstance(q, CQ):
         q = UCQ((q,))
-    return memoized(union([match_automaton(d) for d in q.disjuncts]))
+    return memoized(union([
+        lazy_determinize(memoized(placement_automaton(d, any_count=True)))
+        for d in q.disjuncts]))
 
 
-def placement_automaton(cq):
+def placement_automaton(cq, any_count=False):
     """bNTA over (KFact, annotation) labels whose accepting runs on a
     valid annotated encoding are in bijection with the matches of cq
     that place exactly `ann` atoms on the fact of each fact node
-    annotated `ann`; other nodes must be annotated 0.
+    annotated `ann`; other nodes must be annotated 0.  With any_count,
+    labels are bare KFacts and a fact node places any number of atoms.
 
     A state is one descriptor: a partial variable->slot map with the set
     of atoms placed in the subtree.  Children that both placed an atom
@@ -325,7 +256,7 @@ def placement_automaton(cq):
     full = frozenset(range(len(atoms)))
 
     def place(mu, matched, label):
-        kf, ann = label
+        kf, ann = (label, 0) if any_count else label
         if kf.rel is None:
             if ann:
                 return EMPTY
@@ -333,12 +264,15 @@ def placement_automaton(cq):
         fit = [idx for idx, a in enumerate(atoms)
                if idx not in matched and a.rel == kf.rel
                and len(a.vars) == len(kf.args)]
+        sizes = range(len(fit) + 1) if any_count else [ann]
         out = set()
-        for chosen in itertools.combinations(fit, ann):
-            new = _bind(cq, mu, [(v, s) for idx in chosen
-                                 for v, s in zip(atoms[idx].vars, kf.args)])
-            if new is not None:
-                out.add((frozenset(new.items()), matched | set(chosen)))
+        for n in sizes:
+            for chosen in itertools.combinations(fit, n):
+                new = _bind(cq, mu, [(v, s) for idx in chosen
+                                     for v, s in zip(atoms[idx].vars,
+                                                     kf.args)])
+                if new is not None:
+                    out.add((frozenset(new.items()), matched | set(chosen)))
         return frozenset(out)
 
     def iota(label):
@@ -347,7 +281,7 @@ def placement_automaton(cq):
     def delta(q1, q2, label):
         if q1[1] & q2[1]:
             return EMPTY
-        dom = label[0].dom
+        dom = (label if any_count else label[0]).dom
         d1 = _project(cq, q1, dom)
         d2 = _project(cq, q2, dom)
         if d1 is None or d2 is None:

@@ -72,6 +72,7 @@ def test_compile_emits_automaton(capsys, instance_file):
     assert code == 0
     data = json.loads(out)
     assert data["states"] and data["iota"]
+    assert len(data["states"]) <= 22
 
 
 def test_provenance_bool(capsys, instance_file):
@@ -151,6 +152,11 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
     bid_file.write_text(json.dumps(bid))
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{\"signature\": ")
+    no_signature = tmp_path / "no_signature.json"
+    no_signature.write_text(json.dumps({"facts": []}))
+    no_prob = tmp_path / "no_prob.json"
+    no_prob.write_text(json.dumps(
+        {"signature": {"R": 2}, "facts": [{"rel": "R", "args": ["a", "b"]}]}))
     cases = [
         (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
         (("count", "--query", "R(x)", "--free", "x",
@@ -160,6 +166,11 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
           "--instance", str(bad_json)), "not valid JSON"),
         (("prob", "--query", "R(x,y)", "--bid",
           str(tmp_path / "missing.json")), "missing.json"),
+        (("count", "--query", "R(x,y)", "--free", "x",
+          "--instance", str(no_signature)), "'signature'"),
+        (("prob", "--query", "R(x,y)", "--bid", str(no_prob)), "'prob'"),
+        (("prob", "--query", "R(x,y)", "--pcc", str(no_signature)),
+         "'instance'"),
     ]
     for args, needle in cases:
         assert main(list(args)) == 4
