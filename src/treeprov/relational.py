@@ -230,6 +230,8 @@ def _exact_elimination_order(verts, adj):
                 rest ^= low
                 v = low.bit_length() - 1
                 sub = s ^ low
+                if best[sub] >= val:
+                    continue  # max(best[sub], q) cannot beat val
                 cand = max(best[sub], q_count(sub, v))
                 if cand < val:
                     val = cand

@@ -13,7 +13,11 @@ share a slot (elements out of scope are distinct from all in scope).
   gives N[X] provenance (`nx_provenance`) and, made monotone in the
   annotation, bag semantics (`compile_bag`).
 - Boolean view (`compile_bool`): a fact may hold any number of atoms,
-  and each disjunct's automaton is determinised on demand.
+  and each disjunct's automaton is determinised on demand.  A UCQ is
+  monotone, so every subset holding a full match is merged into one
+  absorbing accepting state.  This is exact because every reachable
+  subset holds the empty descriptor, with which a full descriptor
+  always gives a full descriptor again.
 """
 
 import itertools
@@ -128,20 +132,22 @@ def parse_ucq(text, free=()):
 # Direct evaluation oracles
 
 
-def cq_matches(cq, instance):
-    """All satisfying assignments of one CQ by domain enumeration."""
+def _cq_assignments(cq, instance):
+    """Satisfying assignments of one CQ by domain enumeration, lazily."""
     vs = cq.variables
-    dom = instance.domain
     keys = instance.fact_keys()
-    out = []
-    for combo in itertools.product(dom, repeat=len(vs)):
+    for combo in itertools.product(instance.domain, repeat=len(vs)):
         asg = dict(zip(vs, combo))
         ok = all(asg[x] != asg[y]
                  for pair in cq.diseqs for x, y in [tuple(pair)])
         if ok and all((a.rel, tuple(asg[v] for v in a.vars)) in keys
                       for a in cq.atoms):
-            out.append(asg)
-    return out
+            yield asg
+
+
+def cq_matches(cq, instance):
+    """All satisfying assignments of one CQ by domain enumeration."""
+    return list(_cq_assignments(cq, instance))
 
 
 def enumerate_matches(q, instance):
@@ -154,7 +160,8 @@ def enumerate_matches(q, instance):
 
 
 def satisfies(q, instance):
-    return any(cq_matches(d, instance) for d in q.disjuncts)
+    return any(next(_cq_assignments(d, instance), None) is not None
+               for d in q.disjuncts)
 
 
 def nx_provenance_bruteforce(q, instance):
@@ -230,14 +237,47 @@ def _project(cq, desc, dom):
     return (frozenset(keep.items()), matched)
 
 
+_ACCEPT = "accept"
+_SINK = frozenset([_ACCEPT])
+
+
+def _accepting_sink(subsets):
+    """The determinised placement automaton of one disjunct with every
+    subset that holds a full match merged into one absorbing accepting
+    state (see `compile_bool` for why this is exact)."""
+
+    def collapse(states):
+        if any(subsets.is_final(s) for s in states):
+            return _SINK
+        return states
+
+    def delta(s1, s2, l):
+        if s1 == _ACCEPT or s2 == _ACCEPT:
+            return _SINK
+        return collapse(subsets.delta(s1, s2, l))
+
+    return BNTA(lambda l: collapse(subsets.iota(l)), delta,
+                lambda s: s == _ACCEPT)
+
+
 def compile_bool(q, k=None):
     """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
     per disjunct, the placement automaton that lets a fact hold any
-    number of atoms, determinised on demand."""
+    number of atoms, determinised on demand, with every subset holding
+    a full match merged into one absorbing accepting state.  A state is
+    that sink or a set of descriptors with no full match.
+
+    The merge is exact: every reachable subset holds the empty
+    descriptor (a fact may hold no atom), a full descriptor never fails
+    `_project` (no unmatched atom is left to lose a variable), and a
+    full descriptor with the empty one gives a full descriptor again.
+    So a subset with a full match only ever leads to subsets with one,
+    and the result stays deterministic."""
     if isinstance(q, CQ):
         q = UCQ((q,))
     return memoized(union([
-        lazy_determinize(memoized(placement_automaton(d, any_count=True)))
+        _accepting_sink(lazy_determinize(
+            memoized(placement_automaton(d, any_count=True))))
         for d in q.disjuncts]))
 
 

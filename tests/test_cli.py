@@ -72,7 +72,22 @@ def test_compile_emits_automaton(capsys, instance_file):
     assert code == 0
     data = json.loads(out)
     assert data["states"] and data["iota"]
-    assert len(data["states"]) <= 22
+    assert len(data["states"]) <= 2
+
+
+@pytest.mark.parametrize("query,max_states", [("R(x,y)", 2),
+                                              ("R(x,y),R(y,x)", 14)])
+def test_compile_two_variables_width_one(capsys, monkeypatch, tmp_path,
+                                         query, max_states):
+    """Subsets holding a full match collapse into one accepting state, so
+    these stay small; without that they exceed the state cap."""
+    monkeypatch.setenv("TREEPROV_STATE_CAP", "64")
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"R": 2}))
+    code, out = run_main(capsys, "compile", "--query", query,
+                         "--width", "1", "--signature", str(sig))
+    assert code == 0
+    assert len(json.loads(out)["states"]) <= max_states
 
 
 def test_provenance_bool(capsys, instance_file):

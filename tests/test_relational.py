@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -96,6 +97,39 @@ def test_exact_decomposition_optimal_on_cliques():
                    for b in elems[i + 1:]]
         inst = make_instance({"E": 2}, triples)
         assert tree_decomposition(inst).width == k - 1
+
+
+def _elimination_width(order, adj):
+    """Largest neighbourhood met when eliminating vertices in order."""
+    adj = {v: set(nb) for v, nb in adj.items()}
+    width = 0
+    for v in order:
+        nb = adj.pop(v)
+        width = max(width, len(nb))
+        for u in nb:
+            adj[u] |= nb - {u}
+            adj[u].discard(v)
+    return width
+
+
+def test_exact_decomposition_width_is_brute_force_minimum():
+    rng = random.Random(17)
+    for _ in range(40):
+        verts = ["v%d" % i for i in range(rng.randint(1, 7))]
+        edges = [(a, b) for a, b in itertools.combinations(verts, 2)
+                 if rng.random() < 0.45]
+        inst = make_instance({"E": 2, "U": 1},
+                             [("E", e) for e in edges]
+                             + [("U", (v,)) for v in verts])
+        adj = {v: set() for v in verts}
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        best = min(_elimination_width(order, adj)
+                   for order in itertools.permutations(verts))
+        decomp = tree_decomposition(inst)
+        assert check_decomposition(inst, decomp)
+        assert decomp.width == best
 
 
 def test_large_instance_uses_heuristic():

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from treeprov.automata import accepts
-from treeprov.circuits import NAT, POSBOOL, eval_bool_vector, expand_polynomial
+from treeprov.circuits import (NAT, POSBOOL, eval_bool, eval_bool_vector,
+                               expand_polynomial)
 from treeprov.encoding import annotate, encode
 from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import (Fact, Instance, make_instance,
@@ -107,6 +108,34 @@ def test_query_provenance_circuit_width_two():
         for v in range(width):
             world = {fid for i, fid in enumerate(fids) if (v >> i) & 1}
             assert ((out >> v) & 1) == any(u <= world for u in uses)
+
+
+def _directed_chain(edges):
+    """R-instance with edge (i, j) directed e<i> -> e<j>, facts F1.."""
+    return Instance({"R": 2}, [
+        Fact("R", ("e%02d" % a, "e%02d" % b), "F%d" % (i + 1))
+        for i, (a, b) in enumerate(edges)])
+
+
+def test_query_provenance_circuit_size_beyond_exhaustive():
+    """Circuits too large to check on every valuation: a subset holding a
+    full match is one accepting state, which bounds the gate count, and
+    the circuit agrees with the query on random subinstances."""
+    path = [(i, i + 1) for i in range(24)]
+    grid = ([(r * 8 + j, r * 8 + j + 1) for r in (0, 1) for j in range(7)]
+            + [(j, 8 + j) for j in range(8)])
+    cases = [("R(x,y),R(y,z)", path, 1, 550),
+             ("R(x,y),R(y,z),R(z,w)", grid, 2, 1700)]
+    rng = random.Random(88)  # keeping a third of the facts mixes answers
+    for text, edges, k, max_gates in cases:
+        q = parse_ucq(text)
+        inst = _directed_chain(edges)
+        res, _enc = query_provenance_circuit(compile_bool(q), inst, k)
+        assert len(res.circuit.gates) <= max_gates
+        for _ in range(64):
+            val = {f.id: int(rng.random() < 1 / 3) for f in inst.facts}
+            assert (eval_bool(res.circuit, val)
+                    == satisfies(q, subinstance(inst, val)))
 
 
 def test_compile_bag_oracle():
