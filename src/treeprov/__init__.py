@@ -1,7 +1,8 @@
 """Provenance circuits and probabilistic query evaluation on
 treelike data: tree decompositions, tree encodings, bottom-up tree
 automata, Boolean and N[X] provenance circuits, exact probability
-by message passing, and PrXML support."""
+by running the query automaton over the instance's (or the
+cc-encoding's) tree with integer world weights, and PrXML support."""
 
 __version__ = "0.1.0"
 

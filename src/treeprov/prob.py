@@ -1,15 +1,13 @@
 """Probabilistic applications: pc/pcc/BID instances, exact query
-probabilities, and match counting.
+probabilities as Fractions, and match counting.
 
-- BID probabilities run the determinised query automaton bottom-up over
-  the instance's own tree encoding, with integer world weights per
-  automaton state (`query_probability_bid`).  Match counting reduces to
+The determinised query automaton runs bottom-up over a tree encoding,
+summing integer world weights; no lineage circuit is built:
+- BID: over the instance's own encoding, keyed by state and the blocks
+  chosen below (`query_probability_bid`).  Match counting reduces to
   that: one uniform block per free variable (`count_matches`).
-- pcc and pc probabilities build a lineage circuit through the
-  cc-encoding and stitching, then run junction-tree message passing on
-  its tree decomposition (`query_probability_pcc`).
-
-All probabilities are exact rationals (fractions.Fraction).
+- pcc and pc: over the cc-encoding of data and circuit, keyed by state
+  and the values of gates shared with the parent (`query_probability_pcc`).
 """
 
 import itertools
@@ -17,12 +15,13 @@ import math
 from fractions import Fraction
 
 from .automata import lazy_determinize, lift_boolean, memoized
-from .circuits import (Circuit, arity_two, circuit_relational_encoding,
-                       stitch, sum_decompositions)
+from .circuits import (Circuit, arity_two, circuit_from_json,
+                       circuit_relational_encoding, circuit_to_json, stitch,
+                       sum_decompositions)
 from .encoding import TreeEncoding, alphabet_label, encode
-from .errors import NoDecomposition
 from .provcirc import bool_provenance_circuit, name_inputs
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
+                         instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
 from .trees import Node, parents, postorder
 from .ucq import CQ, UCQ, Atom, compile_bool
@@ -435,22 +434,6 @@ def message_passing_prob(circuit, decomposition, probs):
     raise ValueError("output gate not covered")
 
 
-def brute_force_prob(circuit, probs):
-    """Testing oracle: sum over all input valuations."""
-    from .circuits import eval_bool
-
-    inputs = sorted(circuit.inputs(), key=repr)
-    total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=len(inputs)):
-        nu = dict(zip(inputs, bits))
-        w = Fraction(1)
-        for g, b in nu.items():
-            w *= probs[g] if b else 1 - probs[g]
-        if w and eval_bool(circuit, nu):
-            total += w
-    return total
-
-
 # ---------------------------------------------------------------------------
 # cc-encodings and lineage
 
@@ -459,23 +442,18 @@ def _gate_elem(g):
     return ("g", g)
 
 
-def pcc_joint_instance(instance, circuit):
-    """Relational encoding of a pcc-instance: circuit facts plus one
-    R_plus fact per data fact linking its arguments to its gate."""
-    gates_inst = circuit_relational_encoding(circuit)
+def joint_decomposition(pcc, k=None):
+    """Relational encoding of a pcc-instance with an arity-two circuit:
+    one fact per gate over gate elements, plus one ("plus", rel) fact
+    per data fact linking its arguments to its gate; and a tree
+    decomposition of it of width at most k."""
     sig = {}
     facts = []
-    for f in gates_inst.facts:
+    for f in circuit_relational_encoding(pcc.circuit).facts:
         sig[f.rel] = len(f.args)
         facts.append(Fact(f.rel, tuple(_gate_elem(a) for a in f.args), f.id))
-    return sig, facts
-
-
-def joint_decomposition(pcc, k=None):
-    sig, gate_facts = pcc_joint_instance(pcc.instance, pcc.circuit)
     for rel, arity in pcc.instance.signature.items():
         sig[("plus", rel)] = arity + 1
-    facts = list(gate_facts)
     for f in pcc.instance.facts:
         facts.append(Fact(("plus", f.rel),
                           tuple(f.args) + (_gate_elem(pcc.phi[f.id]),),
@@ -604,32 +582,111 @@ def _check_arities(query, signature):
 
 
 def query_probability_pcc(query, pcc, k=None):
+    """Exact probability of a UCQ (or of a Boolean automaton over KFact
+    labels) on a pcc-instance, by `_pcc_dp`; k bounds the width of the
+    joint decomposition of data and circuit."""
     _check_arities(query, pcc.instance.signature)
-    automaton = _as_automaton(query)
-    circuit, decomp = lineage_circuit(automaton, pcc, k)
-    return message_passing_prob(circuit, decomp, pcc.probs)
+    return _pcc_dp(_as_automaton(query), pcc, k)
 
 
-def pcc_worlds(pcc):
-    """Testing oracle: (world instance, probability) per input valuation."""
-    from .circuits import eval_bool
-    from .relational import subinstance
-
-    inputs = sorted(pcc.circuit.inputs(), key=repr)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(inputs)):
-        nu = dict(zip(inputs, bits))
-        w = Fraction(1)
-        for g, b in nu.items():
-            w *= pcc.probs[g] if b else 1 - pcc.probs[g]
-        if not w:
-            continue
-        val = {}
-        for f in pcc.instance.facts:
-            sub = Circuit("bool", pcc.circuit.gates, pcc.phi[f.id])
-            val[f.id] = eval_bool(sub, nu)
-        out.append((subinstance(pcc.instance, val), w))
-    return out
+def _pcc_dp(automaton, pcc, k):
+    """The determinised automaton (summing the runs of a nondeterministic
+    one would count a world once per run) run bottom-up over the
+    cc-encoding and its same-skeleton circuit decomposition together: a
+    message maps (state, values of the node's gates kept in the parent's
+    bag) to an integer weight.  A gate is checked at its home, the first
+    bag bottom-up with it and its inputs (the joint instance has one fact
+    per gate), and enumerated where it is new unless that is its home.
+    An input with p = a/d weighs a if true, d - a if false.  A fact node
+    reads its label if its chi gate is true, else the neutered label."""
+    c2, rep, _ = arity_two(pcc.circuit)
+    pcc2 = PCCInstance(pcc.instance, c2,
+                       {fid: rep[g] for fid, g in pcc.phi.items()}, pcc.probs)
+    cc = cc_encode(pcc2, joint_decomposition(pcc2, k)[1])
+    step = memoized(lazy_determinize(automaton))
+    pos = {g: i for i, g in enumerate(c2.topo_order())}
+    scale = math.prod(pcc.probs[g].denominator for g in c2.inputs())
+    input_weights = {g: (p.denominator - p.numerator, p.numerator)
+                     for g, p in pcc.probs.items()}  # when false, true
+    # children first: (node, its gates in topological order, those kept)
+    order = []
+    stack = [(cc.encoding.root, cc.circuit_decomposition.root, frozenset())]
+    while stack:
+        n, b, up = stack.pop()
+        order.append((n, sorted(b.dom, key=pos.__getitem__),
+                      sorted(b.dom & up, key=pos.__getitem__)))
+        if not n.is_leaf():
+            stack.append((n.left, b.children[0], b.dom))
+            stack.append((n.right, b.children[1], b.dom))
+    order.reverse()
+    homed = set()
+    messages = {}  # id(node) -> (kept gates, {their values: {state: weight}})
+    for n, gates, keep in order:
+        at = {g: i for i, g in enumerate(gates)}
+        # values the children fixed (None elsewhere) -> {(q1, q2): weight}
+        below = {(None,) * len(gates): {(None, None): 1}}
+        fixed = ()
+        if not n.is_leaf():
+            (lk, left), (rk, right) = [messages.pop(id(c))
+                                       for c in (n.left, n.right)]
+            fixed = set(lk) | set(rk)
+            below = {}
+            for v1, qs1 in left.items():
+                for v2, qs2 in right.items():
+                    vals = [None] * len(gates)
+                    for g, v in zip(lk + rk, v1 + v2):
+                        if vals[at[g]] not in (None, v):
+                            break
+                        vals[at[g]] = v
+                    else:
+                        below[tuple(vals)] = {
+                            (q1, q2): w1 * w2 for q1, w1 in qs1.items()
+                            for q2, w2 in qs2.items()}
+        steps = []  # (index, gate type or None to enumerate, inputs, weights)
+        for i, g in enumerate(gates):
+            t, ins = c2.gates[g]
+            if g not in homed and all(x in at for x in ins):
+                homed.add(g)
+                steps.append((i, None, (), input_weights[g]) if t == "inp"
+                             else (i, t, [at[x] for x in ins], None))
+            elif g not in fixed:
+                steps.append((i, None, (), (1, 1)))
+        chi = at[cc.chi[id(n)]] if id(n) in cc.chi else None
+        keep_at = [at[g] for g in keep]
+        out = {}
+        for vals, runs in below.items():
+            rows = [(vals, 1)]
+            for i, t, ins, weights in steps:
+                nxt = []
+                for vals, w in rows:
+                    if t is None:
+                        for v in (0, 1) if vals[i] is None else (vals[i],):
+                            if weights[v]:
+                                nxt.append((vals[:i] + (v,) + vals[i + 1:],
+                                            w * weights[v]))
+                    else:
+                        xs = [vals[j] for j in ins]
+                        v = 1 - xs[0] if t == "not" else \
+                            int(all(xs) if t == "and" else any(xs))
+                        if vals[i] in (None, v):
+                            nxt.append((vals[:i] + (v,) + vals[i + 1:], w))
+                rows = nxt
+            kept = {}  # (label, kept values) -> weight
+            for vals, w in rows:
+                label = n.label if chi is None or vals[chi] else \
+                    n.label.neuter()
+                key = (label, tuple(vals[i] for i in keep_at))
+                kept[key] = kept.get(key, 0) + w
+            for (label, kvals), w in kept.items():
+                states = out.setdefault(kvals, {})
+                for (q1, q2), wq in runs.items():
+                    qs = step.iota(label) if q1 is None else \
+                        step.delta(q1, q2, label)
+                    for q in qs:  # at most one: the automaton is deterministic
+                        states[q] = states.get(q, 0) + w * wq
+        messages[id(n)] = (keep, out)
+    root = messages[id(cc.encoding.root)][1].get((), {})
+    return Fraction(sum(w for q, w in root.items() if step.is_final(q)), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -675,25 +732,6 @@ def pc_to_pcc(pc, k=None):
     circuit = Circuit("bool", gates, out)
     return PCCInstance(pc.instance, circuit, phi,
                        {("e", e): p for e, p in pc.events.items()})
-
-
-def pc_worlds(pc):
-    """Testing oracle for pc-instances."""
-    from .relational import subinstance
-
-    events = sorted(pc.events)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(events)):
-        asg = dict(zip(events, bits))
-        w = Fraction(1)
-        for e, b in asg.items():
-            w *= pc.events[e] if b else 1 - pc.events[e]
-        if not w:
-            continue
-        val = {f.id: int(eval_formula(pc.conds[f.id], asg))
-               for f in pc.instance.facts}
-        out.append((subinstance(pc.instance, val), w))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -788,30 +826,6 @@ def bid_to_pcc(bid, k=None):
     pcc = PCCInstance(instance, circuit, phi, probs)
     pcc.invariant_probs = invariant_probs
     return pcc
-
-
-def bid_worlds(bid):
-    """Testing oracle: enumerate one choice (or none) per block."""
-    blocks = sorted(bid.blocks().items(), key=lambda kv: repr(kv[0]))
-    choices = []
-    for block, facts in blocks:
-        opts = [(None, 1 - sum(bid.probs[f.id] for f in facts))]
-        opts += [(f, bid.probs[f.id]) for f in facts]
-        choices.append(opts)
-    out = []
-    for combo in itertools.product(*choices):
-        w = Fraction(1)
-        present = set()
-        for f, p in combo:
-            w *= p
-            if f is not None:
-                present.add(f.id)
-        if not w:
-            continue
-        val = {f.id: int(f.id in present) for f in bid.instance.facts}
-        from .relational import subinstance
-        out.append((subinstance(bid.instance, val), w))
-    return out
 
 
 def query_probability_bid(query, bid, k=None):
@@ -965,8 +979,6 @@ def format_fraction(x):
 
 
 def pc_to_json(pc):
-    from .relational import instance_to_json
-
     out = instance_to_json(pc.instance)
     for entry in out["facts"]:
         entry["cond"] = format_formula(pc.conds[entry["id"]])
@@ -975,8 +987,6 @@ def pc_to_json(pc):
 
 
 def pc_from_json(data):
-    from .relational import instance_from_json
-
     instance = instance_from_json(data)
     conds = {}
     for f, entry in zip(instance.facts, data.get("facts", [])):
@@ -987,8 +997,6 @@ def pc_from_json(data):
 
 
 def bid_to_json(bid):
-    from .relational import instance_to_json
-
     out = instance_to_json(bid.instance)
     for entry in out["facts"]:
         entry["prob"] = format_fraction(bid.probs[entry["id"]])
@@ -998,8 +1006,6 @@ def bid_to_json(bid):
 
 
 def bid_from_json(data):
-    from .relational import instance_from_json, json_field
-
     instance = instance_from_json(data)
     probs = {}
     entries = data.get("facts", [])
@@ -1009,9 +1015,6 @@ def bid_from_json(data):
 
 
 def pcc_to_json(pcc):
-    from .circuits import circuit_to_json
-    from .relational import instance_to_json
-
     cjson = circuit_to_json(pcc.circuit)
     idx = {g: i for i, g in enumerate(pcc.circuit.topo_order())}
     return {
@@ -1026,9 +1029,6 @@ def pcc_to_json(pcc):
 
 
 def pcc_from_json(data):
-    from .circuits import circuit_from_json
-    from .relational import instance_from_json, json_field
-
     instance = instance_from_json(json_field(data, "instance", "pcc"))
     circuit = circuit_from_json(json_field(data, "circuit", "pcc"))
     ids = []

@@ -7,10 +7,9 @@ annotations on the edges to their children (rationals for mux/ind,
 propositional formulas for fie).
 """
 
-import itertools
 from fractions import Fraction
 
-from .prob import (PCInstance, eval_formula, format_formula,
+from .prob import (PCInstance, format_formula,
                    formula_events, parse_formula, pc_to_pcc,
                    query_probability_pcc)
 from .relational import Fact, Instance
@@ -65,21 +64,6 @@ def doc_nodes(root):
         for _, c in reversed(n.children):
             stack.append(c)
     return out  # preorder
-
-
-def doc_canon(node):
-    """Canonical nested-tuple form (used to compare distributions)."""
-    return (node.label, node.kind,
-            tuple((_canon_edge(node.kind, e), doc_canon(c))
-                  for e, c in node.children))
-
-
-def _canon_edge(kind, e):
-    if e is None:
-        return None
-    if kind == "fie":
-        return format_formula(e)
-    return Fraction(e)
 
 
 # ---------------------------------------------------------------------------
@@ -382,100 +366,6 @@ def fie_to_pc(doc):
 
     walk(doc.root, None)
     return PCInstance(Instance(sig, facts), conds, doc.events)
-
-
-# ---------------------------------------------------------------------------
-# Possible-world oracles
-
-
-def muxind_worlds(doc):
-    """Distribution over deterministic documents by local enumeration;
-    returns {canonical tree: probability}."""
-
-    def forests(node):
-        # list of (tuple of canonical child trees, prob) for the forest
-        # this node contributes to its parent
-        child_opts = [forests(c) for _, c in node.children]
-        if node.kind == "regular":
-            out = []
-            for combo in itertools.product(*child_opts):
-                p = Fraction(1)
-                kids = []
-                for f, fp in combo:
-                    p *= fp
-                    kids.extend(f)
-                out.append(((("t", node.label, tuple(kids)),), p))
-            return out
-        if node.kind == "ind":
-            out = [((), Fraction(1))]
-            for (prob, _), opts in zip(node.children, child_opts):
-                nxt = []
-                for forest, p in out:
-                    if prob < 1:
-                        nxt.append((forest, p * (1 - prob)))
-                    if prob > 0:
-                        for f, fp in opts:
-                            nxt.append((forest + f, p * prob * fp))
-                out = _merge(nxt)
-            return out
-        if node.kind == "mux":
-            out = []
-            total = Fraction(0)
-            for (prob, _), opts in zip(node.children, child_opts):
-                total += prob
-                if prob > 0:
-                    for f, fp in opts:
-                        out.append((f, prob * fp))
-            if total < 1:
-                out.append(((), 1 - total))
-            return _merge(out)
-        raise ValueError("fie nodes not supported by local enumeration")
-
-    dist = {}
-    for forest, p in forests(doc.root):
-        tree = forest[0]
-        dist[tree] = dist.get(tree, Fraction(0)) + p
-    return dist
-
-
-def _merge(options):
-    acc = {}
-    for f, p in options:
-        acc[f] = acc.get(f, Fraction(0)) + p
-    return list(acc.items())
-
-
-def fie_worlds(doc):
-    """Distribution over deterministic documents of a fie document by
-    enumeration of event valuations; returns {canonical tree: prob}."""
-    events = sorted(doc.events)
-
-    def collapse(node, nu):
-        # forest this node contributes under valuation nu
-        if node.kind == "regular":
-            kids = []
-            for _, c in node.children:
-                kids.extend(collapse(c, nu))
-            return (("t", node.label, tuple(kids)),)
-        if node.kind == "fie":
-            kids = []
-            for phi, c in node.children:
-                if eval_formula(phi, nu):
-                    kids.extend(collapse(c, nu))
-            return tuple(kids)
-        raise ValueError("not a fie document")
-
-    dist = {}
-    for bits in itertools.product((0, 1), repeat=len(events)):
-        nu = dict(zip(events, bits))
-        p = Fraction(1)
-        for e, b in nu.items():
-            p *= doc.events[e] if b else 1 - doc.events[e]
-        if not p:
-            continue
-        tree = collapse(doc.root, nu)[0]
-        dist[tree] = dist.get(tree, Fraction(0)) + p
-    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,193 @@
+"""Possible-world oracles: the ground truth the tests check the
+probability pipeline against, by enumerating every input valuation,
+block choice or document world."""
+
+import itertools
+from fractions import Fraction
+
+from treeprov.circuits import Circuit, eval_bool
+from treeprov.prob import eval_formula, format_formula
+from treeprov.relational import subinstance
+
+
+def brute_force_prob(circuit, probs):
+    """Pr[output = 1], summed over all input valuations."""
+    inputs = sorted(circuit.inputs(), key=repr)
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=len(inputs)):
+        nu = dict(zip(inputs, bits))
+        w = Fraction(1)
+        for g, b in nu.items():
+            w *= probs[g] if b else 1 - probs[g]
+        if w and eval_bool(circuit, nu):
+            total += w
+    return total
+
+
+def pcc_worlds(pcc):
+    """(world instance, probability) per input valuation."""
+    inputs = sorted(pcc.circuit.inputs(), key=repr)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(inputs)):
+        nu = dict(zip(inputs, bits))
+        w = Fraction(1)
+        for g, b in nu.items():
+            w *= pcc.probs[g] if b else 1 - pcc.probs[g]
+        if not w:
+            continue
+        val = {}
+        for f in pcc.instance.facts:
+            sub = Circuit("bool", pcc.circuit.gates, pcc.phi[f.id])
+            val[f.id] = eval_bool(sub, nu)
+        out.append((subinstance(pcc.instance, val), w))
+    return out
+
+
+def pc_worlds(pc):
+    """(world instance, probability) per event valuation."""
+    events = sorted(pc.events)
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(events)):
+        asg = dict(zip(events, bits))
+        w = Fraction(1)
+        for e, b in asg.items():
+            w *= pc.events[e] if b else 1 - pc.events[e]
+        if not w:
+            continue
+        val = {f.id: int(eval_formula(pc.conds[f.id], asg))
+               for f in pc.instance.facts}
+        out.append((subinstance(pc.instance, val), w))
+    return out
+
+
+def bid_worlds(bid):
+    """(world instance, probability) per choice of one fact (or none)
+    in each block."""
+    blocks = sorted(bid.blocks().items(), key=lambda kv: repr(kv[0]))
+    choices = []
+    for block, facts in blocks:
+        opts = [(None, 1 - sum(bid.probs[f.id] for f in facts))]
+        opts += [(f, bid.probs[f.id]) for f in facts]
+        choices.append(opts)
+    out = []
+    for combo in itertools.product(*choices):
+        w = Fraction(1)
+        present = set()
+        for f, p in combo:
+            w *= p
+            if f is not None:
+                present.add(f.id)
+        if not w:
+            continue
+        val = {f.id: int(f.id in present) for f in bid.instance.facts}
+        out.append((subinstance(bid.instance, val), w))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# PrXML documents
+
+
+def doc_canon(node):
+    """Canonical nested-tuple form (used to compare distributions)."""
+    return (node.label, node.kind,
+            tuple((_canon_edge(node.kind, e), doc_canon(c))
+                  for e, c in node.children))
+
+
+def _canon_edge(kind, e):
+    if e is None:
+        return None
+    if kind == "fie":
+        return format_formula(e)
+    return Fraction(e)
+
+
+def muxind_worlds(doc):
+    """Distribution over deterministic documents by local enumeration;
+    returns {canonical tree: probability}."""
+
+    def forests(node):
+        # list of (tuple of canonical child trees, prob) for the forest
+        # this node contributes to its parent
+        child_opts = [forests(c) for _, c in node.children]
+        if node.kind == "regular":
+            out = []
+            for combo in itertools.product(*child_opts):
+                p = Fraction(1)
+                kids = []
+                for f, fp in combo:
+                    p *= fp
+                    kids.extend(f)
+                out.append(((("t", node.label, tuple(kids)),), p))
+            return out
+        if node.kind == "ind":
+            out = [((), Fraction(1))]
+            for (prob, _), opts in zip(node.children, child_opts):
+                nxt = []
+                for forest, p in out:
+                    if prob < 1:
+                        nxt.append((forest, p * (1 - prob)))
+                    if prob > 0:
+                        for f, fp in opts:
+                            nxt.append((forest + f, p * prob * fp))
+                out = _merge(nxt)
+            return out
+        if node.kind == "mux":
+            out = []
+            total = Fraction(0)
+            for (prob, _), opts in zip(node.children, child_opts):
+                total += prob
+                if prob > 0:
+                    for f, fp in opts:
+                        out.append((f, prob * fp))
+            if total < 1:
+                out.append(((), 1 - total))
+            return _merge(out)
+        raise ValueError("fie nodes not supported by local enumeration")
+
+    dist = {}
+    for forest, p in forests(doc.root):
+        tree = forest[0]
+        dist[tree] = dist.get(tree, Fraction(0)) + p
+    return dist
+
+
+def _merge(options):
+    acc = {}
+    for f, p in options:
+        acc[f] = acc.get(f, Fraction(0)) + p
+    return list(acc.items())
+
+
+def fie_worlds(doc):
+    """Distribution over deterministic documents of a fie document by
+    enumeration of event valuations; returns {canonical tree: prob}."""
+    events = sorted(doc.events)
+
+    def collapse(node, nu):
+        # forest this node contributes under valuation nu
+        if node.kind == "regular":
+            kids = []
+            for _, c in node.children:
+                kids.extend(collapse(c, nu))
+            return (("t", node.label, tuple(kids)),)
+        if node.kind == "fie":
+            kids = []
+            for phi, c in node.children:
+                if eval_formula(phi, nu):
+                    kids.extend(collapse(c, nu))
+            return tuple(kids)
+        raise ValueError("not a fie document")
+
+    dist = {}
+    for bits in itertools.product((0, 1), repeat=len(events)):
+        nu = dict(zip(events, bits))
+        p = Fraction(1)
+        for e, b in nu.items():
+            p *= doc.events[e] if b else 1 - doc.events[e]
+        if not p:
+            continue
+        tree = collapse(doc.root, nu)[0]
+        dist[tree] = dist.get(tree, Fraction(0)) + p
+    return dist

@@ -10,15 +10,13 @@ from treeprov.automata import count_runs, lift_boolean, memoized
 from treeprov.circuits import (NAT, POSBOOL, Polynomial, eval_bool,
                                eval_bool_vector, expand_polynomial)
 from treeprov.encoding import KFact
-from treeprov.prob import (BIDInstance, bid_worlds, brute_force_prob,
-                           count_matches, message_passing_prob, pc_to_pcc,
-                           pc_worlds, pcc_worlds, query_probability_bid,
+from treeprov.prob import (BIDInstance, count_matches, message_passing_prob,
+                           pc_to_pcc, query_probability_bid,
                            query_probability_pcc)
 from treeprov.provcirc import (ALL, bool_provenance_circuit,
                                nx_provenance_circuit,
                                query_provenance_circuit)
-from treeprov.prxml import (fie_to_pc, fie_worlds, muxind_to_binary,
-                            muxind_to_fie, muxind_worlds,
+from treeprov.prxml import (fie_to_pc, muxind_to_binary, muxind_to_fie,
                             prxml_query_probability, scope_width)
 from treeprov.relational import (Fact, Instance, check_decomposition,
                                  make_instance, subinstance,
@@ -31,6 +29,8 @@ from treeprov.ucq import (CQ, UCQ, Atom, compile_bool, enumerate_matches,
 from genutil import (rand_bid, rand_cq, rand_decomposed_circuit, rand_doc,
                      rand_instance, rand_p_automaton, rand_pc, rand_pcc,
                      rand_tree, rand_ucq)
+from oracles import (bid_worlds, brute_force_prob, fie_worlds,
+                     muxind_worlds, pc_worlds, pcc_worlds)
 
 EXAMPLE_INSTANCE = make_instance(
     {"R": 2}, [("R", ("a", "a")), ("R", ("b", "c")), ("R", ("c", "b"))])

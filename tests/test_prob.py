@@ -7,19 +7,20 @@ import pytest
 from treeprov.circuits import Circuit, arity_two, eval_bool
 from treeprov.prob import (BIDInstance, PCCInstance, PCInstance,
                            bid_from_json, bid_to_json, bid_to_pcc,
-                           bid_worlds, brute_force_prob, cc_encode,
-                           count_matches, eval_formula, format_formula,
-                           format_fraction, joint_decomposition,
-                           lineage_circuit, message_passing_prob,
-                           parse_formula, pc_from_json, pc_to_json,
-                           pc_to_pcc, pc_width, pc_worlds, pcc_from_json,
-                           pcc_to_json, pcc_worlds, query_probability_bid,
-                           query_probability_pcc)
+                           cc_encode, count_matches, eval_formula,
+                           format_formula, format_fraction,
+                           joint_decomposition, lineage_circuit,
+                           message_passing_prob, parse_formula,
+                           pc_from_json, pc_to_json, pc_to_pcc, pc_width,
+                           pcc_from_json, pcc_to_json,
+                           query_probability_bid, query_probability_pcc)
 from treeprov.relational import make_instance
 from treeprov.ucq import enumerate_matches, parse_ucq, satisfies
 
 from genutil import (rand_bid, rand_decomposed_circuit, rand_fraction,
                      rand_instance, rand_pc, rand_pcc, rand_ucq)
+from oracles import (bid_worlds, brute_force_prob, pc_worlds,
+                     pcc_worlds)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +426,128 @@ def test_bid_and_count_skip_the_lineage_path(monkeypatch):
     query_probability_bid(loop_guesser(), bid)
     count_matches(parse_ucq("R(x,y),R(y,z)", free=("x", "z")),
                   bid.instance)
+
+
+def random_gated(rng, edges):
+    """R facts on the edges gated by a random circuit: inputs at p in
+    {0, 1/3, 1/2, 1}, NOT, AND and OR gates of fan-in 1 to 3 and the
+    two constants; facts pick their gate from all of them."""
+    inst = make_instance({"R": 2}, [("R", e) for e in edges])
+    gates = {("one",): ("and", ()), ("zero",): ("or", ())}
+    probs = {}
+    for i in range(rng.randint(2, 4)):
+        gates[("x", i)] = ("inp", ())
+        probs[("x", i)] = rng.choice((Fraction(0), Fraction(1, 3),
+                                      Fraction(1, 2), Fraction(1)))
+    pool = list(gates)
+    for i in range(rng.randint(3, 6)):
+        t = rng.choice(("not", "and", "or"))
+        n = 1 if t == "not" else rng.randint(1, 3)
+        gates[("g", i)] = (t, tuple(rng.sample(pool, n)))
+        pool.append(("g", i))
+    phi = {f.id: rng.choice(pool) for f in inst.facts}
+    return PCCInstance(inst, Circuit("bool", gates, pool[-1]), phi, probs)
+
+
+def cone(circuit, gate):
+    out, stack = set(), [gate]
+    while stack:
+        g = stack.pop()
+        if g not in out:
+            out.add(g)
+            stack.extend(circuit.gates[g][1])
+    return out
+
+
+def test_query_probability_pcc_width_two_oracle():
+    """The automaton DP on the cc-encoding against possible worlds:
+    randomly directed cycles and 2 x m grids, random gating circuits."""
+    from treeprov.ucq import UCQ
+
+    rng = random.Random(90)
+    queries = [parse_ucq(t) for t in (
+        "R(x,y),R(y,z)", "R(x,y),R(y,x)", "R(x,y),R(z,y)", "R(x,x)")]
+    overlapping = parse_ucq("R(x,y) ; R(x,y),R(y,z)")
+    guesser = loop_guesser()
+    seen = dict.fromkeys(("not", "const", "shared", "input", "outside",
+                          "p0", "p1", "both"), 0)
+    shapes = [cycle_edges(n) for n in (4, 5, 6)] + \
+        [grid_edges(m) for m in (2, 3)]
+    for edges in shapes:
+        for _ in range(2):
+            edges2 = random_directions(rng, edges)
+            if rng.random() < 0.5:
+                edges2 += [(edges2[0][0], edges2[0][0])]
+            pcc = random_gated(rng, edges2)
+            worlds = pcc_worlds(pcc)
+            for q in queries + [overlapping]:
+                assert query_probability_pcc(q, pcc) == pr_oracle(worlds, q)
+            assert query_probability_pcc(guesser, pcc) == \
+                pr_oracle(worlds, queries[-1])
+            gated = set().union(*(cone(pcc.circuit, g)
+                                  for g in pcc.phi.values()))
+            types = [pcc.circuit.gates[g] for g in gated]
+            seen["not"] += any(t == "not" for t, _ in types)
+            seen["const"] += any(t != "inp" and not ins for t, ins in types)
+            seen["shared"] += len(set(pcc.phi.values())) < len(pcc.phi)
+            seen["input"] += any(pcc.circuit.gates[g][0] == "inp"
+                                 for g in pcc.phi.values())
+            seen["outside"] += len(gated) < len(pcc.circuit.gates)
+            seen["p0"] += Fraction(0) in pcc.probs.values()
+            seen["p1"] += Fraction(1) in pcc.probs.values()
+            seen["both"] += any(all(satisfies(UCQ((d,)), w)
+                                    for d in overlapping.disjuncts)
+                                for w, _ in worlds)
+    assert all(seen.values()), seen
+    empty = PCCInstance(make_instance({"R": 2}, []),
+                        Circuit("bool", {"x": ("inp", ())}, "x"), {},
+                        {"x": Fraction(1, 2)})
+    assert query_probability_pcc(queries[0], empty) == 0
+    assert query_probability_pcc(guesser, empty) == 0
+
+
+def test_pcc_skips_the_lineage_path(monkeypatch):
+    import treeprov.prob as prob
+    from treeprov.prxml import PrXMLDoc, PrXMLNode, prxml_query_probability
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pcc probability built a lineage")
+
+    for name in ("lineage_circuit", "message_passing_prob", "stitch",
+                 "sum_decompositions"):
+        monkeypatch.setattr(prob, name, refuse)
+    rng = random.Random(91)
+    pcc = random_gated(rng, random_directions(rng, cycle_edges(5)))
+    query_probability_pcc(parse_ucq("R(x,y),R(y,z)"), pcc)
+    query_probability_pcc(loop_guesser(), pcc)
+    doc = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
+        "m", "mux", [(Fraction(1, 3), PrXMLNode("a")),
+                     (Fraction(1, 2), PrXMLNode("b"))]))]))
+    assert prxml_query_probability(parse_ucq("P_a(x)"), doc) == \
+        Fraction(1, 3)
+
+
+def test_pcc_dp_matches_lineage_message_passing():
+    """A 12-edge pc path, edge i gated by a formula over events e_i and
+    e_(i+1): the DP and the still-exported lineage route agree."""
+    from treeprov.ucq import compile_bool
+
+    formulas = ("a & b", "a | !b", "!a & b", "a | b", "a")
+    rng = random.Random(92)
+    names = ["v%02d" % i for i in range(13)]
+    rng.shuffle(names)
+    inst = make_instance({"R": 2}, [("R", (names[i], names[i + 1]))
+                                    for i in range(12)])
+    conds = {f.id: parse_formula(rng.choice(formulas).replace(
+        "a", "e%d" % i).replace("b", "e%d" % (i + 1)))
+        for i, f in enumerate(inst.facts)}
+    events = {"e%d" % i: rng.choice((Fraction(1, 4), Fraction(1, 2),
+                                     Fraction(2, 3))) for i in range(13)}
+    pcc = pc_to_pcc(PCInstance(inst, conds, events))
+    q = parse_ucq("R(x,y),R(y,z)")
+    lineage, decomp = lineage_circuit(compile_bool(q), pcc)
+    assert query_probability_pcc(q, pcc) == \
+        message_passing_prob(lineage, decomp, pcc.probs)
 
 
 def test_arity_mismatch_refused():

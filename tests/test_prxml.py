@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from treeprov.prob import pc_to_pcc, pc_width
-from treeprov.prxml import (BOT, PrXMLDoc, PrXMLNode, doc_canon,
-                            doc_from_json, doc_nodes, doc_to_json,
-                            fie_to_pc, fie_worlds, lcrs, muxind_to_binary,
-                            muxind_to_fie, muxind_worlds,
+from treeprov.prxml import (BOT, PrXMLDoc, PrXMLNode, doc_from_json,
+                            doc_nodes, doc_to_json, fie_to_pc, lcrs,
+                            muxind_to_binary, muxind_to_fie,
                             prxml_query_probability, scope_width, unlcrs,
                             xml_relational_encoding)
 from treeprov.relational import tree_decomposition
 from treeprov.ucq import parse_ucq
 
 from genutil import rand_doc
+from oracles import doc_canon, fie_worlds, muxind_worlds
 
 
 def test_doc_validation():
@@ -124,7 +124,7 @@ def test_fie_to_pc_worlds():
     """Possible worlds of the pc-instance induce the same document
     distribution: a P-fact holds iff its incoming fie edge is true."""
     rng = random.Random(98)
-    from treeprov.prob import pc_worlds
+    from oracles import pc_worlds
     for _ in range(10):
         fie = muxind_to_fie(muxind_to_binary(rand_doc(rng, max_choices=4)))
         pc = fie_to_pc(fie)
