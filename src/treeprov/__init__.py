@@ -15,7 +15,7 @@ from .automata import (BNTA, accepts, count_runs, determinize,
                        monotonize)
 from .circuits import (Circuit, Polynomial, Semiring, NAT, POSBOOL,
                        TROPICAL, SECURITY, FUZZY, eval_bool, eval_semiring,
-                       expand_polynomial, arity_two, stitch)
+                       expand_polynomial, arity_two)
 from .provcirc import (bool_provenance_circuit, monotone_provenance_circuit,
                        nx_provenance_circuit, query_provenance_circuit)
 from .ucq import (CQ, UCQ, Atom, parse_ucq, satisfies, enumerate_matches,
@@ -30,4 +30,4 @@ from .prxml import (PrXMLDoc, PrXMLNode, lcrs, unlcrs,
                     muxind_to_fie, scope_width, fie_to_pc,
                     prxml_query_probability)
 from .errors import (TreeprovError, NoDecomposition, StateBlowup,
-                     NotStitchable, NotMonotone, SizeCap)
+                     NotMonotone, SizeCap)

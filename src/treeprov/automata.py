@@ -116,26 +116,6 @@ def count_runs(automaton, root):
                if automaton.is_final(q))
 
 
-def enumerate_runs(automaton, root):
-    """All runs as node->state maps (testing oracle; exponential)."""
-    nodes = postorder(root)
-    runs = {}
-    for n in nodes:
-        if n.is_leaf():
-            runs[id(n)] = [({id(n): q}, q) for q in automaton.iota(n.label)]
-        else:
-            acc = []
-            for m1, q1 in runs[id(n.left)]:
-                for m2, q2 in runs[id(n.right)]:
-                    for q in automaton.delta(q1, q2, n.label):
-                        m = dict(m1)
-                        m.update(m2)
-                        m[id(n)] = q
-                        acc.append((m, q))
-            runs[id(n)] = acc
-    return runs[id(root)]
-
-
 # ---------------------------------------------------------------------------
 # Closure constructions
 

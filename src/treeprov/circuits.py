@@ -1,14 +1,14 @@
 """Circuit DAGs (Boolean and semiring), semirings, and polynomials.
 
-Gates are stored in a dict keyed by arbitrary hashable ids so that
-circuits sharing gate ids can be stitched; serialized form uses dense
-indices in topological order.  Nullary and/or gates are the constants 1
-and 0 (likewise nullary mul/add for semiring circuits).
+Gates are stored in a dict keyed by arbitrary hashable ids; the
+serialized form uses dense indices in topological order.  Nullary
+and/or gates are the constants 1 and 0 (likewise nullary mul/add for
+semiring circuits).
 """
 
 from fractions import Fraction
 
-from .errors import NotStitchable, SizeCap
+from .errors import SizeCap
 from .relational import Fact, Instance, json_field
 
 BOOL_TYPES = ("inp", "not", "and", "or")
@@ -268,44 +268,6 @@ def circuit_relational_encoding(circuit, extra_facts=()):
         sig.setdefault(f.rel, len(f.args))
         facts.append(f)
     return Instance(sig, facts)
-
-
-def same_skeleton(bag1, bag2):
-    if len(bag1.children) != len(bag2.children):
-        return False
-    return all(same_skeleton(c1, c2)
-               for c1, c2 in zip(bag1.children, bag2.children))
-
-
-def sum_decompositions(t1, t2):
-    """Bag-wise union of two same-skeleton decompositions."""
-    from .relational import Bag, TreeDecomposition
-
-    if not same_skeleton(t1.root, t2.root):
-        raise ValueError("decompositions have different skeletons")
-
-    def merge(b1, b2):
-        return Bag(b1.dom | b2.dom,
-                   [merge(c1, c2) for c1, c2 in zip(b1.children, b2.children)],
-                   b1.facts + b2.facts)
-
-    return TreeDecomposition(merge(t1.root, t2.root),
-                             normalized=t1.normalized and t2.normalized)
-
-
-def stitch(c_outer, c_inner):
-    """Compose circuits whose gate-id overlap is exactly the inner
-    circuit's inputs: the outer circuit drives the inner inputs."""
-    overlap = set(c_outer.gates) & set(c_inner.gates)
-    inner_inputs = set(c_inner.inputs())
-    if overlap != inner_inputs:
-        raise NotStitchable(
-            "overlap %r is not the inner inputs %r" % (overlap, inner_inputs))
-    gates = dict(c_outer.gates)
-    for g, spec in c_inner.gates.items():
-        if g not in inner_inputs:
-            gates[g] = spec
-    return Circuit(c_outer.kind, gates, c_inner.output)
 
 
 # ---------------------------------------------------------------------------

@@ -155,41 +155,6 @@ def decode(root):
                      for i, (rel, args) in enumerate(facts)])
 
 
-def decode_bag(root):
-    """Bag instance (fact key -> multiplicity) of an annotated tree whose
-    labels are (KFact, i) pairs; None if a fact node repeats a fact."""
-    bag = {}
-    seen = set()
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return "e%d" % counter[0]
-
-    def walk(node, parent_map):
-        label, ann = node.label
-        elem_of = {}
-        for s in sorted(label.dom):
-            elem_of[s] = parent_map.get(s) or fresh()
-        if label.rel is not None:
-            key = (label.rel, tuple(elem_of[s] for s in label.args))
-            if key in seen:
-                return False
-            seen.add(key)
-            if ann > 0:
-                bag[key] = ann
-        if not node.is_leaf():
-            if not walk(node.left, elem_of):
-                return False
-            if not walk(node.right, elem_of):
-                return False
-        return True
-
-    if not walk(root, {}):
-        return INVALID
-    return bag
-
-
 def annotate(encoding, valuation, default=1):
     """Tree with labels (KFact, i): fact nodes get the valuation of their
     fact, all other nodes get the default annotation."""

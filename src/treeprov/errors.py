@@ -14,10 +14,6 @@ class StateBlowup(TreeprovError):
     """Subset construction exceeded the configured state cap."""
 
 
-class NotStitchable(TreeprovError):
-    """Circuit gate-id overlap is not exactly the inner circuit's inputs."""
-
-
 class NotMonotone(TreeprovError):
     """Automaton failed the monotonicity inclusion check."""
 

@@ -4,10 +4,13 @@ probabilities as Fractions, and match counting.
 The determinised query automaton runs bottom-up over a tree encoding,
 summing integer world weights; no lineage circuit is built:
 - BID: over the instance's own encoding, keyed by state and the blocks
-  chosen below (`query_probability_bid`).  Match counting reduces to
-  that: one uniform block per free variable (`count_matches`).
+  chosen below (`_bid_dp`).  Match counting reduces to that: one
+  uniform block per free variable (`count_matches`).
 - pcc and pc: over the cc-encoding of data and circuit, keyed by state
-  and the values of gates shared with the parent (`query_probability_pcc`).
+  and the values of gates shared with the parent (`_pcc_dp`).
+`message_passing_prob` is `_pcc_dp` without the automaton, over any
+decomposition of a circuit, such as `lineage_circuit`'s; the two DPs
+step a bag's gates with one helper, `_bag_step`.
 """
 
 import itertools
@@ -16,8 +19,7 @@ from fractions import Fraction
 
 from .automata import lazy_determinize, lift_boolean, memoized
 from .circuits import (Circuit, arity_two, circuit_from_json,
-                       circuit_relational_encoding, circuit_to_json, stitch,
-                       sum_decompositions)
+                       circuit_relational_encoding, circuit_to_json)
 from .encoding import TreeEncoding, alphabet_label, encode
 from .provcirc import bool_provenance_circuit, name_inputs
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
@@ -212,9 +214,8 @@ class CCEncoding:
     """Tree encoding of the instance part, a same-skeleton decomposition
     of the circuit, and the per-bag selected gate chi."""
 
-    def __init__(self, encoding, circuit, circuit_decomposition, chi):
+    def __init__(self, encoding, circuit_decomposition, chi):
         self.encoding = encoding
-        self.circuit = circuit
         self.circuit_decomposition = circuit_decomposition
         self.chi = chi  # id(encoding node) -> gate id
 
@@ -253,185 +254,125 @@ def pc_width(pc):
 
 
 # ---------------------------------------------------------------------------
-# Sparse junction-tree message passing
+# The gate-value DP
 
 
-class _Rel:
-    __slots__ = ("vars", "rows")
-
-    def __init__(self, vars, rows):
-        self.vars = tuple(vars)
-        self.rows = rows  # dict assignment-tuple -> Fraction
-
-
-_UNIT = _Rel((), {(): Fraction(1)})
+def _input_weights(circuit, probs):
+    """Per input with p = a/d: (d - a, a), its integer weight when false
+    and when true."""
+    ps = {g: Fraction(probs[g]) for g in circuit.inputs()}
+    return {g: (p.denominator - p.numerator, p.numerator)
+            for g, p in ps.items()}
 
 
-def _join(r1, r2):
-    shared = [v for v in r2.vars if v in r1.vars]
-    extra = [v for v in r2.vars if v not in r1.vars]
-    i1 = [r1.vars.index(v) for v in shared]
-    i2 = [r2.vars.index(v) for v in shared]
-    e2 = [r2.vars.index(v) for v in extra]
-    index = {}
-    for row, w in r2.rows.items():
-        key = tuple(row[i] for i in i2)
-        index.setdefault(key, []).append((tuple(row[i] for i in e2), w))
-    out = {}
-    for row, w in r1.rows.items():
-        key = tuple(row[i] for i in i1)
-        for ext, w2 in index.get(key, ()):
-            out[row + ext] = out.get(row + ext, Fraction(0)) + w * w2
-    # note: joining two sparse rows with the same full assignment cannot
-    # happen (keys are total on the union), so this is a plain product
-    return _Rel(r1.vars + tuple(extra), out)
-
-
-def _project(rel, keep):
-    keep = [v for v in rel.vars if v in keep]
-    idx = [rel.vars.index(v) for v in keep]
-    out = {}
-    for row, w in rel.rows.items():
-        key = tuple(row[i] for i in idx)
-        out[key] = out.get(key, Fraction(0)) + w
-    return _Rel(keep, out)
-
-
-def _eliminate_to(factors, keep):
-    """Sum out every variable not in keep, one variable at a time,
-    always picking the variable whose factors are cheapest to join.
-    Exploits sparsity: rows stay limited to consistent assignments."""
-    facs = {i: f for i, f in enumerate(factors)}
-    nxt = len(facs)
-    var_fac = {}
-    for i, f in facs.items():
-        for v in f.vars:
-            var_fac.setdefault(v, set()).add(i)
-    reprs = {}
-
-    def rkey(v):
-        r = reprs.get(v)
-        if r is None:
-            r = reprs[v] = repr(v)
-        return r
-
-    elim = {v for v in var_fac if v not in keep}
-    while elim:
-        best = None
-        for v in elim:
-            size = 1
-            for i in var_fac[v]:
-                size *= max(len(facs[i].rows), 1)
-            key = (size, rkey(v))
-            if best is None or key < best[0]:
-                best = (key, v)
-        v = best[1]
-        group = sorted(var_fac[v])
-        r = _UNIT
-        for i in group:
-            r = _join(r, facs[i])
-        r = _project(r, set(r.vars) - {v})
-        for i in group:
-            f = facs.pop(i)
-            for u in f.vars:
-                var_fac[u].discard(i)
-        elim.discard(v)
-        var_fac.pop(v, None)
-        facs[nxt] = r
-        for u in r.vars:
-            var_fac.setdefault(u, set()).add(nxt)
-        nxt += 1
-    r = _UNIT
-    for i in sorted(facs):
-        r = _join(r, facs[i])
-    return r
-
-
-def _gate_factor(circuit, g, probs):
-    t, ins = circuit.gates[g]
-    if t == "inp":
-        p = probs[g]
-        return _Rel((g,), {(1,): p, (0,): 1 - p})
-    if t == "not":
-        return _Rel((ins[0], g), {(0, 1): Fraction(1), (1, 0): Fraction(1)})
-    rows = {}
-    if len(ins) == 0:
-        rows[(1 if t == "and" else 0,)] = Fraction(1)
-        return _Rel((g,), rows)
-    for a in (0, 1):
-        for b in (0, 1):
-            v = (a and b) if t == "and" else (a or b)
-            rows[(a, b, int(v))] = Fraction(1)
-    return _Rel((ins[0], ins[1], g), rows)
+def _bag_step(circuit, at, children, homed, input_weights):
+    """Step one bag, for both DPs.  at maps the bag's gates, in
+    topological order, to their index in a row of values; children are
+    the child messages (kept gates, {their values: payload}).  Yields,
+    per row of values the children agree on (None elsewhere), the tuple
+    of their payloads and the row's completions [(values, weight)].  A
+    gate is checked against its inputs at its home, the first bag
+    bottom-up holding it and its inputs (it then joins homed), where an
+    input weighs input_weights[g]; any other gate no child set is
+    enumerated."""
+    rows = {(None,) * len(at): ()}
+    fixed = set()
+    for keep, message in children:
+        fixed.update(keep)
+        idx = [at[g] for g in keep]
+        joined = {}
+        for vals, payloads in rows.items():
+            for kvals, p in message.items():
+                row = list(vals)
+                for i, v in zip(idx, kvals):
+                    if row[i] not in (None, v):
+                        break
+                    row[i] = v
+                else:
+                    joined[tuple(row)] = payloads + (p,)
+        rows = joined
+    steps = []  # (index, gate type or None to enumerate, inputs, weights)
+    for i, g in enumerate(at):
+        t, ins = circuit.gates[g]
+        if g not in homed and all(x in at for x in ins):
+            homed.add(g)
+            steps.append((i, None, (), input_weights[g]) if t == "inp"
+                         else (i, t, [at[x] for x in ins], None))
+        elif g not in fixed:
+            steps.append((i, None, (), (1, 1)))
+    for start, payloads in rows.items():
+        done = [(start, 1)]
+        for i, t, ins, weights in steps:
+            nxt = []
+            for vals, w in done:
+                if t is None:
+                    for v in (0, 1) if vals[i] is None else (vals[i],):
+                        if weights[v]:
+                            nxt.append((vals[:i] + (v,) + vals[i + 1:],
+                                        w * weights[v]))
+                else:
+                    xs = [vals[j] for j in ins]
+                    v = 1 - xs[0] if t == "not" else \
+                        int(all(xs) if t == "and" else any(xs))
+                    if vals[i] in (None, v):
+                        nxt.append((vals[:i] + (v,) + vals[i + 1:], w))
+            done = nxt
+        yield payloads, done
 
 
 def message_passing_prob(circuit, decomposition, probs):
     """Exact Pr[output = 1] for an arity-two Boolean circuit under
-    independent inputs, by two-pass message passing over the circuit's
-    tree decomposition (potentials stored sparsely)."""
+    independent inputs: `_pcc_dp` without the automaton, over the
+    decomposition (any fan-out) re-rooted at a bag holding the output.
+    A message maps the values of the gates a bag shares with its parent
+    to an integer weight, so it has at most 2^|bag & parent| rows."""
     for g, (t, ins) in circuit.gates.items():
         if t in ("and", "or") and len(ins) not in (0, 2):
             raise ValueError("message passing needs arity-two circuits")
-    bags = decomposition.bags()
-    gate_home = {}
-    for b in bags:
-        for g in b.dom:
-            if g in gate_home or g not in circuit.gates:
-                continue
-            if set(circuit.gates[g][1]) <= b.dom:
-                gate_home[g] = b
-    for g in circuit.gates:
-        if g not in gate_home:
+    pos = {g: i for i, g in enumerate(circuit.topo_order())}
+    parent_of = decomposition.bag_parents()
+    root = next((b for b in decomposition.bags() if circuit.output in b.dom),
+                None)
+    # parents first: (bag, {its gates in topological order: index}, those
+    # kept for the parent, children); each gate must leave at one bag only
+    order = []
+    dropped = set()
+    stack = [(root, None)] if root is not None else []
+    while stack:
+        b, parent = stack.pop()
+        at = {g: i for i, g in enumerate(
+            sorted((g for g in b.dom if g in pos), key=pos.__getitem__))}
+        up = () if parent is None else parent.dom
+        leaving = {g for g in at if g not in up}
+        if not dropped.isdisjoint(leaving):
             raise ValueError(
-                "invalid decomposition: no bag covers gate %r and its inputs"
-                % (g,))
-    factors = {}
-    for g, b in gate_home.items():
-        factors.setdefault(id(b), []).append(_gate_factor(circuit, g, probs))
-
-    # re-root at a bag containing the output gate
-    adjacency = {id(b): [] for b in bags}
-    bag_by_id = {id(b): b for b in bags}
-    for b in bags:
-        for c in b.children:
-            adjacency[id(b)].append(id(c))
-            adjacency[id(c)].append(id(b))
-    root = gate_home[circuit.output]
-    order = []  # (bag id, parent id)
-    seen = {id(root)}
-    queue = [(id(root), None)]
-    while queue:
-        bid, par = queue.pop()
-        order.append((bid, par))
-        for nb in adjacency[bid]:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append((nb, bid))
-    if len(order) < len(bags):
-        raise ValueError("decomposition is not connected")
-
-    messages = {}  # bag id -> message to its parent
-    children = {}
-    for bid, par in order:
-        if par is not None:
-            children.setdefault(par, []).append(bid)
-    for bid, par in reversed(order):
-        local = list(factors.get(bid, ()))
-        for c in children.get(bid, ()):
-            local.append(messages[c])
-        if par is None:
-            belief = _eliminate_to(local, {circuit.output})
-        else:
-            sep = bag_by_id[bid].dom & bag_by_id[par].dom
-            messages[bid] = _eliminate_to(local, sep)
-    marg = _project(belief, {circuit.output})
-    total = sum(marg.rows.values(), Fraction(0))
-    if total == 0:
-        raise ValueError("inconsistent potentials")
-    if marg.vars == (circuit.output,):
-        return marg.rows.get((1,), Fraction(0)) / total
-    # output unconstrained anywhere (cannot happen for covered circuits)
-    raise ValueError("output gate not covered")
+                "invalid decomposition: the bags holding gate %r are not "
+                "connected" % (dropped & leaving).pop())
+        dropped |= leaving
+        kids = [c for c in b.children + [parent_of.get(id(b))]
+                if c is not None and c is not parent]
+        order.append((b, at, [circuit.output] if parent is None
+                      else [g for g in at if g in up], kids))
+        stack.extend((c, b) for c in kids)
+    weights = _input_weights(circuit, probs)
+    homed = set()
+    messages = {}  # id(bag) -> (kept gates, {their values: weight})
+    for b, at, keep, kids in reversed(order):
+        children = [messages.pop(id(c)) for c in kids]
+        keep_at = [at[g] for g in keep]
+        out = {}
+        for ws, rows in _bag_step(circuit, at, children, homed, weights):
+            below = math.prod(ws)
+            for vals, w in rows:
+                key = tuple(vals[i] for i in keep_at)
+                out[key] = out.get(key, 0) + w * below
+        messages[id(b)] = (keep, out)
+    if len(homed) < len(circuit.gates):
+        raise ValueError(
+            "invalid decomposition: no bag covers gate %r and its inputs"
+            % (next(g for g in pos if g not in homed),))
+    scale = math.prod(f + t for f, t in weights.values())
+    return Fraction(messages[id(root)][1].get((1,), 0), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -467,95 +408,82 @@ def cc_encode(pcc, decomposition):
     normalized bag tree producing, per bag, a k-fact over the data
     elements, a circuit bag over the gate elements, and chi."""
     decomposition = normalize_decomposition(decomposition)
-    def is_gate(e):
-        return isinstance(e, tuple) and len(e) == 2 and e[0] == "g"
-
-    k = max((len([e for e in b.dom if not is_gate(e)])
-             for b in decomposition.bags()), default=1) - 1
-    k = max(k, 0)
     joint = decomposition.instance
-
     fact_nodes = {}
     chi = {}
 
-    def split(bag):
-        data, gates = set(), set()
-        for e in bag.dom:
-            if is_gate(e):
-                gates.add(e[1])
-            else:
-                data.add(e)
-        return data, gates
+    parts = {}  # id(bag) -> (data elements, gates)
+    for b in decomposition.bags():
+        gates = {e for e in b.dom
+                 if isinstance(e, tuple) and len(e) == 2 and e[0] == "g"}
+        parts[id(b)] = (b.dom - gates, {e[1] for e in gates})
+    k = max([len(data) for data, _ in parts.values()] + [1]) - 1
 
     def build(bag, parent_slots):
-        data, gates = split(bag)
+        data, gates = parts[id(bag)]
         slot_of = {a: s for a, s in parent_slots.items() if a in data}
         used = set(parent_slots.values())
         free = [s for s in range(1, 2 * k + 3) if s not in used]
         for a, s in zip(sorted(data - set(slot_of), key=str), free):
             slot_of[a] = s
-        struct = None
-        orig_fact = None
+        struct = fact = None
         if bag.facts:
             jf = joint.by_id[bag.facts[0]]
             if isinstance(jf.rel, tuple) and jf.rel[0] == "plus":
-                rel = jf.rel[1]
-                args = jf.args[:-1]
-                struct = (rel, tuple(slot_of[a] for a in args))
-                orig_fact = jf.id[1]
+                struct = (jf.rel[1], tuple(slot_of[a] for a in jf.args[:-1]))
+                fact = jf
         label = alphabet_label({slot_of[a] for a in data}, struct, k)
-        if bag.children:
-            ln, lb = build(bag.children[0], slot_of)
-            rn, rb = build(bag.children[1], slot_of)
-            node = Node(label, ln, rn)
-            cbag = Bag(gates, [lb, rb])
-        else:
-            node = Node(label)
-            cbag = Bag(gates)
-        if orig_fact is not None:
-            fact_nodes[orig_fact] = node
-            chi[id(node)] = joint.by_id[bag.facts[0]].args[-1][1]
+        kids = [build(c, slot_of) for c in bag.children]
+        node = Node(label, *(n for n, _ in kids))
+        cbag = Bag(gates, [b for _, b in kids])
+        if fact is not None:
+            fact_nodes[fact.id[1]] = node
+            chi[id(node)] = fact.args[-1][1]
         return node, cbag
 
     root, croot = build(decomposition.root, {})
     enc = TreeEncoding(root, k, fact_nodes)
-    return CCEncoding(enc, None,
-                      TreeDecomposition(croot, normalized=True), chi)
+    return CCEncoding(enc, TreeDecomposition(croot, normalized=True), chi)
+
+
+def _cc_encoding(pcc, k):
+    """arity_two(pcc.circuit) and the cc-encoding of the pcc over it."""
+    c2, rep, _ = arity_two(pcc.circuit)
+    pcc2 = PCCInstance(pcc.instance, c2,
+                       {fid: rep[g] for fid, g in pcc.phi.items()}, pcc.probs)
+    return c2, cc_encode(pcc2, joint_decomposition(pcc2, k)[1])
 
 
 def lineage_circuit(automaton, pcc, k=None):
     """Boolean lineage of a query automaton over a pcc-instance: a
     circuit over the pcc inputs evaluating to query truth on each
-    possible world, with a bounded-width decomposition."""
-    c2, rep, _ = arity_two(pcc.circuit)
-    phi2 = {fid: rep[g] for fid, g in pcc.phi.items()}
-    pcc2 = PCCInstance(pcc.instance, c2, phi2, pcc.probs)
-    joint, decomp = joint_decomposition(pcc2, k)
-    cc = cc_encode(pcc2, decomp)
-    enc = cc.encoding
-    lifted = memoized(lift_boolean(automaton))
-    res = bool_provenance_circuit(lifted, enc.root)
-
+    possible world, with a bounded-width decomposition: the arity-two
+    pcc circuit drives the provenance circuit of the cc-encoding, whose
+    fact inputs become their chi gates, and each bag is the union of
+    the two circuits' bags at one encoding node."""
+    c2, cc = _cc_encoding(pcc, k)
+    res = bool_provenance_circuit(memoized(lift_boolean(automaton)),
+                                  cc.encoding.root)
     inner, rename = name_inputs(res, cc.chi)
-    inner_inputs = set(inner.inputs())
+    named = set(rename.values())
 
-    # keep the lineage gates out of the outer circuit's id space
+    # keep the lineage gates out of the pcc circuit's id space
     def wrap(g):
-        return g if g in inner_inputs else ("prov", g)
+        return g if g in named else ("prov", g)
 
-    inner = Circuit("bool",
-                    {wrap(g): (t, tuple(wrap(i) for i in ins))
-                     for g, (t, ins) in inner.gates.items()},
-                    wrap(inner.output))
-    stitched = stitch(c2, inner)
+    gates = dict(c2.gates)
+    for g, (t, ins) in inner.gates.items():
+        if g not in named:
+            gates[("prov", g)] = (t, tuple(wrap(i) for i in ins))
 
-    def conv(bag):
-        return Bag({wrap(rename.get(g, g)) for g in bag.dom},
-                   [conv(c) for c in bag.children])
+    def union(cbag, rbag):
+        return Bag(cbag.dom | {wrap(rename.get(g, g)) for g in rbag.dom},
+                   [union(*kids) for kids in zip(cbag.children,
+                                                 rbag.children)])
 
-    t_inner = TreeDecomposition(conv(res.decomposition.root), normalized=True)
-    t_sum = sum_decompositions(cc.circuit_decomposition, t_inner)
-    return stitched, t_sum
+    return (Circuit("bool", gates, wrap(inner.output)),
+            TreeDecomposition(union(cc.circuit_decomposition.root,
+                                    res.decomposition.root), normalized=True))
 
 
 def _as_automaton(query):
@@ -594,83 +522,39 @@ def _pcc_dp(automaton, pcc, k):
     one would count a world once per run) run bottom-up over the
     cc-encoding and its same-skeleton circuit decomposition together: a
     message maps (state, values of the node's gates kept in the parent's
-    bag) to an integer weight.  A gate is checked at its home, the first
-    bag bottom-up with it and its inputs (the joint instance has one fact
-    per gate), and enumerated where it is new unless that is its home.
-    An input with p = a/d weighs a if true, d - a if false.  A fact node
-    reads its label if its chi gate is true, else the neutered label."""
-    c2, rep, _ = arity_two(pcc.circuit)
-    pcc2 = PCCInstance(pcc.instance, c2,
-                       {fid: rep[g] for fid, g in pcc.phi.items()}, pcc.probs)
-    cc = cc_encode(pcc2, joint_decomposition(pcc2, k)[1])
+    bag) to an integer weight.  Each bag's gates are stepped by
+    `_bag_step` (the joint instance has one fact per gate, so every gate
+    has a home).  A fact node reads its label if its chi gate is true,
+    else the neutered label."""
+    c2, cc = _cc_encoding(pcc, k)
     step = memoized(lazy_determinize(automaton))
     pos = {g: i for i, g in enumerate(c2.topo_order())}
-    scale = math.prod(pcc.probs[g].denominator for g in c2.inputs())
-    input_weights = {g: (p.denominator - p.numerator, p.numerator)
-                     for g, p in pcc.probs.items()}  # when false, true
-    # children first: (node, its gates in topological order, those kept)
+    weights = _input_weights(c2, pcc.probs)
+    # children first: (node, {its gates in topological order: index},
+    # those kept for the parent)
     order = []
     stack = [(cc.encoding.root, cc.circuit_decomposition.root, frozenset())]
     while stack:
         n, b, up = stack.pop()
-        order.append((n, sorted(b.dom, key=pos.__getitem__),
-                      sorted(b.dom & up, key=pos.__getitem__)))
+        at = {g: i for i, g in enumerate(sorted(b.dom, key=pos.__getitem__))}
+        order.append((n, at, [g for g in at if g in up]))
         if not n.is_leaf():
             stack.append((n.left, b.children[0], b.dom))
             stack.append((n.right, b.children[1], b.dom))
-    order.reverse()
     homed = set()
     messages = {}  # id(node) -> (kept gates, {their values: {state: weight}})
-    for n, gates, keep in order:
-        at = {g: i for i, g in enumerate(gates)}
-        # values the children fixed (None elsewhere) -> {(q1, q2): weight}
-        below = {(None,) * len(gates): {(None, None): 1}}
-        fixed = ()
-        if not n.is_leaf():
-            (lk, left), (rk, right) = [messages.pop(id(c))
-                                       for c in (n.left, n.right)]
-            fixed = set(lk) | set(rk)
-            below = {}
-            for v1, qs1 in left.items():
-                for v2, qs2 in right.items():
-                    vals = [None] * len(gates)
-                    for g, v in zip(lk + rk, v1 + v2):
-                        if vals[at[g]] not in (None, v):
-                            break
-                        vals[at[g]] = v
-                    else:
-                        below[tuple(vals)] = {
-                            (q1, q2): w1 * w2 for q1, w1 in qs1.items()
-                            for q2, w2 in qs2.items()}
-        steps = []  # (index, gate type or None to enumerate, inputs, weights)
-        for i, g in enumerate(gates):
-            t, ins = c2.gates[g]
-            if g not in homed and all(x in at for x in ins):
-                homed.add(g)
-                steps.append((i, None, (), input_weights[g]) if t == "inp"
-                             else (i, t, [at[x] for x in ins], None))
-            elif g not in fixed:
-                steps.append((i, None, (), (1, 1)))
+    for n, at, keep in reversed(order):
+        children = () if n.is_leaf() else \
+            (messages.pop(id(n.left)), messages.pop(id(n.right)))
         chi = at[cc.chi[id(n)]] if id(n) in cc.chi else None
         keep_at = [at[g] for g in keep]
         out = {}
-        for vals, runs in below.items():
-            rows = [(vals, 1)]
-            for i, t, ins, weights in steps:
-                nxt = []
-                for vals, w in rows:
-                    if t is None:
-                        for v in (0, 1) if vals[i] is None else (vals[i],):
-                            if weights[v]:
-                                nxt.append((vals[:i] + (v,) + vals[i + 1:],
-                                            w * weights[v]))
-                    else:
-                        xs = [vals[j] for j in ins]
-                        v = 1 - xs[0] if t == "not" else \
-                            int(all(xs) if t == "and" else any(xs))
-                        if vals[i] in (None, v):
-                            nxt.append((vals[:i] + (v,) + vals[i + 1:], w))
-                rows = nxt
+        for payloads, rows in _bag_step(c2, at, children, homed, weights):
+            runs = [(None, None, 1)]  # a leaf: iota, no child states
+            if payloads:
+                qs1, qs2 = payloads
+                runs = [(q1, q2, w1 * w2) for q1, w1 in qs1.items()
+                        for q2, w2 in qs2.items()]
             kept = {}  # (label, kept values) -> weight
             for vals, w in rows:
                 label = n.label if chi is None or vals[chi] else \
@@ -679,13 +563,14 @@ def _pcc_dp(automaton, pcc, k):
                 kept[key] = kept.get(key, 0) + w
             for (label, kvals), w in kept.items():
                 states = out.setdefault(kvals, {})
-                for (q1, q2), wq in runs.items():
+                for q1, q2, wq in runs:
                     qs = step.iota(label) if q1 is None else \
                         step.delta(q1, q2, label)
                     for q in qs:  # at most one: the automaton is deterministic
                         states[q] = states.get(q, 0) + w * wq
         messages[id(n)] = (keep, out)
     root = messages[id(cc.encoding.root)][1].get((), {})
+    scale = math.prod(f + t for f, t in weights.values())
     return Fraction(sum(w for q, w in root.items() if step.is_final(q)), scale)
 
 

@@ -79,46 +79,6 @@ def subinstance(instance, valuation):
     return Instance(instance.signature, kept)
 
 
-def instances_isomorphic(i1, i2):
-    """Isomorphism up to renaming of domain elements (backtracking search)."""
-    if len(i1.facts) != len(i2.facts):
-        return False
-    d1, d2 = i1.domain, i2.domain
-    if len(d1) != len(d2):
-        return False
-
-    def profile(inst):
-        prof = {}
-        for f in inst.facts:
-            for pos, a in enumerate(f.args):
-                prof.setdefault(a, []).append((f.rel, pos))
-        return {a: tuple(sorted(v)) for a, v in prof.items()}
-
-    p1, p2 = profile(i1), profile(i2)
-    if sorted(p1.values()) != sorted(p2.values()):
-        return False
-    keys2 = i2.fact_keys()
-
-    def extend(idx, mapping, used):
-        if idx == len(d1):
-            mapped = {(f.rel, tuple(mapping[a] for a in f.args))
-                      for f in i1.facts}
-            return mapped == keys2
-        a = d1[idx]
-        for b in d2:
-            if b in used or p1[a] != p2[b]:
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(idx + 1, mapping, used):
-                return True
-            del mapping[a]
-            used.remove(b)
-        return False
-
-    return extend(0, {}, set())
-
-
 # ---------------------------------------------------------------------------
 # Tree decompositions
 

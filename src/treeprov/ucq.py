@@ -178,25 +178,6 @@ def nx_provenance_bruteforce(q, instance):
     return total
 
 
-def bag_satisfies(cq, bag):
-    """Bag-homomorphism oracle: some assignment whose per-fact usage
-    counts fit within the bag multiplicities (diseqs respected)."""
-    vs = cq.variables
-    dom = sorted({a for key in bag for a in key[1]}, key=str)
-    for combo in itertools.product(dom, repeat=len(vs)):
-        asg = dict(zip(vs, combo))
-        if not all(asg[x] != asg[y]
-                   for pair in cq.diseqs for x, y in [tuple(pair)]):
-            continue
-        usage = {}
-        for a in cq.atoms:
-            key = (a.rel, tuple(asg[v] for v in a.vars))
-            usage[key] = usage.get(key, 0) + 1
-        if all(bag.get(key, 0) >= m for key, m in usage.items()):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Partial-match automata
 

@@ -1,13 +1,16 @@
-"""Possible-world oracles: the ground truth the tests check the
-probability pipeline against, by enumerating every input valuation,
-block choice or document world."""
+"""Brute-force oracles: the ground truth the tests check the pipeline
+against.  Possible worlds enumerate every input valuation, block choice
+or document world; the structural oracles search every run, element
+mapping or assignment."""
 
 import itertools
 from fractions import Fraction
 
 from treeprov.circuits import Circuit, eval_bool
+from treeprov.encoding import INVALID
 from treeprov.prob import eval_formula, format_formula
 from treeprov.relational import subinstance
+from treeprov.trees import postorder
 
 
 def brute_force_prob(circuit, probs):
@@ -191,3 +194,121 @@ def fie_worlds(doc):
         tree = collapse(doc.root, nu)[0]
         dist[tree] = dist.get(tree, Fraction(0)) + p
     return dist
+
+
+# ---------------------------------------------------------------------------
+# Structural oracles
+
+
+def instances_isomorphic(i1, i2):
+    """Isomorphism up to renaming of domain elements (backtracking search)."""
+    if len(i1.facts) != len(i2.facts):
+        return False
+    d1, d2 = i1.domain, i2.domain
+    if len(d1) != len(d2):
+        return False
+
+    def profile(inst):
+        prof = {}
+        for f in inst.facts:
+            for pos, a in enumerate(f.args):
+                prof.setdefault(a, []).append((f.rel, pos))
+        return {a: tuple(sorted(v)) for a, v in prof.items()}
+
+    p1, p2 = profile(i1), profile(i2)
+    if sorted(p1.values()) != sorted(p2.values()):
+        return False
+    keys2 = i2.fact_keys()
+
+    def extend(idx, mapping, used):
+        if idx == len(d1):
+            mapped = {(f.rel, tuple(mapping[a] for a in f.args))
+                      for f in i1.facts}
+            return mapped == keys2
+        a = d1[idx]
+        for b in d2:
+            if b in used or p1[a] != p2[b]:
+                continue
+            mapping[a] = b
+            used.add(b)
+            if extend(idx + 1, mapping, used):
+                return True
+            del mapping[a]
+            used.remove(b)
+        return False
+
+    return extend(0, {}, set())
+
+
+def decode_bag(root):
+    """Bag instance (fact key -> multiplicity) of an annotated tree whose
+    labels are (KFact, i) pairs; None if a fact node repeats a fact."""
+    bag = {}
+    seen = set()
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return "e%d" % counter[0]
+
+    def walk(node, parent_map):
+        label, ann = node.label
+        elem_of = {}
+        for s in sorted(label.dom):
+            elem_of[s] = parent_map.get(s) or fresh()
+        if label.rel is not None:
+            key = (label.rel, tuple(elem_of[s] for s in label.args))
+            if key in seen:
+                return False
+            seen.add(key)
+            if ann > 0:
+                bag[key] = ann
+        if not node.is_leaf():
+            if not walk(node.left, elem_of):
+                return False
+            if not walk(node.right, elem_of):
+                return False
+        return True
+
+    if not walk(root, {}):
+        return INVALID
+    return bag
+
+
+def enumerate_runs(automaton, root):
+    """All runs as node->state maps (testing oracle; exponential)."""
+    nodes = postorder(root)
+    runs = {}
+    for n in nodes:
+        if n.is_leaf():
+            runs[id(n)] = [({id(n): q}, q) for q in automaton.iota(n.label)]
+        else:
+            acc = []
+            for m1, q1 in runs[id(n.left)]:
+                for m2, q2 in runs[id(n.right)]:
+                    for q in automaton.delta(q1, q2, n.label):
+                        m = dict(m1)
+                        m.update(m2)
+                        m[id(n)] = q
+                        acc.append((m, q))
+            runs[id(n)] = acc
+    return runs[id(root)]
+
+
+def bag_satisfies(cq, bag):
+    """Bag-homomorphism oracle: some assignment whose per-fact usage
+    counts fit within the bag multiplicities (diseqs respected)."""
+    vs = cq.variables
+    dom = sorted({a for key in bag for a in key[1]}, key=str)
+    for combo in itertools.product(dom, repeat=len(vs)):
+        asg = dict(zip(vs, combo))
+        if not all(asg[x] != asg[y]
+                   for pair in cq.diseqs for x, y in [tuple(pair)]):
+            continue
+        usage = {}
+        for a in cq.atoms:
+            key = (a.rel, tuple(asg[v] for v in a.vars))
+            usage[key] = usage.get(key, 0) + 1
+        if all(bag.get(key, 0) >= m for key, m in usage.items()):
+            return True
+    return False

@@ -4,15 +4,16 @@ import random
 import pytest
 
 from treeprov.automata import (BNTA, accepts, count_runs, determinize,
-                               enumerate_runs, intersect, lazy_determinize,
-                               lift_boolean, materialize, memoized,
-                               monotonize, reachable_sets, relabel_hom,
-                               union, automaton_from_json, automaton_to_json)
+                               intersect, lazy_determinize, lift_boolean,
+                               materialize, memoized, monotonize,
+                               reachable_sets, relabel_hom, union,
+                               automaton_from_json, automaton_to_json)
 from treeprov.encoding import KFact
 from treeprov.errors import StateBlowup
 from treeprov.trees import Node, postorder
 
 from genutil import rand_bool_automaton, rand_tree
+from oracles import enumerate_runs
 
 LABELS = [("a", b) for b in (0, 1)] + [("b", b) for b in (0, 1)]
 

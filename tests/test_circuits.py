@@ -11,10 +11,8 @@ from treeprov.circuits import (FUZZY, NAT, POSBOOL, SECURITY, TROPICAL,
                                circuit_from_json, circuit_relational_encoding,
                                circuit_to_json, eval_bool, eval_bool_vector,
                                eval_semiring, expand_polynomial, fix_inputs,
-                               nx_semiring, rename_inputs, same_skeleton,
-                               stitch, sum_decompositions)
-from treeprov.errors import NotStitchable, SizeCap
-from treeprov.relational import Bag, TreeDecomposition
+                               nx_semiring, rename_inputs)
+from treeprov.errors import SizeCap
 
 
 def rand_bool_circuit(rng, n_inputs=4, n_gates=10):
@@ -97,33 +95,6 @@ def test_arity_two_preserves_semantics():
         for bits in itertools.product((0, 1), repeat=len(inputs)):
             nu = dict(zip(inputs, bits))
             assert eval_bool(c, nu) == eval_bool(c2, nu)
-
-
-def test_stitch():
-    outer = Circuit("bool", {"a": ("inp", ()), "x": ("not", ("a",))}, "x")
-    inner = Circuit("bool", {"x": ("inp", ()), "y": ("not", ("x",))}, "y")
-    s = stitch(outer, inner)
-    assert eval_bool(s, {"a": 1}) == 1
-    bad = Circuit("bool", {"z": ("inp", ()), "y": ("not", ("z",))}, "y")
-    with pytest.raises(NotStitchable):
-        stitch(outer, bad)
-    # overlap beyond inner inputs is rejected too
-    clash = Circuit("bool", {"x": ("inp", ()), "a": ("not", ("x",))}, "a")
-    with pytest.raises(NotStitchable):
-        stitch(outer, clash)
-
-
-def test_sum_decompositions():
-    t1 = TreeDecomposition(Bag({1}, [Bag({1, 2}), Bag({3})]), normalized=True)
-    t2 = TreeDecomposition(Bag({"a"}, [Bag({"b"}), Bag(set())]),
-                           normalized=True)
-    s = sum_decompositions(t1, t2)
-    assert s.root.dom == {1, "a"}
-    assert s.root.children[0].dom == {1, 2, "b"}
-    t3 = TreeDecomposition(Bag({1}), normalized=True)
-    assert not same_skeleton(t1.root, t3.root)
-    with pytest.raises(ValueError):
-        sum_decompositions(t1, t3)
 
 
 def test_circuit_relational_encoding():

@@ -3,14 +3,13 @@ import random
 import pytest
 
 from treeprov.encoding import (KFact, TreeEncoding, alphabet_label, annotate,
-                               decode, decode_bag, encode,
-                               encoding_from_json, encoding_to_json,
-                               kfact_labels, teval)
-from treeprov.relational import (instances_isomorphic,
-                                 normalize_decomposition, tree_decomposition)
+                               decode, encode, encoding_from_json,
+                               encoding_to_json, kfact_labels, teval)
+from treeprov.relational import normalize_decomposition, tree_decomposition
 from treeprov.trees import Node, postorder
 
 from genutil import rand_instance
+from oracles import decode_bag, instances_isomorphic
 
 
 def encoding_of(instance, k=None):

@@ -19,8 +19,8 @@ from treeprov.ucq import enumerate_matches, parse_ucq, satisfies
 
 from genutil import (rand_bid, rand_decomposed_circuit, rand_fraction,
                      rand_instance, rand_pc, rand_pcc, rand_ucq)
-from oracles import (bid_worlds, brute_force_prob, pc_worlds,
-                     pcc_worlds)
+from oracles import (bid_worlds, brute_force_prob, instances_isomorphic,
+                     pc_worlds, pcc_worlds)
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +64,49 @@ def test_format_formula_roundtrip():
 # Message passing
 
 
+def hand_decomposed_circuits():
+    """Shapes rand_decomposed_circuit never builds: frozenset gate ids,
+    inputs at p = 0 and p = 1, a root bag with three children, bags with
+    one child or an empty domain (not normalised), and the output gate
+    only in a leaf below the root."""
+    from treeprov.relational import Bag, TreeDecomposition
+
+    g = {n: frozenset({n, len(n)}) for n in
+         ("a", "b", "c", "d", "e", "ab", "nc", "z", "u", "w", "out")}
+    gates = {g[n]: ("inp", ()) for n in "abcde"}
+    gates[g["ab"]] = ("or", (g["a"], g["b"]))
+    gates[g["nc"]] = ("not", (g["c"],))
+    gates[g["z"]] = ("or", (g["nc"], g["d"]))
+    gates[g["u"]] = ("and", (g["ab"], g["z"]))
+    gates[g["w"]] = ("and", (g["e"], g["u"]))
+    gates[g["out"]] = ("or", (g["w"], g["nc"]))
+    circuit = Circuit("bool", gates, g["out"])
+
+    def bag(names, *children):
+        return Bag({g[n] for n in names}, children)
+
+    star = bag(("ab", "nc", "d", "z"),
+               bag(("a", "b", "ab")),
+               bag(("c", "nc"), bag(("c",), bag(()))),
+               bag(("ab", "z", "nc", "u"),
+                   bag(("u", "nc", "e", "w", "out"))))
+    chain = bag(("a", "b"), bag(("a", "b", "ab"), bag(("ab", "c", "nc"), bag(
+        ("ab", "nc", "d", "z", "u"), bag(("u", "nc", "e", "w", "out"))))))
+    for p in ((Fraction(1, 3), Fraction(0), Fraction(1), Fraction(3, 4),
+               Fraction(1, 2)),
+              (Fraction(0), Fraction(2, 5), Fraction(1), Fraction(1),
+               Fraction(1)),
+              (Fraction(1), Fraction(1), Fraction(1, 7), Fraction(0),
+               Fraction(5, 6))):
+        probs = {g[n]: x for n, x in zip("abcde", p)}
+        for root in (star, chain):
+            yield circuit, TreeDecomposition(root), probs
+
+
 def test_message_passing_matches_brute_force():
     rng = random.Random(72)
-    for _ in range(80):
-        circuit, decomp, probs = rand_decomposed_circuit(rng)
+    cases = [rand_decomposed_circuit(rng) for _ in range(80)]
+    for circuit, decomp, probs in cases + list(hand_decomposed_circuits()):
         got = message_passing_prob(circuit, decomp, probs)
         assert got == brute_force_prob(circuit, probs)
 
@@ -88,6 +127,25 @@ def test_message_passing_rejects_uncovered_gate():
     d = TreeDecomposition(Bag({0, 2}, [Bag({1})]), normalized=True)
     with pytest.raises(ValueError):
         message_passing_prob(c, d, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+
+
+def test_message_passing_rejects_disconnected_gate():
+    """The bags holding d are not connected, so the decomposition is
+    refused; the circuit is true on every world, since d is certain."""
+    from treeprov.relational import Bag, TreeDecomposition
+
+    c = Circuit("bool", {"a": ("inp", ()), "b": ("inp", ()),
+                         "c": ("inp", ()), "d": ("inp", ()),
+                         "x": ("and", ("a", "b")), "y": ("not", ("c",)),
+                         "o": ("or", ("x", "d"))}, "o")
+    d = TreeDecomposition(Bag({"a", "b"}, [
+        Bag({"a", "b", "x"}, [Bag({"x", "d", "o"})]), Bag({"c", "y"}),
+        Bag({"d"})]))
+    probs = {"a": Fraction(0), "b": Fraction(2, 3), "c": Fraction(1, 4),
+             "d": Fraction(1)}
+    assert brute_force_prob(c, probs) == 1
+    with pytest.raises(ValueError, match="not connected"):
+        message_passing_prob(c, d, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +205,6 @@ def test_lineage_circuit_evaluates_query_truth():
 def test_cc_encode_decodes_to_data_instance():
     rng = random.Random(75)
     from treeprov.encoding import decode
-    from treeprov.relational import instances_isomorphic
     for _ in range(10):
         pcc = rand_pcc(rng)
         c2, rep, _ = arity_two(pcc.circuit)
@@ -513,8 +570,7 @@ def test_pcc_skips_the_lineage_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pcc probability built a lineage")
 
-    for name in ("lineage_circuit", "message_passing_prob", "stitch",
-                 "sum_decompositions"):
+    for name in ("lineage_circuit", "message_passing_prob"):
         monkeypatch.setattr(prob, name, refuse)
     rng = random.Random(91)
     pcc = random_gated(rng, random_directions(rng, cycle_edges(5)))

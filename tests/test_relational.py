@@ -8,11 +8,12 @@ from treeprov.relational import (Bag, Fact, Instance, TreeDecomposition,
                                  check_decomposition,
                                  decomposition_from_json,
                                  decomposition_to_json, instance_from_json,
-                                 instance_to_json, instances_isomorphic,
-                                 make_instance, normalize_decomposition,
-                                 subinstance, tree_decomposition)
+                                 instance_to_json, make_instance,
+                                 normalize_decomposition, subinstance,
+                                 tree_decomposition)
 
 from genutil import rand_instance
+from oracles import instances_isomorphic
 
 
 def path_instance(n):

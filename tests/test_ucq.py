@@ -11,11 +11,12 @@ from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import (Fact, Instance, make_instance,
                                  normalize_decomposition, subinstance,
                                  tree_decomposition)
-from treeprov.ucq import (CQ, UCQ, Atom, bag_satisfies, compile_bag,
-                          compile_bool, enumerate_matches, nx_provenance,
+from treeprov.ucq import (CQ, UCQ, Atom, compile_bag, compile_bool,
+                          enumerate_matches, nx_provenance,
                           nx_provenance_bruteforce, parse_ucq, satisfies)
 
 from genutil import rand_cq, rand_instance, rand_ucq
+from oracles import bag_satisfies
 
 
 def test_parse_ucq():
