@@ -21,7 +21,7 @@ from .encoding import (decode, encode, encoding_from_json,
                        encoding_to_json, kfact_labels)
 from .errors import NoDecomposition, StateBlowup
 from .prob import (bid_from_json, format_fraction, pc_from_json,
-                   pc_to_pcc, pcc_from_json, pcc_to_json,
+                   pc_to_pcc, pcc_from_json,
                    query_probability_bid, query_probability_pcc)
 from .provcirc import query_provenance_circuit
 from .prxml import (doc_from_json, doc_to_json, fie_to_pc,

@@ -10,7 +10,7 @@ fresh elements for slots not shared with the parent.
 from dataclasses import dataclass
 
 from .relational import Fact, Instance, TreeDecomposition
-from .trees import Node, postorder, preorder
+from .trees import Node, postorder
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Relational instances, fact valuations, and tree decompositions."""
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import NoDecomposition
@@ -208,32 +209,86 @@ def _exact_elimination_order(verts, adj):
 
 
 def _min_fill_order(verts, adj):
-    """Min-fill heuristic elimination ordering."""
+    """Min-fill elimination ordering (Bodlaender & Koster, "Treewidth
+    computations I: Upper bounds", 2010) with incremental fill counts.
+
+    A vertex's fill is the number of non-adjacent pairs among its
+    remaining neighbours.  Eliminating v changes it only for v's
+    neighbours and for the common neighbours of each fill edge it adds,
+    so only those are recounted.  Among equal fills the vertex latest in
+    ``verts`` goes first: the last one eliminated, whose bag becomes the
+    root, is the earliest, and the order does not depend on the hash
+    seed."""
     adj = {v: set(adj[v]) for v in verts}
-    remaining = set(verts)
+    rank = {v: i for i, v in enumerate(verts)}
+
+    def fill(v):
+        nb = adj[v]
+        return sum(len(nb - adj[a]) - 1 for a in nb) // 2
+
+    fills = {v: fill(v) for v in verts}
+    heap = [(f, -rank[v], v) for v, f in fills.items()]
+    heapq.heapify(heap)
     order = []
     width = 0
-    while remaining:
-        best_v, best_fill = None, None
-        for v in sorted(remaining, key=str):
-            nb = adj[v] & remaining
-            fill = 0
-            nb_list = sorted(nb, key=str)
-            for i, a in enumerate(nb_list):
-                for b in nb_list[i + 1:]:
-                    if b not in adj[a]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        nb = adj[best_v] & remaining
+    while heap:
+        f, _, v = heapq.heappop(heap)
+        if fills.get(v) != f:
+            continue  # eliminated, or recounted since this entry
+        del fills[v]
+        nb = adj.pop(v)
+        order.append(v)
         width = max(width, len(nb))
         for a in nb:
-            for b in nb:
-                if a != b:
-                    adj[a].add(b)
-        remaining.remove(best_v)
-        order.append(best_v)
+            adj[a].discard(v)
+        touched = set(nb)
+        for a in nb:
+            missing = nb - adj[a]
+            missing.discard(a)
+            for b in missing:
+                touched |= adj[a] & adj[b]
+            adj[a] |= missing
+        for u in touched:
+            f = fill(u)
+            if f != fills[u]:
+                fills[u] = f
+                heapq.heappush(heap, (f, -rank[u], u))
     return order, width
+
+
+def _mmd_plus(verts, adj):
+    """MMD+ (minor-min-width) lower bound on treewidth (Bodlaender &
+    Koster, "Treewidth computations II: Lower bounds", 2011).
+
+    Every minor of a graph has treewidth at most the graph's, and at
+    least its own minimum degree.  So repeatedly take a minimum-degree
+    vertex, raise the bound to its degree, and contract it into its
+    minimum-degree neighbour.  Ties go to the vertex earliest in
+    ``verts``."""
+    adj = {v: set(adj[v]) for v in verts}
+    rank = {v: i for i, v in enumerate(verts)}
+    heap = [(len(adj[v]), rank[v], v) for v in verts]
+    heapq.heapify(heap)
+    low = 0
+    while len(adj) > 1:
+        d, _, v = heapq.heappop(heap)
+        if v not in adj or len(adj[v]) != d:
+            continue  # contracted, or its degree changed since
+        low = max(low, d)
+        nb = adj.pop(v)
+        if not nb:
+            continue
+        u = min(nb, key=lambda w: (len(adj[w]), rank[w]))
+        for w in nb:
+            adj[w].discard(v)
+        moved = nb - adj[u]
+        moved.discard(u)
+        for w in moved:
+            adj[w].add(u)
+        adj[u] |= moved
+        for w in nb:
+            heapq.heappush(heap, (len(adj[w]), rank[w], w))
+    return low
 
 
 def _decomposition_from_order(verts, adj, order, instance):
@@ -272,17 +327,28 @@ EXACT_LIMIT = 14
 
 
 def tree_decomposition(instance, k=None):
-    """Width-minimal (exact for small domains, min-fill otherwise)
-    decomposition; NoDecomposition if the width bound k is exceeded."""
+    """A tree decomposition of the instance's primal graph, of minimal
+    width when the domain has at most EXACT_LIMIT elements.
+
+    Min-fill runs first.  When its width is above the MMD+ lower bound
+    and the domain is small enough, the exact subset DP replaces it;
+    otherwise min-fill is provably optimal or the domain too large.
+    NoDecomposition if the width exceeds k, before any ordering when
+    the lower bound already does."""
     if k is not None and k < 1:
         raise ValueError("width bound must be >= 1")
     verts, adj = primal_graph(instance)
     if not verts:
         return TreeDecomposition(Bag(frozenset()), instance)
-    if len(verts) <= EXACT_LIMIT:
+    small = len(verts) <= EXACT_LIMIT
+    # the bound serves the early refusal and the choice of the exact DP
+    low = _mmd_plus(verts, adj) if small or k is not None else 0
+    if k is not None and low > k:
+        raise NoDecomposition("treewidth lower bound %d (MMD+) exceeds "
+                              "bound %d" % (low, k))
+    order, width = _min_fill_order(verts, adj)
+    if small and width > low:
         order, width = _exact_elimination_order(verts, adj)
-    else:
-        order, width = _min_fill_order(verts, adj)
     if k is not None and width > k:
         raise NoDecomposition("width %d exceeds bound %d" % (width, k))
     return _decomposition_from_order(verts, adj, order, instance)

@@ -7,8 +7,8 @@ import time
 from fractions import Fraction
 
 from treeprov.automata import count_runs, lift_boolean, memoized
-from treeprov.circuits import (NAT, POSBOOL, Polynomial, eval_bool,
-                               eval_bool_vector, expand_polynomial)
+from treeprov.circuits import (NAT, POSBOOL, Polynomial, eval_bool_vector,
+                               expand_polynomial)
 from treeprov.encoding import KFact
 from treeprov.prob import (BIDInstance, count_matches, message_passing_prob,
                            pc_to_pcc, query_probability_bid,

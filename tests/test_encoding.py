@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from treeprov.encoding import (KFact, TreeEncoding, alphabet_label, annotate,
-                               decode, encode, encoding_from_json,
-                               encoding_to_json, kfact_labels, teval)
+from treeprov.encoding import (KFact, alphabet_label, annotate, decode,
+                               encode, encoding_from_json, encoding_to_json,
+                               kfact_labels, teval)
 from treeprov.relational import normalize_decomposition, tree_decomposition
 from treeprov.trees import Node, postorder
 

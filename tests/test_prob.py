@@ -17,8 +17,8 @@ from treeprov.prob import (BIDInstance, PCCInstance, PCInstance,
 from treeprov.relational import make_instance
 from treeprov.ucq import enumerate_matches, parse_ucq, satisfies
 
-from genutil import (rand_bid, rand_decomposed_circuit, rand_fraction,
-                     rand_instance, rand_pc, rand_pcc, rand_ucq)
+from genutil import (rand_bid, rand_decomposed_circuit, rand_instance,
+                     rand_pc, rand_pcc, rand_ucq)
 from oracles import (bid_worlds, brute_force_prob, instances_isomorphic,
                      pc_worlds, pcc_worlds)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from treeprov.automata import accepts, count_runs
-from treeprov.circuits import NAT, Polynomial, eval_bool, expand_polynomial
+from treeprov.circuits import Polynomial, eval_bool, expand_polynomial
 from treeprov.errors import NotMonotone
 from treeprov.provcirc import (ALL, bool_provenance_circuit,
                                monotone_provenance_circuit,
@@ -14,7 +14,7 @@ from treeprov.relational import check_decomposition
 from treeprov.trees import Node, postorder
 
 from genutil import (rand_bool_automaton, rand_instance, rand_p_automaton,
-                     rand_tree, rand_ucq)
+                     rand_tree)
 
 
 def with_anns(t, anns):

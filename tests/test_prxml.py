@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from treeprov.prob import pc_to_pcc, pc_width
-from treeprov.prxml import (BOT, PrXMLDoc, PrXMLNode, doc_from_json,
-                            doc_nodes, doc_to_json, fie_to_pc, lcrs,
+from treeprov.prob import pc_width
+from treeprov.prxml import (PrXMLDoc, PrXMLNode, doc_from_json, doc_nodes,
+                            doc_to_json, fie_to_pc, lcrs,
                             muxind_to_binary, muxind_to_fie,
                             prxml_query_probability, scope_width, unlcrs,
                             xml_relational_encoding)

@@ -1,16 +1,22 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from treeprov import relational
 from treeprov.errors import NoDecomposition
 from treeprov.relational import (Bag, Fact, Instance, TreeDecomposition,
-                                 check_decomposition,
+                                 _exact_elimination_order, _min_fill_order,
+                                 _mmd_plus, check_decomposition,
                                  decomposition_from_json,
                                  decomposition_to_json, instance_from_json,
                                  instance_to_json, make_instance,
-                                 normalize_decomposition, subinstance,
-                                 tree_decomposition)
+                                 normalize_decomposition, primal_graph,
+                                 subinstance, tree_decomposition)
 
 from genutil import rand_instance
 from oracles import instances_isomorphic
@@ -131,6 +137,117 @@ def test_exact_decomposition_width_is_brute_force_minimum():
         decomp = tree_decomposition(inst)
         assert check_decomposition(inst, decomp)
         assert decomp.width == best
+
+
+def random_graph_instance(rng, n):
+    """n vertices in shuffled domain order (the min-fill tie-break), each
+    pair joined with one probability drawn per graph."""
+    verts = ["v%d" % i for i in range(n)]
+    rng.shuffle(verts)
+    density = rng.random()
+    edges = [(a, b) for a, b in itertools.combinations(verts, 2)
+             if rng.random() < density]
+    return make_instance({"E": 2, "U": 1},
+                         [("U", (v,)) for v in verts]
+                         + [("E", e) for e in edges])
+
+
+def test_mmd_plus_and_min_fill_bracket_the_exact_width():
+    rng = random.Random(23)
+    missed = 0
+    for _ in range(500):
+        # 2..14 vertices, smaller sizes more often: the exact DP doubles
+        # in cost with every vertex
+        inst = random_graph_instance(
+            rng, 2 + min(rng.randint(0, 12), rng.randint(0, 12)))
+        verts, adj = primal_graph(inst)
+        low = _mmd_plus(verts, adj)
+        _, exact = _exact_elimination_order(verts, adj)
+        _, heuristic = _min_fill_order(verts, adj)
+        assert low <= exact <= heuristic
+        decomp = tree_decomposition(inst)
+        assert check_decomposition(inst, decomp)
+        assert decomp.width == exact
+        missed += heuristic > low
+    assert missed  # some graphs take the exact DP
+
+
+def test_min_fill_order_matches_recounted_fills():
+    """Each step of the incremental ordering picks what a full recount
+    of the fills would: least fill, then latest in domain order."""
+    rng = random.Random(29)
+    for _ in range(60):
+        inst = random_graph_instance(rng, rng.randint(2, 40))
+        verts, adj = primal_graph(inst)
+        order, width = _min_fill_order(verts, adj)
+        rank = {v: i for i, v in enumerate(verts)}
+        left = {v: set(nb) for v, nb in adj.items()}
+        for v in order:
+            fills = {u: sum(1 for a, b in itertools.combinations(nb, 2)
+                            if b not in left[a])
+                     for u, nb in left.items()}
+            assert v == min(left, key=lambda u: (fills[u], -rank[u]))
+            nb = left.pop(v)
+            for u in nb:
+                left[u] |= nb - {u}
+                left[u].discard(v)
+        assert width == _elimination_width(order, adj)
+
+
+def test_lower_bound_refuses_before_any_ordering(monkeypatch):
+    elems = ["v%d" % i for i in range(5)]
+    clique = make_instance({"E": 2}, [("E", e) for e in
+                                      itertools.combinations(elems, 2)])
+
+    def no_ordering(verts, adj):
+        raise AssertionError("an ordering was computed")
+
+    monkeypatch.setattr(relational, "_min_fill_order", no_ordering)
+    monkeypatch.setattr(relational, "_exact_elimination_order", no_ordering)
+    with pytest.raises(NoDecomposition, match=r"lower bound 4 .*bound 3"):
+        tree_decomposition(clique, 3)
+
+
+_DECOMPOSE = """
+import json
+from treeprov.circuits import arity_two
+from treeprov.prob import (PCCInstance, PCInstance, joint_decomposition,
+                           pc_to_pcc)
+from treeprov.relational import (decomposition_to_json, make_instance,
+                                 tree_decomposition)
+
+grid = make_instance({"E": 2}, [
+    ("E", ("r%dc%d" % (r, c), "r%dc%d" % (r2, c2)))
+    for r in range(3) for c in range(6)
+    for r2, c2 in ((r + 1, c), (r, c + 1)) if r2 < 3 and c2 < 6])
+path = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                for i in range(8)])
+conds = {f.id: ("or", ("var", "e%d" % (i % 4)),
+                ("not", ("var", "e%d" % ((i + 1) % 4))))
+         for i, f in enumerate(path.facts)}
+pcc = pc_to_pcc(PCInstance(path, conds, {"e%d" % i: "1/2"
+                                         for i in range(4)}))
+c2, rep, _ = arity_two(pcc.circuit)
+pcc2 = PCCInstance(path, c2, {fid: rep[g] for fid, g in pcc.phi.items()},
+                   pcc.probs)
+print(json.dumps([decomposition_to_json(tree_decomposition(grid)),
+                  decomposition_to_json(joint_decomposition(pcc2)[1])]))
+"""
+
+
+def test_decompositions_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        outs.append(subprocess.run([sys.executable, "-c", _DECOMPOSE],
+                                   env=env, capture_output=True, check=True,
+                                   text=True).stdout)
+    assert outs[0].startswith('[{"dom"')
+    assert outs[0] == outs[1]
 
 
 def test_large_instance_uses_heuristic():
