@@ -154,38 +154,6 @@ def eval_semiring(circuit, semiring, assignment):
     return val[circuit.output]
 
 
-def rename_inputs(circuit, mapping):
-    """Rename input gate ids (merging inputs mapped to the same id)."""
-    def m(g):
-        return mapping.get(g, g)
-
-    gates = {}
-    for g, (t, ins) in circuit.gates.items():
-        if t == "inp":
-            gates[m(g)] = ("inp", ())
-        else:
-            new_ins = []
-            for i in ins:
-                mi = m(i)
-                if mi not in new_ins:
-                    new_ins.append(mi)
-            gates[g] = (t, tuple(new_ins))
-    return Circuit(circuit.kind, gates, m(circuit.output))
-
-
-def fix_inputs(circuit, constants):
-    """Replace input gates by constants (bool: 0/1 as nullary or/and;
-    semiring: nullary add/mul)."""
-    one = "and" if circuit.kind == "bool" else "mul"
-    zero = "or" if circuit.kind == "bool" else "add"
-    gates = dict(circuit.gates)
-    for g, v in constants.items():
-        if gates[g][0] != "inp":
-            raise ValueError("%r is not an input" % (g,))
-        gates[g] = ((one if v else zero), ())
-    return Circuit(circuit.kind, gates, circuit.output)
-
-
 # ---------------------------------------------------------------------------
 # Arity-two normal form
 

@@ -21,7 +21,7 @@ from .automata import lazy_determinize, lift_boolean, memoized
 from .circuits import (Circuit, arity_two, circuit_from_json,
                        circuit_relational_encoding, circuit_to_json)
 from .encoding import TreeEncoding, alphabet_label, encode
-from .provcirc import bool_provenance_circuit, name_inputs
+from .provcirc import _bool_circuit
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
@@ -462,10 +462,9 @@ def lineage_circuit(automaton, pcc, k=None):
     fact inputs become their chi gates, and each bag is the union of
     the two circuits' bags at one encoding node."""
     c2, cc = _cc_encoding(pcc, k)
-    res = bool_provenance_circuit(memoized(lift_boolean(automaton)),
-                                  cc.encoding.root)
-    inner, rename = name_inputs(res, cc.chi)
-    named = set(rename.values())
+    inner, decomp = _bool_circuit(memoized(lift_boolean(automaton)),
+                                  cc.encoding.root, cc.chi)
+    named = set(cc.chi.values())
 
     # keep the lineage gates out of the pcc circuit's id space
     def wrap(g):
@@ -477,13 +476,13 @@ def lineage_circuit(automaton, pcc, k=None):
             gates[("prov", g)] = (t, tuple(wrap(i) for i in ins))
 
     def union(cbag, rbag):
-        return Bag(cbag.dom | {wrap(rename.get(g, g)) for g in rbag.dom},
+        return Bag(cbag.dom | {wrap(g) for g in rbag.dom},
                    [union(*kids) for kids in zip(cbag.children,
                                                  rbag.children)])
 
     return (Circuit("bool", gates, wrap(inner.output)),
             TreeDecomposition(union(cc.circuit_decomposition.root,
-                                    res.decomposition.root), normalized=True))
+                                    decomp.root), normalized=True))
 
 
 def _as_automaton(query):

@@ -13,8 +13,7 @@ node under some valuation, which keeps circuits linear in |T| for a
 fixed automaton.
 """
 
-from .automata import lift_boolean, memoized
-from .circuits import arity_two, fix_inputs, rename_inputs
+from .automata import EMPTY, lift_boolean, memoized
 from .circuits import Circuit
 from .encoding import encode
 from .errors import NotMonotone
@@ -26,175 +25,132 @@ ALL = "all"
 
 
 class ProvenanceResult:
-    def __init__(self, circuit, input_map, decomposition, node_bag=None):
+    def __init__(self, circuit, input_map, decomposition):
         self.circuit = circuit
         self.input_map = dict(input_map)  # tree node id / fact id -> gate id
         self.decomposition = decomposition
-        self.node_bag = node_bag or {}  # id(tree node) -> Bag
 
     def __repr__(self):
         return "ProvenanceResult(%d gates)" % len(self.circuit.gates)
 
 
-def _rewrite_bags(decomposition, rep, derived):
-    """Port a gate decomposition through the arity-two rewrite."""
+def _bool_circuit(automaton, root, name_of, monotone=False):
+    """Boolean provenance circuit of a (Gamma x {0,1})-bNTA on a
+    Gamma-tree and its decomposition of the same skeleton, in one pass.
 
-    def conv(bag):
-        dom = set()
-        for g in bag.dom:
-            ids = derived.get(g)
-            if ids is None:
-                dom.add(g)
-            elif ids:
-                dom.update(ids)
-            else:
-                dom.add(rep[g])
-        return Bag(dom, [conv(c) for c in bag.children], bag.facts)
+    Node n reads the input gate name_of[id(n)]; a node with no name
+    reads the constant 1, so only its (tau, 1) transitions are followed.
+    and/or gates fold the constant 1 (None below) and repeated inputs as
+    they are built, and an OR of many inputs is a chain, so every gate
+    has fan-in 2.  Gate ids number each node's states in first-seen
+    order, so the circuit does not depend on how states hash.  The bag
+    of a node holds its own gates and its children's state gates.
+    Returns (circuit, decomposition)."""
+    gates = {}
+    reach = {}  # id(node) -> {state: gate, or None for 1}, first seen first
+    bags = {}
 
-    return TreeDecomposition(conv(decomposition.root),
-                             normalized=decomposition.normalized)
+    def add(gid, gtype, ins=()):
+        gates[gid] = (gtype, ins)
+        dom.append(gid)
+        return gid
+
+    def conj(gid, a, b):
+        if a is None or a == b:
+            return b
+        if b is None:
+            return a
+        return add(gid, "and", (a, b))
+
+    def disj(gid, ins):
+        """OR of ins as a chain of fan-in-2 gates, the last one gid."""
+        ins = list(dict.fromkeys(ins))
+        if None in ins:
+            return None
+        acc = ins[0]
+        for t in range(1, len(ins)):
+            acc = add(gid if t == len(ins) - 1 else gid + (t,), "or",
+                      (acc, ins[t]))
+        return acc
+
+    def follow(g, s0, s1, js):
+        """At the node being built, send g (the children's part of a run,
+        None at a leaf) to the states reached on reading 0 (s0) or 1
+        (s1); js numbers the child states in gate ids."""
+        nonlocal neg
+        if monotone and not s0 <= s1:
+            raise NotMonotone("label %r reaches a state on 0 but not on 1"
+                              % (tau,))
+        for q in s0 & s1:
+            targets.setdefault(q, []).append(g)
+        if s1 - s0:
+            g1 = conj(("pi", i) + js, g, x)
+            for q in s1 - s0:
+                targets.setdefault(q, []).append(g1)
+        if s0 - s1:
+            if neg is None:
+                neg = add(("ni", i), "not", (x,))
+            g0 = conj(("pni", i) + js, g, neg)
+            for q in s0 - s1:
+                targets.setdefault(q, []).append(g0)
+
+    for i, n in enumerate(postorder(root)):
+        tau = n.label
+        dom = []
+        x = name_of.get(id(n))
+        if x is not None:
+            add(x, "inp")
+        neg = None
+        targets = {}
+        if n.is_leaf():
+            s1 = automaton.iota((tau, 1))
+            s0 = EMPTY if x is None else automaton.iota((tau, 0))
+            follow(None, s0, s1, ())
+            kids = []
+        else:
+            rl = reach.pop(id(n.left))
+            rr = reach.pop(id(n.right))
+            for jl, (ql, gl) in enumerate(rl.items()):
+                for jr, (qr, gr) in enumerate(rr.items()):
+                    s1 = automaton.delta(ql, qr, (tau, 1))
+                    s0 = EMPTY if x is None else \
+                        automaton.delta(ql, qr, (tau, 0))
+                    if s0 or s1:
+                        follow(conj(("p", i, jl, jr), gl, gr), s0, s1,
+                               (jl, jr))
+            dom.extend(g for g in (*rl.values(), *rr.values())
+                       if g is not None)
+            kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
+        reach[id(n)] = {q: disj(("q", i, j), lst)
+                        for j, (q, lst) in enumerate(targets.items())}
+        if n is root:
+            finals = [g for q, g in reach[id(n)].items()
+                      if automaton.is_final(q)]
+            out = disj(("out",), finals) if finals else \
+                add(("out",), "or")
+            if out is None:
+                out = add(("out",), "and")
+        bags[id(n)] = Bag(dom, kids)
+    return (Circuit("bool", gates, out),
+            TreeDecomposition(bags[id(root)], normalized=True))
 
 
 def bool_provenance_circuit(automaton, root, monotone=False):
-    """Provenance circuit of a (Gamma x {0,1})-bNTA on a Gamma-tree.
+    """Provenance circuit of a (Gamma x {0,1})-bNTA on a Gamma-tree, with
+    input ("i", i) for the i-th node in postorder.
 
-    The general variant uses a NOT-gate per node input; the monotone
-    variant emits a NOT-free circuit and raises NotMonotone if the
-    transitions touched by the tree violate the inclusion conditions.
+    The general variant negates a node's input where a transition needs
+    it; the monotone variant emits a NOT-free circuit and raises
+    NotMonotone if the transitions touched by the tree violate the
+    inclusion conditions.
     """
-    nodes = postorder(root)
-    nid = {id(n): i for i, n in enumerate(nodes)}
-    gates = {}
-    reach = {}
-    input_map = {}
-    node_gates = {}  # id(node) -> all gate ids of that node
-
-    def add(gid, gtype, ins=()):
-        gates[gid] = (gtype, tuple(ins))
-        return gid
-
-    for n in nodes:
-        i = nid[id(n)]
-        tau = n.label
-        own = []
-        gi = add(("i", i), "inp")
-        own.append(gi)
-        input_map[id(n)] = gi
-        if not monotone:
-            gni = add(("ni", i), "not", (gi,))
-            own.append(gni)
-        or_lists = {}
-        if n.is_leaf():
-            s0 = automaton.iota((tau, 0))
-            s1 = automaton.iota((tau, 1))
-            if monotone and not s0 <= s1:
-                raise NotMonotone("leaf label %r" % (tau,))
-            for q in s0 | s1:
-                lst = or_lists.setdefault(q, [])
-                if monotone:
-                    if q in s0:
-                        one = add(("one", i, q), "and")
-                        own.append(one)
-                        lst.append(one)
-                    else:
-                        lst.append(gi)
-                else:
-                    if q in s1:
-                        lst.append(gi)
-                    if q in s0:
-                        lst.append(gni)
-        else:
-            rl = reach[id(n.left)]
-            rr = reach[id(n.right)]
-            for ql in rl:
-                for qr in rr:
-                    d0 = automaton.delta(ql, qr, (tau, 0))
-                    d1 = automaton.delta(ql, qr, (tau, 1))
-                    if not (d0 or d1):
-                        continue
-                    if monotone and not d0 <= d1:
-                        raise NotMonotone("transition at label %r" % (tau,))
-                    pair = add(("p", i, ql, qr), "and",
-                               (("q", nid[id(n.left)], ql),
-                                ("q", nid[id(n.right)], qr)))
-                    own.append(pair)
-                    if monotone:
-                        for q in d0:
-                            or_lists.setdefault(q, []).append(pair)
-                        extra = d1 - d0
-                        if extra:
-                            pi = add(("pi", i, ql, qr), "and", (pair, gi))
-                            own.append(pi)
-                            for q in extra:
-                                or_lists.setdefault(q, []).append(pi)
-                    else:
-                        if d1:
-                            pi = add(("pi", i, ql, qr), "and", (pair, gi))
-                            own.append(pi)
-                            for q in d1:
-                                or_lists.setdefault(q, []).append(pi)
-                        if d0:
-                            pni = add(("pni", i, ql, qr), "and", (pair, gni))
-                            own.append(pni)
-                            for q in d0:
-                                or_lists.setdefault(q, []).append(pni)
-        for q, lst in or_lists.items():
-            own.append(add(("q", i, q), "or", lst))
-        reach[id(n)] = frozenset(or_lists)
-        node_gates[id(n)] = own
-
-    out = ("out",)
-    add(out, "or", [("q", nid[id(root)], q)
-                    for q in sorted(reach[id(root)], key=repr)
-                    if automaton.is_final(q)])
-    circuit = Circuit("bool", gates, out)
-
-    # decomposition: one bag per node with its gates plus the children's
-    # state gates; same skeleton as the tree
-    def build_bag(n):
-        dom = set(node_gates[id(n)])
-        kids = []
-        if not n.is_leaf():
-            for c in (n.left, n.right):
-                dom.update(("q", nid[id(c)], q) for q in reach[id(c)])
-                kids.append(build_bag(c))
-        if n is root:
-            dom.add(out)
-        return Bag(dom, kids)
-
-    decomp = TreeDecomposition(build_bag(root), normalized=True)
-    circuit2, rep, derived = arity_two(circuit)
-    decomp2 = _rewrite_bags(decomp, rep, derived)
-    input_map = {k: rep[v] for k, v in input_map.items()}
-    node_bag = {}
-    stack = [(decomp2.root, root)]
-    while stack:
-        bag, n = stack.pop()
-        node_bag[id(n)] = bag
-        if not n.is_leaf():
-            stack.append((bag.children[0], n.left))
-            stack.append((bag.children[1], n.right))
-    return ProvenanceResult(circuit2, input_map, decomp2, node_bag)
+    input_map = {id(n): ("i", i) for i, n in enumerate(postorder(root))}
+    circuit, decomp = _bool_circuit(automaton, root, input_map, monotone)
+    return ProvenanceResult(circuit, input_map, decomp)
 
 
 def monotone_provenance_circuit(automaton, root):
     return bool_provenance_circuit(automaton, root, monotone=True)
-
-
-def name_inputs(res, name_of):
-    """The circuit of a provenance result on a tree, with the input of
-    each node that has a name (name_of: id(node) -> name) renamed to it
-    and every other input fixed to 1.  Returns the circuit and the map
-    from old input gate ids to names."""
-    rename = {}
-    fixed = {}
-    for node_id, gate in res.input_map.items():
-        name = name_of.get(node_id)
-        if name is not None:
-            rename[gate] = name
-        else:
-            fixed[gate] = 1
-    return fix_inputs(rename_inputs(res.circuit, rename), fixed), rename
 
 
 def query_provenance_circuit(automaton, instance, k):
@@ -204,54 +160,38 @@ def query_provenance_circuit(automaton, instance, k):
     decomp = tree_decomposition(instance, k)
     enc = encode(instance, normalize_decomposition(decomp))
     lifted = memoized(lift_boolean(automaton))
-    res = bool_provenance_circuit(lifted, enc.root)
-    circuit, rename = name_inputs(res, enc.node_fact)
-
-    def conv(bag):
-        return Bag({rename.get(g, g) for g in bag.dom},
-                   [conv(c) for c in bag.children], bag.facts)
-
-    decomp2 = TreeDecomposition(conv(res.decomposition.root), normalized=True)
-    input_map = {fid: fid for fid in rename.values()}
-    node_bag = {}
-    stack = [(decomp2.root, enc.root)]
-    while stack:
-        bag, n = stack.pop()
-        node_bag[id(n)] = bag
-        if not n.is_leaf():
-            stack.append((bag.children[0], n.left))
-            stack.append((bag.children[1], n.right))
-    return ProvenanceResult(circuit, input_map, decomp2, node_bag), enc
+    circuit, gate_decomp = _bool_circuit(lifted, enc.root, enc.node_fact)
+    input_map = {fid: fid for fid in enc.node_fact.values()}
+    return ProvenanceResult(circuit, input_map, gate_decomp), enc
 
 
-def nx_provenance_circuit(automaton, root, l=ALL, p=1, ann_caps=None):
-    """N[X] provenance circuit of a (Gamma x {0..p})-bNTA on a Gamma-tree.
+def nx_provenance_circuit(automaton, root, l=ALL, p=1):
+    """N[X] provenance circuit of a (Gamma x {0..p})-bNTA on a Gamma-tree,
+    with input ("i", i) for the i-th node in postorder.
 
     l = ALL sums over all multiplicity valuations; an integer l restricts
-    to valuations of total sum l.  ann_caps optionally lowers, per node,
-    the largest multiplicity considered (callers may use it when larger
-    multiplicities provably contribute nothing).
+    to valuations of total sum l.
     """
+    input_map = {id(n): ("i", i) for i, n in enumerate(postorder(root))}
+    circuit, decomp = _nx_circuit(automaton, root, input_map, l, p)
+    return ProvenanceResult(circuit, input_map, decomp)
+
+
+def _nx_circuit(automaton, root, name_of, l, p):
+    """The N[X] circuit and its decomposition of the same skeleton, where
+    node n reads the input gate name_of[id(n)]; a node with no name has
+    multiplicity 0 and no input gate."""
     restricted = l != ALL
     l0 = l if restricted else None
     nodes = postorder(root)
     nid = {id(n): i for i, n in enumerate(nodes)}
     gates = {}
-    input_map = {}
     reach = {}
     node_gates = {}
 
     def add(gid, gtype, ins=()):
         gates[gid] = (gtype, tuple(ins))
         return gid
-
-    def cap_of(n):
-        c = p
-        if ann_caps is not None:
-            c = min(c, ann_caps.get(id(n), p))
-        if restricted:
-            c = min(c, l0)
-        return c
 
     pow_built = {}
 
@@ -262,11 +202,10 @@ def nx_provenance_circuit(automaton, root, l=ALL, p=1, ann_caps=None):
         key = (i, j)
         if key in pow_built:
             return pow_built[key]
-        copies = []
         for t in range(1, j + 1):
             cp = ("cp", i, t)
             if cp not in gates:
-                add(cp, "mul", (("i", i),))
+                add(cp, "mul", (name_of[id(n)],))
                 node_gates[id(n)].append(cp)
         g = add(("ipow", i, j), "mul",
                 tuple(("cp", i, t) for t in range(1, j + 1)))
@@ -278,10 +217,10 @@ def nx_provenance_circuit(automaton, root, l=ALL, p=1, ann_caps=None):
         i = nid[id(n)]
         tau = n.label
         node_gates[id(n)] = []
-        gi = add(("i", i), "inp")
-        node_gates[id(n)].append(gi)
-        input_map[id(n)] = gi
-        cap = cap_of(n)
+        cap = 0
+        if id(n) in name_of:
+            node_gates[id(n)].append(add(name_of[id(n)], "inp"))
+            cap = min(p, l0) if restricted else p
         or_lists = {}
         if n.is_leaf():
             for ann in range(0, cap + 1):
@@ -346,5 +285,4 @@ def nx_provenance_circuit(automaton, root, l=ALL, p=1, ann_caps=None):
             dom.add(out)
         return Bag(dom, kids)
 
-    decomp = TreeDecomposition(build_bag(root), normalized=True)
-    return ProvenanceResult(circuit, input_map, decomp)
+    return circuit, TreeDecomposition(build_bag(root), normalized=True)

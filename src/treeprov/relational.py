@@ -388,26 +388,27 @@ def normalize_decomposition(decomposition):
     instance = decomposition.instance
     if instance is None:
         raise ValueError("decomposition has no attached instance")
-    # topmost (minimum depth, first in BFS order) covering bag per fact
-    depth = {id(decomposition.root): 0}
+    # topmost (first in BFS order) covering bag per fact: walk the bags
+    # in BFS order and try only the facts on the bag's elements
     bfs = [decomposition.root]
-    i = 0
-    while i < len(bfs):
-        b = bfs[i]
-        i += 1
-        for c in b.children:
-            depth[id(c)] = depth[id(b)] + 1
-            bfs.append(c)
+    for b in bfs:
+        bfs.extend(b.children)
+    need = [frozenset(f.args) for f in instance.facts]
+    target = {i: bfs[0] for i, args in enumerate(need) if not args}
+    on = {}
+    for i, args in enumerate(need):
+        for a in args:
+            on.setdefault(a, []).append(i)
+    for b in bfs:
+        for a in b.dom:
+            for i in on.get(a, ()):
+                if i not in target and need[i] <= b.dom:
+                    target[i] = b
     assigned = {id(b): [] for b in bfs}
-    for f in instance.facts:
-        target = None
-        for b in bfs:  # BFS order: first hit is topmost
-            if set(f.args) <= b.dom:
-                target = b
-                break
-        if target is None:
+    for i, f in enumerate(instance.facts):
+        if i not in target:
             raise ValueError("decomposition does not cover %s" % f.id)
-        assigned[id(target)].append(f.id)
+        assigned[id(target[i])].append(f.id)
 
     def pad():
         return Bag(frozenset())

@@ -28,9 +28,8 @@ from .automata import (BNTA, EMPTY, lazy_determinize, memoized, monotonize,
                        union)
 from .circuits import Polynomial
 from .encoding import encode
-from .provcirc import name_inputs, nx_provenance_circuit
+from .provcirc import ALL, _nx_circuit
 from .relational import normalize_decomposition, tree_decomposition
-from .trees import postorder
 
 
 @dataclass(frozen=True)
@@ -342,8 +341,5 @@ def nx_provenance(q, instance, k=None):
         tree_decomposition(instance, k)))
     automaton = memoized(union([placement_automaton(d)
                                 for d in q.disjuncts]))
-    caps = {id(n): 0 for n in postorder(enc.root)
-            if id(n) not in enc.node_fact}
     p = max(len(d.atoms) for d in q.disjuncts)
-    res = nx_provenance_circuit(automaton, enc.root, p=p, ann_caps=caps)
-    return name_inputs(res, enc.node_fact)[0]
+    return _nx_circuit(automaton, enc.root, enc.node_fact, ALL, p)[0]

@@ -9,8 +9,7 @@ from treeprov.circuits import (FUZZY, NAT, POSBOOL, SECURITY, TROPICAL,
                                Builder, Circuit, Polynomial, arity_two,
                                circuit_from_json, circuit_relational_encoding,
                                circuit_to_json, eval_bool, eval_bool_vector,
-                               eval_semiring, expand_polynomial, fix_inputs,
-                               nx_semiring, rename_inputs)
+                               eval_semiring, expand_polynomial, nx_semiring)
 from treeprov.errors import SizeCap
 
 
@@ -68,17 +67,6 @@ def test_eval_bool_vector_matches_scalar():
         for v in range(width):
             nu = {g: (v >> i) & 1 for i, g in enumerate(inputs)}
             assert ((out >> v) & 1) == eval_bool(c, nu)
-
-
-def test_rename_and_fix_inputs():
-    c = Circuit("bool", {0: ("inp", ()), 1: ("inp", ()),
-                         2: ("or", (0, 1))}, 2)
-    r = rename_inputs(c, {0: "x", 1: "x"})  # merge
-    assert r.gates[2] == ("or", ("x",))
-    f = fix_inputs(c, {0: 1, 1: 0})
-    assert eval_bool(f, {}) == 1
-    with pytest.raises(ValueError):
-        fix_inputs(c, {2: 1})
 
 
 def test_arity_two_preserves_semantics():

@@ -15,7 +15,8 @@ from treeprov.prob import (BIDInstance, PCCInstance, PCInstance,
                            pcc_from_json, pcc_to_json,
                            query_probability_bid, query_probability_pcc)
 from treeprov.relational import make_instance
-from treeprov.ucq import enumerate_matches, parse_ucq, satisfies
+from treeprov.ucq import (compile_bool, enumerate_matches, parse_ucq,
+                          satisfies)
 
 from genutil import (rand_bid, rand_decomposed_circuit, rand_instance,
                      rand_pc, rand_pcc, rand_ucq)
@@ -604,6 +605,22 @@ def test_pcc_dp_matches_lineage_message_passing():
     lineage, decomp = lineage_circuit(compile_bool(q), pcc)
     assert query_probability_pcc(q, pcc) == \
         message_passing_prob(lineage, decomp, pcc.probs)
+
+
+def test_lineage_circuit_size():
+    """The lineage of a 2-atom path on an 8-edge BID path with one fact
+    per block has few gates and a narrow decomposition, and message
+    passing over it gives the DP's probability."""
+    inst = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(8)])
+    pcc = bid_to_pcc(BIDInstance(inst, {"R": (0,)},
+                                 {f.id: Fraction(1, 3) for f in inst.facts}))
+    q = parse_ucq("R(x,y),R(y,z)")
+    lineage, decomp = lineage_circuit(compile_bool(q), pcc)
+    assert len(lineage) <= 80
+    assert decomp.width <= 12
+    assert message_passing_prob(lineage, decomp, pcc.probs) == \
+        query_probability_pcc(q, pcc) == Fraction(3217, 6561)
 
 
 def test_arity_mismatch_refused():

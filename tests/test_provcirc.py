@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,26 +139,6 @@ def test_nx_provenance_circuit_oracle(l):
         assert rename_poly(got, mapping) == nx_bruteforce(a, t, l, p)
 
 
-def test_nx_ann_caps_sound_when_high_anns_dead():
-    """Capping a node's annotation is harmless when annotations above the
-    cap reach no states at all."""
-    rng = random.Random(55)
-    from treeprov.automata import BNTA
-    for _ in range(20):
-        p = 2
-        a = rand_p_automaton(rng, ("a",), p=p)
-        # kill all transitions with annotation 2 so a cap of 1 is exact
-        iota_map = {k: v for k, v in a.iota_map.items() if k[1] < 2}
-        delta_map = {k: v for k, v in a.delta_map.items() if k[2][1] < 2}
-        a2 = BNTA.from_tables(a.states, a.final, iota_map, delta_map)
-        t = rand_tree(rng, 3, labels=("a",))
-        caps = {id(n): 1 for n in postorder(t)}
-        res = nx_provenance_circuit(a2, t, l=ALL, p=p, ann_caps=caps)
-        got = expand_polynomial(res.circuit)
-        mapping = {res.input_map[id(n)]: id(n) for n in postorder(t)}
-        assert rename_poly(got, mapping) == nx_bruteforce(a2, t, ALL, p)
-
-
 def test_query_provenance_circuit_inputs_are_fact_ids():
     rng = random.Random(56)
     from treeprov.ucq import compile_bool, parse_ucq
@@ -164,3 +149,56 @@ def test_query_provenance_circuit_inputs_are_fact_ids():
     from treeprov.circuits import circuit_relational_encoding
     cinst = circuit_relational_encoding(res.circuit)
     assert check_decomposition(cinst, res.decomposition)
+
+
+_GRID_EDGES = ([(r * 5 + j, r * 5 + j + 1) for r in (0, 1) for j in range(4)]
+               + [(j, 5 + j) for j in range(5)])
+
+_BUILD = """
+import json
+from fractions import Fraction
+from treeprov.circuits import circuit_to_json
+from treeprov.prob import BIDInstance, bid_to_pcc, lineage_circuit
+from treeprov.provcirc import query_provenance_circuit
+from treeprov.relational import instance_from_json, make_instance
+from treeprov.ucq import compile_bool, parse_ucq
+
+grid = instance_from_json(json.load(open(%r)))
+res, _ = query_provenance_circuit(
+    compile_bool(parse_ucq("R(x,y),R(y,z),R(z,w)")), grid, 2)
+path = make_instance({"R": 2}, [("R", ("v%%d" %% i, "v%%d" %% (i + 1)))
+                                for i in range(4)])
+pcc = bid_to_pcc(BIDInstance(path, {"R": (0,)},
+                             {f.id: Fraction(1, 2) for f in path.facts}))
+lineage, _ = lineage_circuit(compile_bool(parse_ucq("R(x,y),R(y,z)")), pcc)
+print(json.dumps([circuit_to_json(res.circuit), circuit_to_json(lineage)]))
+"""
+
+
+def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
+    """Boolean provenance (library and CLI) and lineage circuits come out
+    byte for byte the same under two hash seeds."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"signature": {"R": 2}, "facts": [
+        {"rel": "R", "args": ["e%02d" % a, "e%02d" % b], "id": "F%d" % i}
+        for i, (a, b) in enumerate(_GRID_EDGES, 1)]}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        lib = subprocess.run([sys.executable, "-c", _BUILD % str(grid)],
+                             env=env, capture_output=True, check=True,
+                             text=True).stdout
+        cli = subprocess.run([sys.executable, "-m", "treeprov.cli",
+                              "provenance", "--instance", str(grid),
+                              "--query", "R(x,y),R(y,z),R(z,w)",
+                              "--width", "2"],
+                             env=env, capture_output=True, check=True,
+                             text=True).stdout
+        outs.append((lib, cli))
+    assert outs[0][0].startswith('[{"kind": "bool"')
+    assert outs[0][1].startswith("{")
+    assert outs[0] == outs[1]

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -282,6 +283,43 @@ def test_normalize_decomposition():
             assert len(b.facts) <= 1
             assigned.extend(b.facts)
         assert sorted(assigned) == sorted(f.id for f in inst.facts)
+
+
+def test_normalize_assigns_first_covering_bag_in_bfs_order():
+    """Each fact goes to the first bag in BFS order that covers it, as a
+    scan of every bag per fact finds it, and a fact with no arguments to
+    the root.  Bag domains are distinct, so a normalized bag's domain
+    names the bag it copies."""
+    rng = random.Random(13)
+    for _ in range(100):
+        inst = rand_instance(rng, max_facts=10, max_dom=6)
+        elems = sorted(inst.domain)
+        doms = {frozenset(rng.sample(elems, rng.randint(1, len(elems))))
+                for _ in range(rng.randint(1, 8))}
+        doms |= {frozenset(f.args) for f in inst.facts
+                 if not any(set(f.args) <= d for d in doms)}
+        bags = [Bag(d) for d in rng.sample(sorted(doms, key=sorted),
+                                           len(doms))]
+        for i, b in enumerate(bags[1:], 1):
+            bags[rng.randrange(i)].children.append(b)
+        facts = list(inst.facts) + [Fact("Z", (), "Z1")]
+        rng.shuffle(facts)
+        decomp = TreeDecomposition(bags[0], SimpleNamespace(facts=facts))
+        bfs = [bags[0]]
+        for b in bfs:
+            bfs.extend(b.children)
+        want = {}
+        for f in facts:
+            first = next(b for b in bfs if set(f.args) <= b.dom)
+            want.setdefault(first.dom, []).append(f.id)
+        got = {}
+        stack = [normalize_decomposition(decomp).root]
+        while stack:  # preorder: a chain's facts top to bottom
+            b = stack.pop()
+            if b.facts:
+                got.setdefault(b.dom, []).extend(b.facts)
+            stack.extend(reversed(b.children))
+        assert got == want
 
 
 def test_normalized_fact_bag_is_topmost():

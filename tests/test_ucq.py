@@ -125,8 +125,8 @@ def test_query_provenance_circuit_size_beyond_exhaustive():
     path = [(i, i + 1) for i in range(24)]
     grid = ([(r * 8 + j, r * 8 + j + 1) for r in (0, 1) for j in range(7)]
             + [(j, 8 + j) for j in range(8)])
-    cases = [("R(x,y),R(y,z)", path, 1, 550),
-             ("R(x,y),R(y,z),R(z,w)", grid, 2, 1700)]
+    cases = [("R(x,y),R(y,z)", path, 1, 340),
+             ("R(x,y),R(y,z),R(z,w)", grid, 2, 1200)]
     rng = random.Random(88)  # keeping a third of the facts mixes answers
     for text, edges, k, max_gates in cases:
         q = parse_ucq(text)
