@@ -20,12 +20,12 @@ from fractions import Fraction
 from .automata import lazy_determinize, lift_boolean, memoized
 from .circuits import (Circuit, arity_two, circuit_from_json,
                        circuit_relational_encoding, circuit_to_json)
-from .encoding import TreeEncoding, alphabet_label, encode
+from .encoding import encode
 from .provcirc import _bool_circuit
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
-from .trees import Node, parents, postorder
+from .trees import parents, postorder
 from .ucq import CQ, UCQ, Atom, compile_bool
 
 
@@ -404,46 +404,28 @@ def joint_decomposition(pcc, k=None):
 
 
 def cc_encode(pcc, decomposition):
-    """Build the cc-encoding from a (joint) decomposition: walk the
-    normalized bag tree producing, per bag, a k-fact over the data
-    elements, a circuit bag over the gate elements, and chi."""
+    """Build the cc-encoding from a (joint) decomposition: split each
+    normalized bag into its data elements, which `encode` turns into the
+    tree encoding of pcc.instance, and its gates, the circuit bag of the
+    same node; chi maps each fact's node to the fact's gate."""
     decomposition = normalize_decomposition(decomposition)
     joint = decomposition.instance
-    fact_nodes = {}
-    chi = {}
 
-    parts = {}  # id(bag) -> (data elements, gates)
-    for b in decomposition.bags():
-        gates = {e for e in b.dom
+    def split(bag):
+        gates = {e for e in bag.dom
                  if isinstance(e, tuple) and len(e) == 2 and e[0] == "g"}
-        parts[id(b)] = (b.dom - gates, {e[1] for e in gates})
-    k = max([len(data) for data, _ in parts.values()] + [1]) - 1
+        facts = [f.id[1] for f in map(joint.by_id.get, bag.facts)
+                 if isinstance(f.rel, tuple) and f.rel[0] == "plus"]
+        kids = [split(c) for c in bag.children]
+        return (Bag(bag.dom - gates, [d for d, _ in kids], facts),
+                Bag({e[1] for e in gates}, [c for _, c in kids]))
 
-    def build(bag, parent_slots):
-        data, gates = parts[id(bag)]
-        slot_of = {a: s for a, s in parent_slots.items() if a in data}
-        used = set(parent_slots.values())
-        free = [s for s in range(1, 2 * k + 3) if s not in used]
-        for a, s in zip(sorted(data - set(slot_of), key=str), free):
-            slot_of[a] = s
-        struct = fact = None
-        if bag.facts:
-            jf = joint.by_id[bag.facts[0]]
-            if isinstance(jf.rel, tuple) and jf.rel[0] == "plus":
-                struct = (jf.rel[1], tuple(slot_of[a] for a in jf.args[:-1]))
-                fact = jf
-        label = alphabet_label({slot_of[a] for a in data}, struct, k)
-        kids = [build(c, slot_of) for c in bag.children]
-        node = Node(label, *(n for n, _ in kids))
-        cbag = Bag(gates, [b for _, b in kids])
-        if fact is not None:
-            fact_nodes[fact.id[1]] = node
-            chi[id(node)] = fact.args[-1][1]
-        return node, cbag
-
-    root, croot = build(decomposition.root, {})
-    enc = TreeEncoding(root, k, fact_nodes)
-    return CCEncoding(enc, TreeDecomposition(croot, normalized=True), chi)
+    data_root, circuit_root = split(decomposition.root)
+    enc = encode(pcc.instance, TreeDecomposition(data_root, pcc.instance,
+                                                 normalized=True))
+    chi = {id(node): pcc.phi[fid] for fid, node in enc.fact_nodes.items()}
+    return CCEncoding(enc, TreeDecomposition(circuit_root, normalized=True),
+                      chi)
 
 
 def _cc_encoding(pcc, k):

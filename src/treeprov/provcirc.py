@@ -34,6 +34,23 @@ class ProvenanceResult:
         return "ProvenanceResult(%d gates)" % len(self.circuit.gates)
 
 
+def _state_key(q):
+    """Sort key of an automaton state that never compares two states
+    directly: frozensets sort by their members' keys, tuples element by
+    element, and other values by type name and repr."""
+    if isinstance(q, frozenset):
+        return (0, sorted(map(_state_key, q)))
+    if isinstance(q, tuple):
+        return (1, [_state_key(m) for m in q])
+    return (2, type(q).__name__, repr(q))
+
+
+def _in_order(states):
+    """The states one transition returns, in an order that does not
+    depend on how they hash."""
+    return sorted(states, key=_state_key) if len(states) > 1 else states
+
+
 def _bool_circuit(automaton, root, name_of, monotone=False):
     """Boolean provenance circuit of a (Gamma x {0,1})-bNTA on a
     Gamma-tree and its decomposition of the same skeleton, in one pass.
@@ -43,6 +60,7 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
     and/or gates fold the constant 1 (None below) and repeated inputs as
     they are built, and an OR of many inputs is a chain, so every gate
     has fan-in 2.  Gate ids number each node's states in first-seen
+    order, with the states of one transition taken in `_state_key`
     order, so the circuit does not depend on how states hash.  The bag
     of a node holds its own gates and its children's state gates.
     Returns (circuit, decomposition)."""
@@ -81,17 +99,17 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
         if monotone and not s0 <= s1:
             raise NotMonotone("label %r reaches a state on 0 but not on 1"
                               % (tau,))
-        for q in s0 & s1:
+        for q in _in_order(s0 & s1):
             targets.setdefault(q, []).append(g)
         if s1 - s0:
             g1 = conj(("pi", i) + js, g, x)
-            for q in s1 - s0:
+            for q in _in_order(s1 - s0):
                 targets.setdefault(q, []).append(g1)
         if s0 - s1:
             if neg is None:
                 neg = add(("ni", i), "not", (x,))
             g0 = conj(("pni", i) + js, g, neg)
-            for q in s0 - s1:
+            for q in _in_order(s0 - s1):
                 targets.setdefault(q, []).append(g0)
 
     for i, n in enumerate(postorder(root)):
@@ -178,111 +196,103 @@ def nx_provenance_circuit(automaton, root, l=ALL, p=1):
 
 
 def _nx_circuit(automaton, root, name_of, l, p):
-    """The N[X] circuit and its decomposition of the same skeleton, where
-    node n reads the input gate name_of[id(n)]; a node with no name has
-    multiplicity 0 and no input gate."""
+    """N[X] provenance circuit of a (Gamma x {0..p})-bNTA on a Gamma-tree
+    and its decomposition of the same skeleton, in one pass.
+
+    Node n reads the input gate name_of[id(n)] with multiplicity 0..p;
+    a node with no name has multiplicity 0.  A node's states are keyed
+    by the automaton state and m: with an integer l, the multiplicities
+    summed below, at most l; with l = ALL, 0.  The constant 1 (None
+    below) is folded as gates are built: x^0 is no gate and x^1 is x, a
+    product with 1 is its other factor and a one-term sum is that term.
+    A sum gets a gate for 1, or a copy of a repeated term, only where it
+    needs one, as circuits have no repeated wires.  States are numbered
+    as in `_bool_circuit`, so the circuit does not depend on how they
+    hash.  The bag of a node holds its own gates and its children's
+    state gates.  Returns (circuit, decomposition)."""
     restricted = l != ALL
-    l0 = l if restricted else None
-    nodes = postorder(root)
-    nid = {id(n): i for i, n in enumerate(nodes)}
+    limit = l if restricted else p
     gates = {}
-    reach = {}
-    node_gates = {}
+    reach = {}  # id(node) -> {(state, m): gate or None}, first seen first
+    bags = {}
 
     def add(gid, gtype, ins=()):
-        gates[gid] = (gtype, tuple(ins))
+        gates[gid] = (gtype, ins)
+        dom.append(gid)
         return gid
 
-    pow_built = {}
+    def times(gid, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return add(gid, "mul", (a, b))
 
-    def ipow(n, j):
-        """Gate capturing the node's input raised to the j-th power,
-        through unary pass-through copies (circuits are simple graphs)."""
-        i = nid[id(n)]
-        key = (i, j)
-        if key in pow_built:
-            return pow_built[key]
-        for t in range(1, j + 1):
-            cp = ("cp", i, t)
-            if cp not in gates:
-                add(cp, "mul", (name_of[id(n)],))
-                node_gates[id(n)].append(cp)
-        g = add(("ipow", i, j), "mul",
-                tuple(("cp", i, t) for t in range(1, j + 1)))
-        node_gates[id(n)].append(g)
-        pow_built[key] = g
-        return g
+    def plus(gid, ins):
+        if len(ins) == 1:
+            return ins[0]
+        wires = []
+        for t, g in enumerate(ins):
+            if g is None:
+                g = add(gid + ("one", t), "mul")
+            elif g in wires:
+                g = add(gid + ("cp", t), "mul", (g,))
+            wires.append(g)
+        return add(gid, "add", tuple(wires))
 
-    for n in nodes:
-        i = nid[id(n)]
+    def power(j):
+        """x^j at the node being built: for j >= 2, a product of x and
+        j - 1 copies of it."""
+        if j not in pows:
+            while len(copies) < j:
+                copies.append(add(("cp", i, len(copies) + 1), "mul", (x,)))
+            pows[j] = add(("pow", i, j), "mul", tuple(copies[:j]))
+        return pows[j]
+
+    def send(g, states, m):
+        for q in _in_order(states):
+            targets.setdefault((q, m if restricted else 0), []).append(g)
+
+    for i, n in enumerate(postorder(root)):
         tau = n.label
-        node_gates[id(n)] = []
-        cap = 0
-        if id(n) in name_of:
-            node_gates[id(n)].append(add(name_of[id(n)], "inp"))
-            cap = min(p, l0) if restricted else p
-        or_lists = {}
+        dom = []
+        x = name_of.get(id(n))
+        pows, copies, top = {0: None, 1: x}, [x], 0
+        if x is not None:
+            add(x, "inp")
+            top = min(p, limit)
+        targets = {}
         if n.is_leaf():
-            for ann in range(0, cap + 1):
-                for q in automaton.iota((tau, ann)):
-                    key = (q, ann) if restricted else q
-                    or_lists.setdefault(key, []).append(ipow(n, ann))
+            for ann in range(top + 1):
+                states = automaton.iota((tau, ann))
+                if states:
+                    send(power(ann), states, ann)
+            kids = []
         else:
-            rl = reach[id(n.left)]
-            rr = reach[id(n.right)]
-            pair_built = {}
-            for sl in rl:
-                for sr in rr:
-                    if restricted:
-                        (ql, l1), (qr, l2) = sl, sr
-                        if l1 + l2 > l0:
-                            continue
-                    else:
-                        ql, qr = sl, sr
-                    for ann in range(0, cap + 1):
-                        if restricted and l1 + l2 + ann > l0:
-                            break
-                        targets = automaton.delta(ql, qr, (tau, ann))
-                        if not targets:
-                            continue
-                        pk = (sl, sr)
-                        pair = pair_built.get(pk)
-                        if pair is None:
-                            pair = add(("p", i, sl, sr), "mul",
-                                       (("q", nid[id(n.left)], sl),
-                                        ("q", nid[id(n.right)], sr)))
-                            node_gates[id(n)].append(pair)
-                            pair_built[pk] = pair
-                        term = add(("t", i, sl, sr, ann), "mul",
-                                   (pair, ipow(n, ann)))
-                        node_gates[id(n)].append(term)
-                        for q in targets:
-                            key = (q, l1 + l2 + ann) if restricted else q
-                            or_lists.setdefault(key, []).append(term)
-        for key, lst in or_lists.items():
-            node_gates[id(n)].append(add(("q", i, key), "add", lst))
-        reach[id(n)] = frozenset(or_lists)
-
-    out = ("out",)
-    finals = []
-    for key in sorted(reach[id(root)], key=repr):
-        q = key[0] if restricted else key
-        if restricted and key[1] != l0:
-            continue
-        if automaton.is_final(q):
-            finals.append(("q", nid[id(root)], key))
-    add(out, "add", finals)
-    circuit = Circuit("semiring", gates, out)
-
-    def build_bag(n):
-        dom = set(node_gates[id(n)])
-        kids = []
-        if not n.is_leaf():
-            for c in (n.left, n.right):
-                dom.update(("q", nid[id(c)], key) for key in reach[id(c)])
-                kids.append(build_bag(c))
+            rl = reach.pop(id(n.left))
+            rr = reach.pop(id(n.right))
+            for jl, ((ql, l1), gl) in enumerate(rl.items()):
+                for jr, ((qr, l2), gr) in enumerate(rr.items()):
+                    moves = [(ann, automaton.delta(ql, qr, (tau, ann)))
+                             for ann in range(min(top, limit - l1 - l2) + 1)]
+                    moves = [(ann, states) for ann, states in moves if states]
+                    if moves:
+                        pair = times(("p", i, jl, jr), gl, gr)
+                    for ann, states in moves:
+                        send(times(("t", i, jl, jr, ann), pair, power(ann)),
+                             states, l1 + l2 + ann)
+            dom.extend(g for g in (*rl.values(), *rr.values())
+                       if g is not None)
+            kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
+        reach[id(n)] = {key: plus(("q", i, j), lst)
+                        for j, (key, lst) in enumerate(targets.items())}
         if n is root:
-            dom.add(out)
-        return Bag(dom, kids)
-
-    return circuit, TreeDecomposition(build_bag(root), normalized=True)
+            finals = [g for (q, m), g in reach[id(n)].items()
+                      if m == (l if restricted else 0)
+                      and automaton.is_final(q)]
+            out = plus(("out",), finals)
+            if out is None:
+                out = add(("out",), "mul")
+        bags[id(n)] = Bag(dom, kids)
+    return (Circuit("semiring", gates, out),
+            TreeDecomposition(bags[id(root)], normalized=True))

@@ -1,7 +1,7 @@
 """Brute-force oracles: the ground truth the tests check the pipeline
 against.  Possible worlds enumerate every input valuation, block choice
 or document world; the structural oracles search every run, element
-mapping or assignment."""
+mapping or assignment, or check a decomposition against its circuit."""
 
 import itertools
 from fractions import Fraction
@@ -238,6 +238,23 @@ def instances_isomorphic(i1, i2):
         return False
 
     return extend(0, {}, set())
+
+
+def decomposes_circuit(circuit, decomposition):
+    """Whether a decomposition fits a circuit of any gate types and
+    fan-in: each gate shares some bag with all its inputs, and the bags
+    holding a gate are connected."""
+    bags = decomposition.bags()
+    parent = decomposition.bag_parents()
+    for g, (_, ins) in circuit.gates.items():
+        if not any(g in b.dom and b.dom.issuperset(ins) for b in bags):
+            return False
+    for g in {e for b in bags for e in b.dom}:
+        tops = [b for b in bags if g in b.dom
+                and (id(b) not in parent or g not in parent[id(b)].dom)]
+        if len(tops) != 1:
+            return False
+    return True
 
 
 def decode_bag(root):

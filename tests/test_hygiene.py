@@ -1,14 +1,17 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the package
+never sorts by ``repr``.
 
-Scans the package modules and the test files; ``__init__.py`` is left
-out, since its imports are the package's re-exports."""
+The import scan covers the package modules and the test files;
+``__init__.py`` is left out, since its imports are the package's
+re-exports.  The ``repr`` of a set lists its members in hash order, so a
+``repr``-keyed sort makes the output depend on ``PYTHONHASHSEED``."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in [*(ROOT / "src" / "treeprov").glob("*.py"),
-                             *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "treeprov").glob("*.py"))
+MODULES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
 
 
@@ -43,3 +46,29 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert not found, "imported but never used: %s" % found
+
+
+def repr_sorts(source):
+    """Lines of the sorted(...) and .sort(...) calls keyed by repr."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "sorted"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sort"):
+            if any(kw.arg == "key" and isinstance(kw.value, ast.Name)
+                   and kw.value.id == "repr" for kw in node.keywords):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_scanner_flags_repr_sorts():
+    source = ("a = sorted(s, key=repr)\nb = sorted(s, key=str)\n"
+              "s.sort(key=repr)\nc = sorted(s, key=lambda q: repr(q))\n")
+    assert repr_sorts(source) == [1, 3]
+
+
+def test_package_does_not_sort_by_repr():
+    found = {str(path.relative_to(ROOT)): lines for path in PACKAGE
+             for lines in [repr_sorts(path.read_text())] if lines}
+    assert not found, "sorted by repr: %s" % found

@@ -8,18 +8,25 @@ from pathlib import Path
 
 import pytest
 
-from treeprov.automata import accepts, count_runs
-from treeprov.circuits import Polynomial, eval_bool, expand_polynomial
+from treeprov.automata import accepts, count_runs, memoized, union
+from treeprov.circuits import (Polynomial, circuit_to_json, eval_bool,
+                               expand_polynomial)
+from treeprov.encoding import encode
 from treeprov.errors import NotMonotone
-from treeprov.provcirc import (ALL, bool_provenance_circuit,
+from treeprov.provcirc import (ALL, _nx_circuit, bool_provenance_circuit,
                                monotone_provenance_circuit,
                                nx_provenance_circuit,
                                query_provenance_circuit)
-from treeprov.relational import check_decomposition
+from treeprov.relational import (check_decomposition, make_instance,
+                                 normalize_decomposition, tree_decomposition)
 from treeprov.trees import Node, postorder
+from treeprov.ucq import (compile_bool, nx_provenance,
+                          nx_provenance_bruteforce, parse_ucq,
+                          placement_automaton)
 
 from genutil import (rand_bool_automaton, rand_instance, rand_p_automaton,
-                     rand_tree)
+                     rand_tree, rand_ucq)
+from oracles import decomposes_circuit
 
 
 def with_anns(t, anns):
@@ -38,6 +45,7 @@ def test_bool_provenance_matches_acceptance():
         a = rand_bool_automaton(rng, ("a", "b"))
         t = rand_tree(rng, rng.randint(1, 5))
         res = bool_provenance_circuit(a, t)
+        assert decomposes_circuit(res.circuit, res.decomposition)
         nodes = postorder(t)
         for bits in itertools.product((0, 1), repeat=len(nodes)):
             anns = {id(n): b for n, b in zip(nodes, bits)}
@@ -134,6 +142,7 @@ def test_nx_provenance_circuit_oracle(l):
         a = rand_p_automaton(rng, ("a", "b"), p=p)
         t = rand_tree(rng, rng.randint(1, 3))
         res = nx_provenance_circuit(a, t, l=l, p=p)
+        assert decomposes_circuit(res.circuit, res.decomposition)
         got = expand_polynomial(res.circuit)
         mapping = {res.input_map[id(n)]: id(n) for n in postorder(t)}
         assert rename_poly(got, mapping) == nx_bruteforce(a, t, l, p)
@@ -141,7 +150,6 @@ def test_nx_provenance_circuit_oracle(l):
 
 def test_query_provenance_circuit_inputs_are_fact_ids():
     rng = random.Random(56)
-    from treeprov.ucq import compile_bool, parse_ucq
     q = parse_ucq("R(x,y),R(y,x)")
     inst = rand_instance(rng, max_facts=5, signature={"R": 2})
     res, enc = query_provenance_circuit(compile_bool(q), inst, None)
@@ -149,10 +157,48 @@ def test_query_provenance_circuit_inputs_are_fact_ids():
     from treeprov.circuits import circuit_relational_encoding
     cinst = circuit_relational_encoding(res.circuit)
     assert check_decomposition(cinst, res.decomposition)
+    assert decomposes_circuit(res.circuit, res.decomposition)
+
+
+def test_nx_provenance_decomposition():
+    """nx_provenance's circuit, rebuilt with its decomposition from the
+    same encoding and automaton, is decomposed by it; unions included."""
+    rng = random.Random(57)
+    for _ in range(15):
+        q = rand_ucq(rng, max_disjuncts=2, max_atoms=2)
+        inst = rand_instance(rng, max_facts=4, max_dom=3)
+        enc = encode(inst, normalize_decomposition(
+            tree_decomposition(inst, None)))
+        automaton = memoized(union([placement_automaton(d)
+                                    for d in q.disjuncts]))
+        p = max(len(d.atoms) for d in q.disjuncts)
+        circuit, decomp = _nx_circuit(automaton, enc.root, enc.node_fact,
+                                      ALL, p)
+        assert circuit_to_json(circuit) == \
+            circuit_to_json(nx_provenance(q, inst))
+        assert decomposes_circuit(circuit, decomp)
+        assert expand_polynomial(circuit) == nx_provenance_bruteforce(q, inst)
+
+
+def test_nx_circuits_carry_no_constants():
+    """The constant 1 is folded away: no nullary product, no product of
+    a constant, no one-term sum, and at most 40 gates in all."""
+    path = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(6)])
+    circuit = nx_provenance(parse_ucq("R(x,y),R(y,z)"), path)
+    constants = {g for g, (t, ins) in circuit.gates.items()
+                 if t != "inp" and not ins}
+    for g, (t, ins) in circuit.gates.items():
+        assert t != "mul" or (ins and not constants & set(ins)), g
+        assert t != "add" or len(ins) != 1, g
+    assert len(circuit) <= 40
 
 
 _GRID_EDGES = ([(r * 5 + j, r * 5 + j + 1) for r in (0, 1) for j in range(4)]
                + [(j, 5 + j) for j in range(5)])
+
+_UNIONS = ("R(x,y),S(y);S(x),R(y,x)",
+           "R(x,y),S(y);S(x),R(y,x);R(x,y),R(y,z)")
 
 _BUILD = """
 import json
@@ -161,7 +207,7 @@ from treeprov.circuits import circuit_to_json
 from treeprov.prob import BIDInstance, bid_to_pcc, lineage_circuit
 from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import instance_from_json, make_instance
-from treeprov.ucq import compile_bool, parse_ucq
+from treeprov.ucq import compile_bool, nx_provenance, parse_ucq
 
 grid = instance_from_json(json.load(open(%r)))
 res, _ = query_provenance_circuit(
@@ -171,17 +217,29 @@ path = make_instance({"R": 2}, [("R", ("v%%d" %% i, "v%%d" %% (i + 1)))
 pcc = bid_to_pcc(BIDInstance(path, {"R": (0,)},
                              {f.id: Fraction(1, 2) for f in path.facts}))
 lineage, _ = lineage_circuit(compile_bool(parse_ucq("R(x,y),R(y,z)")), pcc)
-print(json.dumps([circuit_to_json(res.circuit), circuit_to_json(lineage)]))
+marked = instance_from_json(json.load(open(%r)))
+unions = [query_provenance_circuit(compile_bool(parse_ucq(q)), marked,
+                                   None)[0].circuit for q in %r]
+nx = nx_provenance(parse_ucq("R(x,y),R(y,z)"), marked)
+print(json.dumps([circuit_to_json(c)
+                  for c in [res.circuit, lineage, *unions, nx]]))
 """
 
 
 def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
-    """Boolean provenance (library and CLI) and lineage circuits come out
-    byte for byte the same under two hash seeds."""
+    """Boolean provenance (library and CLI, one disjunct and unions),
+    lineage and N[X] (library and CLI) circuits come out byte for byte
+    the same under two hash seeds."""
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"signature": {"R": 2}, "facts": [
         {"rel": "R", "args": ["e%02d" % a, "e%02d" % b], "id": "F%d" % i}
         for i, (a, b) in enumerate(_GRID_EDGES, 1)]}))
+    marked = tmp_path / "marked.json"
+    marked.write_text(json.dumps({"signature": {"R": 2, "S": 1}, "facts": [
+        {"rel": "R", "args": ["v%d" % i, "v%d" % (i + 1)], "id": "F%d" % i}
+        for i in range(6)] + [
+        {"rel": "S", "args": ["v%d" % i], "id": "S%d" % i}
+        for i in (0, 2, 3, 5)]}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
     for seed in ("0", "1"):
@@ -189,16 +247,20 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
                    PYTHONPATH=os.pathsep.join(
                        [src] + [p for p in [os.environ.get("PYTHONPATH")]
                                 if p]))
-        lib = subprocess.run([sys.executable, "-c", _BUILD % str(grid)],
+        lib = subprocess.run([sys.executable, "-c",
+                              _BUILD % (str(grid), str(marked), _UNIONS)],
                              env=env, capture_output=True, check=True,
                              text=True).stdout
-        cli = subprocess.run([sys.executable, "-m", "treeprov.cli",
-                              "provenance", "--instance", str(grid),
-                              "--query", "R(x,y),R(y,z),R(z,w)",
-                              "--width", "2"],
-                             env=env, capture_output=True, check=True,
-                             text=True).stdout
+        cli = [subprocess.run([sys.executable, "-m", "treeprov.cli",
+                               "provenance", "--instance", str(inst),
+                               "--query", q, *opts],
+                              env=env, capture_output=True, check=True,
+                              text=True).stdout
+               for inst, q, opts in [
+                   (grid, "R(x,y),R(y,z),R(z,w)", ["--width", "2"]),
+                   (marked, "R(x,y),R(y,z)", ["--mode", "nx"])]]
         outs.append((lib, cli))
-    assert outs[0][0].startswith('[{"kind": "bool"')
-    assert outs[0][1].startswith("{")
+    kinds = [c["kind"] for c in json.loads(outs[0][0])]
+    assert kinds == ["bool"] * 4 + ["semiring"]
+    assert all(out.startswith("{") for out in outs[0][1])
     assert outs[0] == outs[1]
