@@ -133,8 +133,8 @@ def lift_boolean(automaton):
     return relabel_hom(automaton, lambda lab: teval_label(lab[0], lab[1]))
 
 
-def monotonize(automaton, p=1):
-    """Cumulative-union construction over annotations 0..p."""
+def monotonize(automaton):
+    """Cumulative-union construction: annotation i reads as any of 0..i."""
 
     def iota(lab):
         tau, i = lab

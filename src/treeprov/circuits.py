@@ -208,7 +208,7 @@ CIRCUIT_SIGNATURE = {"R_inp": 1, "R_0": 1, "R_1": 1,
                      "R_not": 2, "R_and": 3, "R_or": 3}
 
 
-def circuit_relational_encoding(circuit, extra_facts=()):
+def circuit_relational_encoding(circuit):
     """Instance over the circuit schema; elements are the gate ids."""
     facts = []
     n = 0
@@ -231,11 +231,7 @@ def circuit_relational_encoding(circuit, extra_facts=()):
                 add("R_and" if t == "and" else "R_or", (g, ins[0], ins[1]))
             else:
                 raise ValueError("relational encoding needs arity-two form")
-    sig = dict(CIRCUIT_SIGNATURE)
-    for f in extra_facts:
-        sig.setdefault(f.rel, len(f.args))
-        facts.append(f)
-    return Instance(sig, facts)
+    return Instance(CIRCUIT_SIGNATURE, facts)
 
 
 # ---------------------------------------------------------------------------

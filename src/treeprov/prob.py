@@ -13,7 +13,6 @@ decomposition of a circuit, such as `lineage_circuit`'s; the two DPs
 step a bag's gates with one helper, `_bag_step`.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -404,18 +403,22 @@ def joint_decomposition(pcc, k=None):
 
 
 def cc_encode(pcc, decomposition):
-    """Build the cc-encoding from a (joint) decomposition: split each
-    normalized bag into its data elements, which `encode` turns into the
-    tree encoding of pcc.instance, and its gates, the circuit bag of the
-    same node; chi maps each fact's node to the fact's gate."""
-    decomposition = normalize_decomposition(decomposition)
+    """Build the cc-encoding from a (joint) decomposition, normalized
+    over its ("plus", rel) facts only: one chain node per data fact and
+    none per gate fact.  Each bag splits into its data elements, which
+    `encode` turns into the tree encoding of pcc.instance, and its
+    gates, the circuit bag of the same node; chi maps each fact's node
+    to the fact's gate."""
     joint = decomposition.instance
+    decomposition = normalize_decomposition(TreeDecomposition(
+        decomposition.root, Instance(joint.signature, [
+            f for f in joint.facts
+            if isinstance(f.rel, tuple) and f.rel[0] == "plus"])))
 
     def split(bag):
         gates = {e for e in bag.dom
                  if isinstance(e, tuple) and len(e) == 2 and e[0] == "g"}
-        facts = [f.id[1] for f in map(joint.by_id.get, bag.facts)
-                 if isinstance(f.rel, tuple) and f.rel[0] == "plus"]
+        facts = [fid[1] for fid in bag.facts]
         kids = [split(c) for c in bag.children]
         return (Bag(bag.dom - gates, [d for d, _ in kids], facts),
                 Bag({e[1] for e in gates}, [c for _, c in kids]))
@@ -444,8 +447,8 @@ def lineage_circuit(automaton, pcc, k=None):
     fact inputs become their chi gates, and each bag is the union of
     the two circuits' bags at one encoding node."""
     c2, cc = _cc_encoding(pcc, k)
-    inner, decomp = _bool_circuit(memoized(lift_boolean(automaton)),
-                                  cc.encoding.root, cc.chi)
+    inner, decomp = _bool_circuit(lift_boolean(automaton), cc.encoding.root,
+                                  cc.chi)
     named = set(cc.chi.values())
 
     # keep the lineage gates out of the pcc circuit's id space
@@ -560,42 +563,37 @@ def _pcc_dp(automaton, pcc, k):
 
 
 def pc_to_pcc(pc, k=None):
-    """Rewrite each fact's formula as a DNF over its satisfying event
-    valuations; the cap on distinct events per formula is enforced."""
-    gates = {}
+    """Translate each fact's formula gate by gate: an event is its input
+    gate ("e", e), each distinct not/and/or subformula is one gate shared
+    by all formulas, and a constant is a nullary gate of the fact's own
+    (one shared constant gate would sit next to every certain fact and
+    widen the joint decomposition).  k caps the events per formula."""
+    gates = {("e", e): ("inp", ()) for e in pc.events}
+    shared = {}  # (type, input gates) -> gate id
 
-    def add(gid, t, ins=()):
-        gates[gid] = (t, tuple(ins))
-        return gid
-
-    for e in pc.events:
-        add(("e", e), "inp")
-    neg_built = set()
-
-    def neg(e):
-        if e not in neg_built:
-            add(("ne", e), "not", (("e", e),))
-            neg_built.add(e)
-        return ("ne", e)
+    def gate(formula, fid):
+        t = formula[0]
+        if t == "var":
+            return ("e", formula[1])
+        if t == "const":
+            gates[("c", fid, formula[1])] = ("and" if formula[1] else "or", ())
+            return ("c", fid, formula[1])
+        key = (t, tuple(gate(sub, fid) for sub in formula[1:]))
+        g = shared.setdefault(key, ("f", len(shared)))
+        gates[g] = key
+        return g
 
     phi = {}
     for f in pc.instance.facts:
         formula = pc.conds[f.id]
-        events = sorted(formula_events(formula))
-        if k is not None and len(events) > k:
+        n = len(formula_events(formula))
+        if k is not None and n > k:
             raise ValueError(
                 "formula of %s uses %d events, more than the width bound %d"
-                % (f.id, len(events), k))
-        terms = []
-        for bits in itertools.product((0, 1), repeat=len(events)):
-            asg = dict(zip(events, bits))
-            if not eval_formula(formula, asg):
-                continue
-            lits = [("e", e) if asg[e] else neg(e) for e in events]
-            terms.append(add(("t", f.id, bits), "and", lits))
-        phi[f.id] = add(("phi", f.id), "or", terms)
-    out = add(("truegate",), "and")
-    circuit = Circuit("bool", gates, out)
+                % (f.id, n, k))
+        phi[f.id] = gate(formula, f.id)
+    gates[("truegate",)] = ("and", ())
+    circuit = Circuit("bool", gates, ("truegate",))
     return PCCInstance(pc.instance, circuit, phi,
                        {("e", e): p for e, p in pc.events.items()})
 
@@ -651,7 +649,7 @@ def bid_to_pcc(bid, k=None):
                 top = b
                 break
 
-        def emit(b, g_in, p_in):
+        def emit(b, g_in):
             invariant_probs[g_in] = wc[id(b)]
             h = w.get(id(b), Fraction(0))
             rest = wc[id(b)] - h
@@ -671,21 +669,21 @@ def bid_to_pcc(bid, k=None):
                 kids = [c for c in b.children
                         if wc.get(id(c), Fraction(0)) > 0]
                 if len(kids) == 1:
-                    emit(kids[0], cond, rest)
+                    emit(kids[0], cond)
                 else:
                     wl = wc[id(kids[0])]
                     sw = add_input(("bid", bi, id(b), "sw"), wl / rest)
                     nsw = add(("bid", bi, id(b), "nsw"), "not", (sw,))
                     gl = add(("bid", bi, id(b), "L"), "and", (cond, sw))
                     gr = add(("bid", bi, id(b), "R"), "and", (cond, nsw))
-                    emit(kids[0], gl, wl)
-                    emit(kids[1], gr, rest - wl)
+                    emit(kids[0], gl)
+                    emit(kids[1], gr)
 
         if total == 1:
             g_root = add(("bid", bi, "root"), "and")  # constant 1
         else:
             g_root = add_input(("bid", bi, "root"), total)
-        emit(top, g_root, total)
+        emit(top, g_root)
 
     out = add(("truegate",), "and")
     circuit = Circuit("bool", gates, out)

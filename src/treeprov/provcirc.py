@@ -13,7 +13,7 @@ node under some valuation, which keeps circuits linear in |T| for a
 fixed automaton.
 """
 
-from .automata import EMPTY, lift_boolean, memoized
+from .automata import EMPTY, lift_boolean
 from .circuits import Circuit
 from .encoding import encode
 from .errors import NotMonotone
@@ -177,8 +177,8 @@ def query_provenance_circuit(automaton, instance, k):
     encoding no fact are hardwired to 1."""
     decomp = tree_decomposition(instance, k)
     enc = encode(instance, normalize_decomposition(decomp))
-    lifted = memoized(lift_boolean(automaton))
-    circuit, gate_decomp = _bool_circuit(lifted, enc.root, enc.node_fact)
+    circuit, gate_decomp = _bool_circuit(lift_boolean(automaton), enc.root,
+                                         enc.node_fact)
     input_map = {fid: fid for fid in enc.node_fact.values()}
     return ProvenanceResult(circuit, input_map, gate_decomp), enc
 

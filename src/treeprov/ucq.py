@@ -240,7 +240,7 @@ def _accepting_sink(subsets):
                 lambda s: s == _ACCEPT)
 
 
-def compile_bool(q, k=None):
+def compile_bool(q):
     """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
     per disjunct, the placement automaton that lets a fact hold any
     number of atoms, determinised on demand, with every subset holding
@@ -255,10 +255,9 @@ def compile_bool(q, k=None):
     and the result stays deterministic."""
     if isinstance(q, CQ):
         q = UCQ((q,))
-    return memoized(union([
-        _accepting_sink(lazy_determinize(
-            memoized(placement_automaton(d, any_count=True))))
-        for d in q.disjuncts]))
+    return union([_accepting_sink(lazy_determinize(
+        memoized(placement_automaton(d, any_count=True))))
+        for d in q.disjuncts])
 
 
 def placement_automaton(cq, any_count=False):
@@ -314,7 +313,7 @@ def placement_automaton(cq, any_count=False):
     return BNTA(iota, delta, lambda q: q[1] == full)
 
 
-def compile_bag(cq, k=None, p=None):
+def compile_bag(cq, p=None):
     """bNTA over (KFact, {0..p}) accepting an annotated encoding iff its
     bag instance satisfies the CQ under bag-homomorphism semantics: some
     match uses each fact at most as many times as its annotation, i.e.

@@ -1,5 +1,5 @@
-"""Every name a module imports is used in that module, and the package
-never sorts by ``repr``.
+"""Every name a module imports is used in that module, every parameter
+of a package function is read, and the package never sorts by ``repr``.
 
 The import scan covers the package modules and the test files;
 ``__init__.py`` is left out, since its imports are the package's
@@ -46,6 +46,40 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert not found, "imported but never used: %s" % found
+
+
+def unused_parameters(source):
+    """(line, function, parameter) of each parameter of a def that its
+    body, nested functions included, never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read |= {n.target.id for stmt in node.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.AugAssign)
+                 and isinstance(n.target, ast.Name)}
+        out += [(node.lineno, node.name, p.arg) for p in params
+                if p.arg not in read]
+    return sorted(out)
+
+
+def test_scanner_flags_unused_parameters():
+    source = ("def f(a, b, *c, d=1, **e):\n    return a\n"
+              "def g(x, y):\n    def h():\n        return x\n"
+              "    y += 1\n    return h\n")
+    assert unused_parameters(source) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "d"), (1, "f", "e")]
+
+
+def test_package_reads_every_parameter():
+    found = {str(path.relative_to(ROOT)): unused for path in PACKAGE
+             for unused in [unused_parameters(path.read_text())] if unused}
+    assert not found, "parameters never read: %s" % found
 
 
 def repr_sorts(source):

@@ -256,6 +256,75 @@ def test_pc_to_pcc_event_cap():
     pc_to_pcc(pc, k=2)  # fine
 
 
+def formula_size(f):
+    return 1 + sum(formula_size(s) for s in f[1:]) \
+        if f[0] in ("not", "and", "or") else 1
+
+
+def test_pc_to_pcc_is_linear_and_shares_gates():
+    """Formulas become one gate per distinct subformula, with no DNF over
+    the valuations of their events: a 12-event formula stays small, two
+    equal formulas share their gate, and each certain fact has a
+    constant gate of its own."""
+    text = "(e0 | !e1) & (e2 | e3) & !(e4 & e5) & (e6 | e7 & e8) " \
+           "| e9 & !e10 & e11 | !(e0 | e11)"
+    consts = "e3 & (1 | 0) | !(e5 & 0)"
+    inst = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(5)])
+    ids = [f.id for f in inst.facts]
+    events = {"e%d" % i: Fraction(1, 2 + i % 3) for i in range(12)}
+    pc = PCInstance(inst, {ids[0]: parse_formula(text),
+                           ids[1]: parse_formula(text),
+                           ids[4]: parse_formula(consts)}, events)
+    pcc = pc_to_pcc(pc)
+    nodes = formula_size(pc.conds[ids[0]]) + \
+        formula_size(pc.conds[ids[4]]) + 2
+    assert len(pcc.circuit) <= 2 * nodes
+    assert pcc.phi[ids[0]] == pcc.phi[ids[1]]
+    assert pcc.phi[ids[2]] != pcc.phi[ids[3]]
+    q = parse_ucq("R(x,y),R(y,z)")
+    assert query_probability_pcc(q, pcc) == pr_oracle(pc_worlds(pc), q)
+
+
+def test_cc_encoding_has_one_node_per_data_fact():
+    """The cc-encoding normalizes the joint decomposition over the data
+    facts only: one chain node per data fact and none per gate, so it is
+    smaller than the normalized joint decomposition, and the pcc DP
+    still gives the possible-world probability."""
+    from treeprov.prxml import (PrXMLDoc, PrXMLNode, fie_to_pc,
+                                muxind_to_binary, muxind_to_fie)
+    from treeprov.relational import normalize_decomposition
+
+    path = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(6)])
+    conds = {f.id: parse_formula(t.replace("a", "e%d" % i).replace(
+        "b", "e%d" % (i + 1))) for i, (f, t) in enumerate(zip(
+            path.facts, ("a & b", "a | !b", "!a & b", "a | b", "a", "b")))}
+    path_pc = PCInstance(path, conds, {"e%d" % i: Fraction(1, 3)
+                                       for i in range(7)})
+    doc = PrXMLDoc(PrXMLNode("r", children=[
+        (None, PrXMLNode("m", "mux", [(Fraction(1, 3), PrXMLNode("a")),
+                                      (Fraction(1, 2), PrXMLNode("b"))])),
+        (None, PrXMLNode("t")),
+        (None, PrXMLNode("i", "ind", [(Fraction(1, 4), PrXMLNode("a")),
+                                      (Fraction(2, 3), PrXMLNode("c"))]))]))
+    doc_pc = fie_to_pc(muxind_to_fie(muxind_to_binary(doc)))
+    for pc, q in ((path_pc, parse_ucq("R(x,y),R(y,z)")),
+                  (doc_pc, parse_ucq("P_a(x),P_b(y)"))):
+        pcc = pc_to_pcc(pc)
+        c2, rep, _ = arity_two(pcc.circuit)
+        pcc2 = PCCInstance(pcc.instance, c2,
+                           {fid: rep[g] for fid, g in pcc.phi.items()},
+                           pcc.probs)
+        decomp = joint_decomposition(pcc2)[1]
+        enc = cc_encode(pcc2, decomp).encoding
+        facts = [n for n in enc.nodes() if n.label.rel is not None]
+        assert len(facts) == len(enc.fact_nodes) == len(pc.instance.facts)
+        assert len(enc.nodes()) < \
+            len(normalize_decomposition(decomp).bags())
+        assert query_probability_pcc(q, pcc) == pr_oracle(pc_worlds(pc), q)
+
+
 def test_query_probability_pc_oracle():
     rng = random.Random(77)
     for _ in range(15):
