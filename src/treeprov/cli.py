@@ -3,7 +3,8 @@
 Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
 text.  Exit codes: 2 signals NoDecomposition or an invalid encoding,
-3 a state blowup, and 4 invalid input: a missing or unreadable file,
+3 a resource cap (a state blowup, or a polynomial expansion past its
+monomial cap), and 4 invalid input: a missing or unreadable file,
 malformed JSON, an input file without a required key, a query or
 formula that does not parse, or a query atom whose arity disagrees with
 the instance.  Each error is one line on stderr.
@@ -19,7 +20,7 @@ from .circuits import (BUILTIN_SEMIRINGS, circuit_to_json,
                        expand_polynomial)
 from .encoding import (decode, encode, encoding_from_json,
                        encoding_to_json, kfact_labels)
-from .errors import NoDecomposition, StateBlowup
+from .errors import NoDecomposition, SizeCap, StateBlowup
 from .prob import (bid_from_json, format_fraction, pc_from_json,
                    pc_to_pcc, pcc_from_json,
                    query_probability_bid, query_probability_pcc)
@@ -30,7 +31,7 @@ from .prxml import (doc_from_json, doc_to_json, fie_to_pc,
 from .relational import (decomposition_to_json, instance_from_json,
                          instance_to_json, normalize_decomposition,
                          tree_decomposition)
-from .ucq import compile_bool, nx_provenance, parse_ucq
+from .ucq import _compile_det, compile_bool, nx_provenance, parse_ucq
 from . import prob as _prob
 
 
@@ -101,7 +102,7 @@ def cmd_compile(args):
     else:
         signature = _load_json(args.signature)
     labels = kfact_labels(signature, args.width)
-    automaton = materialize(compile_bool(q), labels)
+    automaton = materialize(_compile_det(q), labels)
     _emit(automaton_to_json(automaton), args.output)
     return 0
 
@@ -286,6 +287,9 @@ def main(argv=None):
         return 2
     except StateBlowup as exc:
         sys.stderr.write("state blowup: %s\n" % exc)
+        return 3
+    except SizeCap as exc:
+        sys.stderr.write("size cap: %s\n" % exc)
         return 3
     except (OSError, SyntaxError, ValueError) as exc:
         sys.stderr.write("invalid input: %s\n" % exc)

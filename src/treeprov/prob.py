@@ -16,16 +16,16 @@ step a bag's gates with one helper, `_bag_step`.
 import math
 from fractions import Fraction
 
-from .automata import lazy_determinize, lift_boolean, memoized
+from .automata import lazy_determinize, memoized
 from .circuits import (Circuit, arity_two, circuit_from_json,
                        circuit_relational_encoding, circuit_to_json)
 from .encoding import encode
-from .provcirc import _bool_circuit
+from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
 from .trees import parents, postorder
-from .ucq import CQ, UCQ, Atom, compile_bool
+from .ucq import CQ, UCQ, Atom, _compile_det
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +447,8 @@ def lineage_circuit(automaton, pcc, k=None):
     fact inputs become their chi gates, and each bag is the union of
     the two circuits' bags at one encoding node."""
     c2, cc = _cc_encoding(pcc, k)
-    inner, decomp = _bool_circuit(lift_boolean(automaton), cc.encoding.root,
-                                  cc.chi)
+    inner, decomp = _bool_circuit(automaton, cc.encoding.root, cc.chi,
+                                  _neutered)
     named = set(cc.chi.values())
 
     # keep the lineage gates out of the pcc circuit's id space
@@ -472,7 +472,7 @@ def lineage_circuit(automaton, pcc, k=None):
 
 def _as_automaton(query):
     if isinstance(query, (UCQ, CQ)):
-        return compile_bool(query)
+        return _compile_det(query)
     return query
 
 

@@ -13,7 +13,7 @@ node under some valuation, which keeps circuits linear in |T| for a
 fixed automaton.
 """
 
-from .automata import EMPTY, lift_boolean
+from .automata import EMPTY
 from .circuits import Circuit
 from .encoding import encode
 from .errors import NotMonotone
@@ -45,18 +45,29 @@ def _state_key(q):
     return (2, type(q).__name__, repr(q))
 
 
-def _in_order(states):
+class _StateKeys(dict):
+    """`_state_key` of each state met while building one circuit."""
+
+    def __missing__(self, q):
+        key = self[q] = _state_key(q)
+        return key
+
+
+def _in_order(states, keys):
     """The states one transition returns, in an order that does not
-    depend on how they hash."""
-    return sorted(states, key=_state_key) if len(states) > 1 else states
+    depend on how they hash; keys is the build's `_StateKeys`."""
+    return sorted(states, key=keys.__getitem__) if len(states) > 1 else \
+        states
 
 
-def _bool_circuit(automaton, root, name_of, monotone=False):
-    """Boolean provenance circuit of a (Gamma x {0,1})-bNTA on a
-    Gamma-tree and its decomposition of the same skeleton, in one pass.
+def _bool_circuit(automaton, root, name_of, labels, monotone=False):
+    """Boolean provenance circuit of a bNTA on a tree and its
+    decomposition of the same skeleton, in one pass.
 
+    labels(tau) gives the automaton labels a node labelled tau reads on
+    0 and on 1, such as ((tau, 0), (tau, 1)) for a (Gamma x {0,1})-bNTA.
     Node n reads the input gate name_of[id(n)]; a node with no name
-    reads the constant 1, so only its (tau, 1) transitions are followed.
+    reads the constant 1, so only its transitions on 1 are followed.
     and/or gates fold the constant 1 (None below) and repeated inputs as
     they are built, and an OR of many inputs is a chain, so every gate
     has fan-in 2.  Gate ids number each node's states in first-seen
@@ -67,6 +78,7 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
     gates = {}
     reach = {}  # id(node) -> {state: gate, or None for 1}, first seen first
     bags = {}
+    keys = _StateKeys()
 
     def add(gid, gtype, ins=()):
         gates[gid] = (gtype, ins)
@@ -99,21 +111,22 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
         if monotone and not s0 <= s1:
             raise NotMonotone("label %r reaches a state on 0 but not on 1"
                               % (tau,))
-        for q in _in_order(s0 & s1):
+        for q in _in_order(s0 & s1, keys):
             targets.setdefault(q, []).append(g)
         if s1 - s0:
             g1 = conj(("pi", i) + js, g, x)
-            for q in _in_order(s1 - s0):
+            for q in _in_order(s1 - s0, keys):
                 targets.setdefault(q, []).append(g1)
         if s0 - s1:
             if neg is None:
                 neg = add(("ni", i), "not", (x,))
             g0 = conj(("pni", i) + js, g, neg)
-            for q in _in_order(s0 - s1):
+            for q in _in_order(s0 - s1, keys):
                 targets.setdefault(q, []).append(g0)
 
     for i, n in enumerate(postorder(root)):
         tau = n.label
+        l0, l1 = labels(tau)
         dom = []
         x = name_of.get(id(n))
         if x is not None:
@@ -121,8 +134,8 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
         neg = None
         targets = {}
         if n.is_leaf():
-            s1 = automaton.iota((tau, 1))
-            s0 = EMPTY if x is None else automaton.iota((tau, 0))
+            s1 = automaton.iota(l1)
+            s0 = EMPTY if x is None else automaton.iota(l0)
             follow(None, s0, s1, ())
             kids = []
         else:
@@ -130,9 +143,9 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
             rr = reach.pop(id(n.right))
             for jl, (ql, gl) in enumerate(rl.items()):
                 for jr, (qr, gr) in enumerate(rr.items()):
-                    s1 = automaton.delta(ql, qr, (tau, 1))
+                    s1 = automaton.delta(ql, qr, l1)
                     s0 = EMPTY if x is None else \
-                        automaton.delta(ql, qr, (tau, 0))
+                        automaton.delta(ql, qr, l0)
                     if s0 or s1:
                         follow(conj(("p", i, jl, jr), gl, gr), s0, s1,
                                (jl, jr))
@@ -153,6 +166,12 @@ def _bool_circuit(automaton, root, name_of, monotone=False):
             TreeDecomposition(bags[id(root)], normalized=True))
 
 
+def _neutered(tau):
+    """A fact node reads its label when its fact is present, else the
+    neutered label, as `lift_boolean` does."""
+    return tau.neuter(), tau
+
+
 def bool_provenance_circuit(automaton, root, monotone=False):
     """Provenance circuit of a (Gamma x {0,1})-bNTA on a Gamma-tree, with
     input ("i", i) for the i-th node in postorder.
@@ -163,7 +182,9 @@ def bool_provenance_circuit(automaton, root, monotone=False):
     inclusion conditions.
     """
     input_map = {id(n): ("i", i) for i, n in enumerate(postorder(root))}
-    circuit, decomp = _bool_circuit(automaton, root, input_map, monotone)
+    circuit, decomp = _bool_circuit(
+        automaton, root, input_map, lambda tau: ((tau, 0), (tau, 1)),
+        monotone)
     return ProvenanceResult(circuit, input_map, decomp)
 
 
@@ -177,8 +198,8 @@ def query_provenance_circuit(automaton, instance, k):
     encoding no fact are hardwired to 1."""
     decomp = tree_decomposition(instance, k)
     enc = encode(instance, normalize_decomposition(decomp))
-    circuit, gate_decomp = _bool_circuit(lift_boolean(automaton), enc.root,
-                                         enc.node_fact)
+    circuit, gate_decomp = _bool_circuit(automaton, enc.root, enc.node_fact,
+                                         _neutered)
     input_map = {fid: fid for fid in enc.node_fact.values()}
     return ProvenanceResult(circuit, input_map, gate_decomp), enc
 
@@ -215,6 +236,7 @@ def _nx_circuit(automaton, root, name_of, l, p):
     gates = {}
     reach = {}  # id(node) -> {(state, m): gate or None}, first seen first
     bags = {}
+    keys = _StateKeys()
 
     def add(gid, gtype, ins=()):
         gates[gid] = (gtype, ins)
@@ -250,7 +272,7 @@ def _nx_circuit(automaton, root, name_of, l, p):
         return pows[j]
 
     def send(g, states, m):
-        for q in _in_order(states):
+        for q in _in_order(states, keys):
             targets.setdefault((q, m if restricted else 0), []).append(g)
 
     for i, n in enumerate(postorder(root)):

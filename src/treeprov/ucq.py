@@ -13,11 +13,10 @@ share a slot (elements out of scope are distinct from all in scope).
   gives N[X] provenance (`nx_provenance`) and, made monotone in the
   annotation, bag semantics (`compile_bag`).
 - Boolean view (`compile_bool`): a fact may hold any number of atoms,
-  and each disjunct's automaton is determinised on demand.  A UCQ is
-  monotone, so every subset holding a full match is merged into one
-  absorbing accepting state.  This is exact because every reachable
-  subset holds the empty descriptor, with which a full descriptor
-  always gives a full descriptor again.
+  and a UCQ is monotone, so a disjunct's full descriptors are one
+  absorbing accepting state.  It stays nondeterministic: a provenance
+  circuit gets one gate per descriptor a node can hold.  Where worlds
+  are counted, `_compile_det` determinises it on demand.
 """
 
 import itertools
@@ -219,12 +218,51 @@ def _project(cq, desc, dom):
 
 _ACCEPT = "accept"
 _SINK = frozenset([_ACCEPT])
+_NO_MATCH = (frozenset(), frozenset())  # the empty descriptor
+
+
+def _accepting(automaton):
+    """One disjunct's placement automaton with every full descriptor
+    renamed to one absorbing accepting state, which moves up only beside
+    the empty descriptor (see `compile_bool` for why this is exact)."""
+    final = automaton.is_final
+
+    def rename(states):
+        if any(map(final, states)):
+            return frozenset(_ACCEPT if final(q) else q for q in states)
+        return states
+
+    def delta(q1, q2, l):
+        if q1 == _ACCEPT or q2 == _ACCEPT:
+            return _SINK if _NO_MATCH in (q1, q2) else EMPTY
+        return rename(automaton.delta(q1, q2, l))
+
+    return BNTA(lambda l: rename(automaton.iota(l)), delta,
+                lambda q: q == _ACCEPT)
+
+
+def compile_bool(q):
+    """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
+    per disjunct, the placement automaton that lets a fact hold any
+    number of atoms, with every full descriptor renamed to one absorbing
+    accepting state that moves up only beside the empty descriptor.
+    Runs are not unique: `_compile_det` is the deterministic version.
+
+    This is exact: every node reaches the empty descriptor under every
+    valuation (a fact may hold no atom), a full descriptor never fails
+    `_project` (no unmatched atom is left to lose a variable), and a
+    full descriptor beside the empty one gives a full descriptor again.
+    So a full match below a node is a full match at the root."""
+    if isinstance(q, CQ):
+        q = UCQ((q,))
+    return union([_accepting(memoized(placement_automaton(d, any_count=True)))
+                  for d in q.disjuncts])
 
 
 def _accepting_sink(subsets):
     """The determinised placement automaton of one disjunct with every
     subset that holds a full match merged into one absorbing accepting
-    state (see `compile_bool` for why this is exact)."""
+    state (see `_compile_det` for why this is exact)."""
 
     def collapse(states):
         if any(subsets.is_final(s) for s in states):
@@ -240,19 +278,14 @@ def _accepting_sink(subsets):
                 lambda s: s == _ACCEPT)
 
 
-def compile_bool(q):
-    """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
-    per disjunct, the placement automaton that lets a fact hold any
-    number of atoms, determinised on demand, with every subset holding
-    a full match merged into one absorbing accepting state.  A state is
-    that sink or a set of descriptors with no full match.
-
-    The merge is exact: every reachable subset holds the empty
-    descriptor (a fact may hold no atom), a full descriptor never fails
-    `_project` (no unmatched atom is left to lose a variable), and a
-    full descriptor with the empty one gives a full descriptor again.
-    So a subset with a full match only ever leads to subsets with one,
-    and the result stays deterministic."""
+def _compile_det(q):
+    """`compile_bool` made deterministic, for counting worlds: per
+    disjunct, the placement automaton determinised on demand, with every
+    subset holding a full match merged into one absorbing accepting
+    state.  A state is that sink or a set of descriptors with no full
+    match.  Every reachable subset holds the empty descriptor, so a
+    subset with a full match only leads to subsets with one (see
+    `compile_bool`), and the result stays deterministic."""
     if isinstance(q, CQ):
         q = UCQ((q,))
     return union([_accepting_sink(lazy_determinize(

@@ -27,18 +27,26 @@ def rand_instance(rng, max_facts=7, max_dom=5, signature=None):
     return Instance(signature, facts)
 
 
-def rand_cq(rng, max_atoms=3, signature=None, vars=("x", "y", "z", "w")):
+def rand_cq(rng, max_atoms=3, signature=None, vars=("x", "y", "z", "w"),
+            diseq=False):
+    """With diseq, two of the CQ's variables, if it has two, must be
+    distinct."""
     signature = signature or SIGNATURE
     atoms = []
     for _ in range(rng.randint(1, max_atoms)):
         rel = rng.choice(sorted(signature))
         atoms.append(Atom(rel, tuple(rng.choice(vars)
                                      for _ in range(signature[rel]))))
-    return CQ(tuple(atoms))
+    cq = CQ(tuple(atoms))
+    if diseq and len(cq.variables) > 1:
+        return CQ(cq.atoms,
+                  frozenset([frozenset(rng.sample(cq.variables, 2))]))
+    return cq
 
 
-def rand_ucq(rng, max_disjuncts=2, max_atoms=3, signature=None, free=()):
-    ds = tuple(rand_cq(rng, max_atoms, signature)
+def rand_ucq(rng, max_disjuncts=2, max_atoms=3, signature=None, free=(),
+             diseq=False):
+    ds = tuple(rand_cq(rng, max_atoms, signature, diseq=diseq)
                for _ in range(rng.randint(1, max_disjuncts)))
     if free:
         # make sure the free variables occur in every disjunct

@@ -1,9 +1,12 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from treeprov import cli
+from treeprov.circuits import expand_polynomial
 from treeprov.cli import main
 
 EXAMPLE_INSTANCE = {
@@ -105,6 +108,26 @@ def test_provenance_nx_expand(capsys, instance_file):
                          "--expand")
     assert code == 0
     assert out.strip() == "F1^2 + 2*F2*F3"
+
+
+def test_provenance_nx_size_cap_exit_code(capsys, monkeypatch, tmp_path):
+    """An expansion past expand_polynomial's monomial cap is one stderr
+    line and exit code 3, not a traceback.  S(x),S(y),S(z) on 90 unary
+    facts trips the default cap of 100,000; a cap of 10 keeps the test
+    small: 6 facts give 56 monomials."""
+    monkeypatch.setattr(cli, "expand_polynomial",
+                        functools.partial(expand_polynomial, cap=10))
+    facts = {"signature": {"S": 1},
+             "facts": [{"rel": "S", "args": ["a%d" % i], "id": "F%d" % i}
+                       for i in range(6)]}
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(facts))
+    code = main(["provenance", "--instance", str(p), "--query",
+                 "S(x),S(y),S(z)", "--mode", "nx", "--expand"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "size cap: polynomial exceeded 10 monomials\n"
 
 
 def test_provenance_nx_semiring(capsys, instance_file, tmp_path):

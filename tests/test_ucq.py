@@ -85,8 +85,9 @@ def _width_two_instances(rng, n):
 
 def test_query_provenance_circuit_width_two():
     """Boolean provenance of 3-atom queries on width-2 cycles and grids,
-    checked on every valuation: a world satisfies the query iff it keeps
-    all facts of some match."""
+    and of random two-disjunct UCQs with disequalities on random
+    instances of width at most 2, checked on every valuation: a world
+    satisfies the query iff it keeps all facts of some match."""
     found = make_instance({"R": 2}, [
         ("R", ("c08", "c07")), ("R", ("c07", "c01")), ("R", ("c03", "c04")),
         ("R", ("c00", "c05")), ("R", ("c04", "c08")), ("R", ("c03", "c06")),
@@ -95,6 +96,11 @@ def test_query_provenance_circuit_width_two():
     cases = [(parse_ucq("R(x,y),R(y,z),R(z,w)"), found)]
     for inst in _width_two_instances(rng, 8):
         cases.append((UCQ((rand_cq(rng, 3, {"R": 2}),)), inst))
+    while len(cases) < 9 + 400:  # 400 random UCQs after the 9 above
+        q = rand_ucq(rng, max_disjuncts=2, max_atoms=3, diseq=True)
+        inst = rand_instance(rng, max_facts=7, max_dom=4)
+        if len(q.disjuncts) == 2 and tree_decomposition(inst).width <= 2:
+            cases.append((q, inst))
     for q, inst in cases:
         res, _enc = query_provenance_circuit(compile_bool(q), inst, 2)
         key_to_id = {f.key(): f.id for f in inst.facts}
@@ -119,14 +125,15 @@ def _directed_chain(edges):
 
 
 def test_query_provenance_circuit_size_beyond_exhaustive():
-    """Circuits too large to check on every valuation: a subset holding a
-    full match is one accepting state, which bounds the gate count, and
+    """Circuits too large to check on every valuation: a node gets one
+    gate per partial match it can hold, and all full matches share one
+    accepting state, which bounds the gate count (69 and 150 gates), and
     the circuit agrees with the query on random subinstances."""
     path = [(i, i + 1) for i in range(24)]
     grid = ([(r * 8 + j, r * 8 + j + 1) for r in (0, 1) for j in range(7)]
             + [(j, 8 + j) for j in range(8)])
-    cases = [("R(x,y),R(y,z)", path, 1, 340),
-             ("R(x,y),R(y,z),R(z,w)", grid, 2, 1200)]
+    cases = [("R(x,y),R(y,z)", path, 1, 80),
+             ("R(x,y),R(y,z),R(z,w)", grid, 2, 175)]
     rng = random.Random(88)  # keeping a third of the facts mixes answers
     for text, edges, k, max_gates in cases:
         q = parse_ucq(text)
