@@ -6,8 +6,8 @@ summing integer world weights; no lineage circuit is built:
 - BID: over the instance's own encoding, keyed by state and the blocks
   chosen below (`_bid_dp`).  Match counting reduces to that: one
   uniform block per free variable (`count_matches`).
-- pcc and pc: over the cc-encoding of data and circuit, keyed by state
-  and the values of gates shared with the parent (`_pcc_dp`).
+- pcc, pc and PrXML: over a cc-encoding of data and circuit, keyed by
+  state and the values of gates shared with the parent (`_pcc_dp`).
 `message_passing_prob` is `_pcc_dp` without the automaton, over any
 decomposition of a circuit, such as `lineage_circuit`'s; the two DPs
 step a bag's gates with one helper, `_bag_step`.
@@ -498,22 +498,21 @@ def query_probability_pcc(query, pcc, k=None):
     labels) on a pcc-instance, by `_pcc_dp`; k bounds the width of the
     joint decomposition of data and circuit."""
     _check_arities(query, pcc.instance.signature)
-    return _pcc_dp(_as_automaton(query), pcc, k)
-
-
-def _pcc_dp(automaton, pcc, k):
-    """The determinised automaton (summing the runs of a nondeterministic
-    one would count a world once per run) run bottom-up over the
-    cc-encoding and its same-skeleton circuit decomposition together: a
-    message maps (state, values of the node's gates kept in the parent's
-    bag) to an integer weight.  Each bag's gates are stepped by
-    `_bag_step` (the joint instance has one fact per gate, so every gate
-    has a home).  A fact node reads its label if its chi gate is true,
-    else the neutered label."""
     c2, cc = _cc_encoding(pcc, k)
+    return _pcc_dp(_as_automaton(query), c2, cc, pcc.probs)
+
+
+def _pcc_dp(automaton, circuit, cc, probs):
+    """The determinised automaton (summing a nondeterministic one's runs
+    would count a world once per run) run bottom-up over the cc-encoding
+    cc of an arity-two circuit with input probabilities probs: a message
+    maps (state, values of the node's gates kept in the parent's bag) to
+    an integer weight.  `_bag_step` steps each bag, so every gate needs
+    a bag holding it and its inputs.  A node reads its label if it has
+    no chi gate or its chi is true, else the neutered label."""
     step = memoized(lazy_determinize(automaton))
-    pos = {g: i for i, g in enumerate(c2.topo_order())}
-    weights = _input_weights(c2, pcc.probs)
+    pos = {g: i for i, g in enumerate(circuit.topo_order())}
+    weights = _input_weights(circuit, probs)
     # children first: (node, {its gates in topological order: index},
     # those kept for the parent)
     order = []
@@ -533,7 +532,8 @@ def _pcc_dp(automaton, pcc, k):
         chi = at[cc.chi[id(n)]] if id(n) in cc.chi else None
         keep_at = [at[g] for g in keep]
         out = {}
-        for payloads, rows in _bag_step(c2, at, children, homed, weights):
+        for payloads, rows in _bag_step(circuit, at, children, homed,
+                                        weights):
             runs = [(None, None, 1)]  # a leaf: iota, no child states
             if payloads:
                 qs1, qs2 = payloads

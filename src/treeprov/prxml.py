@@ -1,6 +1,7 @@
 """Probabilistic XML: mux/ind and event-formula (fie) documents,
 left-child-right-sibling binarization, relational and pc encodings,
-scope analysis, and probability evaluation through the pc pipeline.
+scope analysis, and probability evaluation by the pcc DP over a
+cc-encoding read off the document in one walk.
 
 Documents are unranked ordered labeled trees; probabilistic nodes carry
 annotations on the edges to their children (rationals for mux/ind,
@@ -9,10 +10,12 @@ propositional formulas for fie).
 
 from fractions import Fraction
 
-from .prob import (PCInstance, format_formula,
-                   formula_events, parse_formula, pc_to_pcc,
-                   query_probability_pcc)
-from .relational import Fact, Instance
+from .circuits import Circuit
+from .encoding import KFact, TreeEncoding
+from .errors import NoDecomposition
+from .prob import (CCEncoding, PCInstance, _as_automaton, _check_arities,
+                   _pcc_dp, format_formula, formula_events, parse_formula)
+from .relational import Bag, Fact, Instance, TreeDecomposition
 from .trees import Node
 
 BOT = "bot"  # padding label of the LCRS transform
@@ -105,143 +108,151 @@ def unlcrs(tree):
 
 
 # ---------------------------------------------------------------------------
-# Relational encoding of deterministic documents
+# Relational encoding of documents
 
 
-def _p_rel(label):
-    return "P_%s" % label
+def _label_rel(node):
+    """A node's label relation: P_label, or P_kind for a choice node."""
+    return "P_%s" % (node.label if node.kind == "regular" else node.kind)
+
+
+def _encode(nodes):
+    """The relational encoding of a document from its `doc_nodes`: node
+    by node in preorder, its label fact (`_label_rel`), FC to its first
+    child and NS between consecutive children, with elements named n1,
+    n2, ... in order of first use and facts F1, F2, ...; returns
+    (instance, {id(node): its label fact's id}), the latter in preorder."""
+    sig = {"FC": 2, "NS": 2}
+    facts = []
+    names = {id(nodes[0]): "n1"}
+    label_fact = {}
+
+    def add(rel, *args):
+        facts.append(Fact(rel, tuple([names[id(a)] for a in args]),
+                          "F%d" % (len(facts) + 1)))
+
+    for node in nodes:
+        kids = [c for _, c in node.children]
+        for c in kids:  # first used by the node's FC and NS facts
+            names[id(c)] = "n%d" % (len(names) + 1)
+        label_fact[id(node)] = "F%d" % (len(facts) + 1)
+        rel = _label_rel(node)
+        sig.setdefault(rel, 1)
+        add(rel, node)
+        if kids:
+            add("FC", node, kids[0])
+        for a, b in zip(kids, kids[1:]):
+            add("NS", a, b)
+    return Instance(sig, facts), label_fact
 
 
 def xml_relational_encoding(root):
-    """sigma_Lambda instance of a document: FC (first child), NS (next
-    sibling), and one unary P_label fact per node."""
-    sig = {"FC": 2, "NS": 2}
-    facts = []
-    counter = [0]
-    names = {}
-
-    def name(node):
-        if id(node) not in names:
-            counter[0] += 1
-            names[id(node)] = "n%d" % counter[0]
-        return names[id(node)]
-
-    nf = [0]
-
-    def add(rel, args):
-        nf[0] += 1
-        facts.append(Fact(rel, args, "F%d" % nf[0]))
-
-    for node in doc_nodes(root):
-        rel = _p_rel(node.label)
-        sig.setdefault(rel, 1)
-        add(rel, (name(node),))
-        kids = [c for _, c in node.children]
-        if kids:
-            add("FC", (name(node), name(kids[0])))
-        for a, b in zip(kids, kids[1:]):
-            add("NS", (name(a), name(b)))
-    return Instance(sig, facts)
+    """sigma_Lambda instance of a deterministic document: FC (first
+    child), NS (next sibling), and one unary P_label fact per node."""
+    return _encode(doc_nodes(root))[0]
 
 
 # ---------------------------------------------------------------------------
 # mux/ind documents: binary form and fie conversion
 
 
+def _rebuild(root, make):
+    """make(node, [(edge, converted child)]) on every node of a document,
+    children first and left to right, by an explicit stack; returns the
+    root's result."""
+    done = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for _, c in reversed(node.children))
+            continue
+        cut = len(done) - len(node.children)
+        kids = [(e, c) for (e, _), c in zip(node.children, done[cut:])]
+        del done[cut:]
+        done.append(make(node, kids))
+    return done[0]
+
+
+def _det():
+    """An always-kept leaf, filling a missing child."""
+    return PrXMLNode("det", "ind")
+
+
+def _binary_node(node, kids):
+    """Binary form of one node whose children kids are converted."""
+    kind = node.kind
+    if kind == "mux":
+        kids = [(p, c) for p, c in kids if p > 0]
+        total = sum((p for p, _ in kids), Fraction(0))
+        if total < 1:
+            kids.append((1 - total, _det()))
+        if len(kids) > 2:
+            # hierarchy: each level picks its head child with its
+            # probability renormalized by the remaining mass
+            head_p, head = kids[0]
+            kids = [(head_p, head), (1 - head_p, _mux_chain(kids[1:],
+                                                            1 - head_p))]
+        elif len(kids) < 2:
+            kind = "ind"
+    elif len(kids) > 2:
+        # hang all but the first child below a chain of det helpers,
+        # keeping the original edge probabilities on the moved children
+        kids = [kids[0], (Fraction(1) if kind == "ind" else None,
+                          _spill_chain(kids[1:]))]
+    if len(kids) == 1:
+        kids.append((Fraction(1) if kind == "ind" else None, _det()))
+    return PrXMLNode(node.label, kind, kids)
+
+
+def _mux_chain(kids, mass):
+    """Binary mux chain over kids (at least two), whose probabilities sum
+    to mass > 0, built from the bottom up."""
+    masses = []
+    for p, _ in kids[:-2]:
+        masses.append(mass)
+        mass -= p
+    (p1, c1), (p2, c2) = kids[-2:]
+    node = PrXMLNode("mux", "mux", [(p1 / mass, c1), (p2 / mass, c2)])
+    for (p, c), m in zip(reversed(kids[:-2]), reversed(masses)):
+        node = PrXMLNode("mux", "mux", [(p / m, c), (1 - p / m, node)])
+    return node
+
+
+def _spill_chain(kids):
+    """Chain of two-child det helpers over kids (at least two), each kid
+    keeping its edge probability (1 under a regular parent)."""
+    edges = [(e if e is not None else Fraction(1), c) for e, c in kids]
+    node = PrXMLNode("det", "ind", edges[-2:])
+    for edge in reversed(edges[:-2]):
+        node = PrXMLNode("det", "ind", [edge, (Fraction(1), node)])
+    return node
+
+
 def muxind_to_binary(doc):
     """Equivalent document in binary form: full binary tree, every mux
     with edge probabilities summing to exactly 1."""
-
-    def det(children=()):
-        return ("det", PrXMLNode("det", "ind",
-                                 [(Fraction(1), c) for _, c in children]))
-
-    def conv(node):
-        kids = [(e, conv(c)) for e, c in node.children]
-        kind = node.kind
-        if kind == "mux":
-            kids = [(p, c) for p, c in kids if p > 0]
-            total = sum((p for p, _ in kids), Fraction(0))
-            if total < 1:
-                _, filler = det()
-                kids = kids + [(1 - total, filler)]
-            if len(kids) > 2:
-                # hierarchy: each level picks its head child with its
-                # probability renormalized by the remaining mass
-                rest = Fraction(1)
-                head_p, head = kids[0]
-                tail = kids[1:]
-                lower = _mux_chain(tail, rest - head_p)
-                out = PrXMLNode(node.label, "mux",
-                                [(head_p / rest, head),
-                                 (1 - head_p / rest, lower)])
-                kids = out.children
-                kind = "mux"
-            elif len(kids) < 2:
-                kind = "ind"
-        else:
-            if len(kids) > 2:
-                kids = [kids[0], _spill_chain(kids[1:], node.kind)]
-            kids = list(kids)
-        node2 = PrXMLNode(node.label, kind, kids)
-        if len(node2.children) == 1:
-            _, filler = det()
-            edge = None
-            if node2.kind in ("mux", "ind"):
-                edge = (Fraction(1) - node2.children[0][0]
-                        if node2.kind == "mux" else Fraction(1))
-            node2.children.append((edge, filler))
-        return node2
-
-    def _mux_chain(kids, mass):
-        # kids have probabilities summing to mass (> 0)
-        if len(kids) == 2:
-            (p1, c1), (p2, c2) = kids
-            return PrXMLNode("mux", "mux",
-                             [(p1 / mass, c1), (p2 / mass, c2)])
-        (p1, c1), tail = kids[0], kids[1:]
-        lower = _mux_chain(tail, mass - p1)
-        return PrXMLNode("mux", "mux",
-                         [(p1 / mass, c1), (1 - p1 / mass, lower)])
-
-    def _spill_chain(kids, kind):
-        # hang all but the first child of a regular/ind node below a
-        # chain of det (always-kept ind) helpers, keeping the original
-        # edge probabilities on the moved children
-        edges = [(e if e is not None else Fraction(1), c) for e, c in kids]
-        first, rest = edges[0], edges[1:]
-        children = [first]
-        if rest:
-            children.append(_spill_chain(rest, "ind"))
-        helper = PrXMLNode("det", "ind", children)
-        return (Fraction(1) if kind == "ind" else None, helper)
-
-    root = conv(doc.root)
-    return PrXMLDoc(root, doc.events)
+    return PrXMLDoc(_rebuild(doc.root, _binary_node), doc.events)
 
 
 def muxind_to_fie(doc):
     """fie document equivalent to a binary-form mux/ind document: ind
     nodes get two fresh events, mux nodes one event e with edges e and
     not-e."""
-    counter = [0]
     events = {}
 
     def fresh(p):
-        counter[0] += 1
-        e = "e%d" % counter[0]
+        e = "e%d" % (len(events) + 1)
         events[e] = Fraction(p)
         return e
 
-    def conv(node):
-        kids = [(e, conv(c)) for e, c in node.children]
+    def conv(node, kids):
         if node.kind == "regular":
             return PrXMLNode(node.label, "regular", kids)
         if node.kind == "ind":
-            out = []
-            for p, c in kids:
-                out.append((("var", fresh(p)), c))
-            return PrXMLNode(node.label, "fie", out)
+            return PrXMLNode(node.label, "fie",
+                             [(("var", fresh(p)), c) for p, c in kids])
         if node.kind == "mux":
             if len(kids) != 2:
                 raise ValueError("mux node not in binary form")
@@ -251,8 +262,7 @@ def muxind_to_fie(doc):
                              [(("var", e), c1), (("not", ("var", e)), c2)])
         raise ValueError("document already contains fie nodes")
 
-    root = conv(doc.root)
-    return PrXMLDoc(root, events)
+    return PrXMLDoc(_rebuild(doc.root, conv), events)
 
 
 # ---------------------------------------------------------------------------
@@ -331,55 +341,138 @@ def fie_to_pc(doc):
     """pc-encoding: the relational encoding of the document (fie nodes
     kept, labeled P_fie) where each P-fact is annotated with its
     parent-edge formula (1 if none); FC/NS facts are certain."""
-    sig = {"FC": 2, "NS": 2}
-    facts = []
-    conds = {}
-    counter = [0]
-    names = {}
-
-    def name(node):
-        if id(node) not in names:
-            counter[0] += 1
-            names[id(node)] = "n%d" % counter[0]
-        return names[id(node)]
-
-    nf = [0]
-
-    def add(rel, args, cond=None):
-        nf[0] += 1
-        fid = "F%d" % nf[0]
-        facts.append(Fact(rel, args, fid))
-        if cond is not None:
-            conds[fid] = cond
-
-    def walk(node, edge):
-        rel = _p_rel(node.label if node.kind == "regular" else node.kind)
-        sig.setdefault(rel, 1)
-        add(rel, (name(node),), edge if edge is not None else None)
-        kids = node.children
-        if kids:
-            add("FC", (name(node), name(kids[0][1])))
-        for (_, a), (_, b) in zip(kids, kids[1:]):
-            add("NS", (name(a), name(b)))
-        for e, c in kids:
-            walk(c, e if node.kind == "fie" else None)
-
-    walk(doc.root, None)
-    return PCInstance(Instance(sig, facts), conds, doc.events)
+    nodes = doc_nodes(doc.root)
+    instance, label_fact = _encode(nodes)
+    edge_of = {id(c): e for n in nodes if n.kind == "fie"
+               for e, c in n.children}
+    conds = {f: edge_of[n] for n, f in label_fact.items() if n in edge_of}
+    return PCInstance(instance, conds, doc.events)
 
 
 # ---------------------------------------------------------------------------
 # Probability pipeline
 
 
+def _presence_encoding(fie):
+    """The arity-two pcc circuit and cc-encoding of a binary fie document
+    (`muxind_to_fie` output), in one walk; returns (circuit, cc-encoding,
+    input probabilities, signature, joint width).
+
+    Gates: one input ("e", e) per event, one NOT ("n", e) per negated
+    event, and per node a presence gate, true iff the node is in the
+    world: the AND ("p", i) of its parent's presence and its edge
+    literal.  The root and the children of regular nodes reuse their
+    parent's presence (None: certain), and under a certain fie node a
+    child's presence is its literal.
+
+    Data: `fie_to_pc`'s facts (`_encode`) at width 1, less the label
+    facts of fie nodes: a choice node or a binarization helper is in no
+    world.  A node n is a P(n) node, whose chi is n's presence if n is
+    regular and which holds no fact if n is a fie node; with children
+    c1, c2 it has an FC(n,c1) node below it and an NS(c1,c2) node below
+    that, whose children are the P nodes of c1 and c2, padded with empty
+    leaves.  FC and NS facts are certain.  The signature is
+    `fie_to_pc`'s, P_fie included.
+
+    Circuit bags, same skeleton: a P(c) bag holds c's presence and the
+    inputs it is formed from; FC(n,c1) and NS(c1,c2) carry n's presence,
+    and NS also homes a mux's NOT beside its event.  So a bag holds at
+    most 3 gates, and the joint width (data elements and gates of a
+    node, less one) is at most 4."""
+    gates = {}
+    probs = {}
+    signature = {"FC": 2, "NS": 2}
+    chi = {}
+    empty = KFact(frozenset())
+    widest = 0  # largest data elements + gates of one node
+
+    def label(rel, *slots):
+        return KFact(frozenset(slots), rel, slots)
+
+    def literal(edge):
+        neg = edge[0] == "not"
+        e = edge[1][1] if neg else edge[1]
+        g = ("e", e)
+        if g not in gates:
+            gates[g] = ("inp", ())
+            probs[g] = fie.events[e]
+        if not neg:
+            return g, ()
+        gates["n", e] = ("not", (g,))
+        return ("n", e), (g, ("n", e))
+
+    done = []  # (P node, its bag) of each finished document node
+    # (node, its slot, its presence, its P bag's gates, and once its
+    # children are pushed, their slots and the FC and NS bags' gates)
+    stack = [(fie.root, 1, None, (), None)]
+    while stack:
+        node, s, pres, own, below = stack.pop()
+        if below is None and node.children:
+            if len(node.children) != 2:
+                raise ValueError("document not in binary form")
+            s1, s2 = (x for x in (1, 2, 3) if x != s)
+            carry = () if pres is None else (pres,)
+            ns = set(carry)
+            kids = []
+            for (edge, c), sc in zip(node.children, (s1, s2)):
+                if node.kind != "fie":
+                    kids.append((c, sc, pres, carry, None))
+                    continue
+                g, homed = literal(edge)
+                ns.update(homed)
+                if pres is None:
+                    kids.append((c, sc, g, (g,), None))
+                else:
+                    a = ("p", len(gates))
+                    gates[a] = ("and", (pres, g))
+                    kids.append((c, sc, a, (pres, g, a), None))
+            stack.append((node, s, pres, own, (s1, s2, carry, ns)))
+            stack.extend(reversed(kids))
+            continue
+        rel = _label_rel(node)
+        signature[rel] = 1
+        fact = label(rel, s) if node.kind == "regular" else \
+            KFact(frozenset((s,)))
+        widest = max(widest, 1 + len(own))
+        if below is None:
+            p, bag = Node(fact), Bag(own)
+        else:
+            s1, s2, carry, ns = below
+            (n2, b2), (n1, b1) = done.pop(), done.pop()
+            widest = max(widest, 2 + len(ns))  # ns holds carry
+            fc = Node(label("FC", s, s1),
+                      Node(label("NS", s1, s2), n1, n2), Node(empty))
+            p = Node(fact, fc, Node(empty))
+            bag = Bag(own, [Bag(carry, [Bag(ns, [b1, b2]), Bag(())]),
+                            Bag(())])
+        if pres is not None and fact.rel is not None:
+            chi[id(p)] = pres
+        done.append((p, bag))
+    root, bag = done.pop()
+    cc = CCEncoding(TreeEncoding(root, 0 if root.is_leaf() else 1),
+                    TreeDecomposition(bag, normalized=True), chi)
+    # no output gate: the query automaton reads the gates through chi
+    return Circuit("bool", gates, None), cc, probs, signature, widest - 1
+
+
 def prxml_query_probability(q, doc, k=None):
-    """Probability that a random world's (weak) relational encoding
-    satisfies the query, for a mux/ind document."""
-    binary = muxind_to_binary(doc)
-    fie = muxind_to_fie(binary)
-    pc = fie_to_pc(fie)
-    pcc = pc_to_pcc(pc)
-    return query_probability_pcc(q, pcc, k)
+    """Probability that a random world of a mux/ind document satisfies
+    the query.  A regular node's label fact P_label(n) holds iff the node
+    is in the world; choice nodes are in no world and have no label fact
+    (`fie_to_pc` gives them P_fie).  FC/NS are the certain facts of the
+    document's binary fie form (`muxind_to_binary`, then
+    `muxind_to_fie`), whose choice nodes and binarization helpers they
+    link too.  `_pcc_dp` runs over the `_presence_encoding` of that form.
+    k, if given, must be at least that encoding's joint width, else
+    NoDecomposition."""
+    circuit, cc, probs, signature, width = _presence_encoding(
+        muxind_to_fie(muxind_to_binary(doc)))
+    _check_arities(q, signature)
+    if k is not None and width > k:
+        raise NoDecomposition(
+            "the document's cc-encoding has data width %d and joint width "
+            "%d, above the bound %d" % (cc.encoding.k, width, k))
+    return _pcc_dp(_as_automaton(q), circuit, cc, probs)
 
 
 # ---------------------------------------------------------------------------

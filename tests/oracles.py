@@ -9,7 +9,7 @@ from fractions import Fraction
 from treeprov.circuits import Circuit, eval_bool
 from treeprov.encoding import INVALID
 from treeprov.prob import eval_formula, format_formula
-from treeprov.relational import subinstance
+from treeprov.relational import make_instance, subinstance
 from treeprov.trees import postorder
 
 
@@ -154,6 +154,21 @@ def muxind_worlds(doc):
         tree = forest[0]
         dist[tree] = dist.get(tree, Fraction(0)) + p
     return dist
+
+
+def label_worlds(doc):
+    """(instance, probability) per world of a mux/ind document, from
+    `muxind_worlds`: one unary fact P_label per node of the world."""
+    out = []
+    for tree, p in muxind_worlds(doc).items():
+        facts = []
+        stack = [tree]
+        while stack:
+            _, label, kids = stack.pop()
+            facts.append(("P_%s" % label, ("n%d" % len(facts),)))
+            stack.extend(kids)
+        out.append((make_instance({rel: 1 for rel, _ in facts}, facts), p))
+    return out
 
 
 def _merge(options):

@@ -30,7 +30,7 @@ from genutil import (rand_bid, rand_cq, rand_decomposed_circuit, rand_doc,
                      rand_instance, rand_p_automaton, rand_pc, rand_pcc,
                      rand_tree, rand_ucq)
 from oracles import (bid_worlds, brute_force_prob, fie_worlds,
-                     muxind_worlds, pc_worlds, pcc_worlds)
+                     label_worlds, muxind_worlds, pc_worlds, pcc_worlds)
 
 EXAMPLE_INSTANCE = make_instance(
     {"R": 2}, [("R", ("a", "a")), ("R", ("b", "c")), ("R", ("c", "b"))])
@@ -197,11 +197,13 @@ def test_criterion_5_probability():
         doc = rand_doc(rng, max_choices=4)
         fie = muxind_to_fie(muxind_to_binary(doc))
         pc = fie_to_pc(fie)
-        # any unary label present in the document
+        # any unary label present in the document; P_fie, the label of
+        # its choice nodes, holds in no world
         labels = sorted({f.rel for f in pc.instance.facts
                          if f.rel not in ("FC", "NS")})
         q = parse_ucq("%s(x)" % rng.choice(labels))
-        assert prxml_query_probability(q, doc) == _pr_oracle(pc_worlds(pc), q)
+        assert prxml_query_probability(q, doc) == \
+            _pr_oracle(label_worlds(doc), q)
     report(5, "%d message-passing circuits plus pcc/pc/BID/PrXML "
               "probabilities vs possible-world enumeration" % done)
 

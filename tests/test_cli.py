@@ -229,6 +229,17 @@ def test_prob_prxml(capsys, tmp_path):
                          "--prxml", str(p))
     assert code == 0
     assert out.strip() == "2/7"
+    # a below two nested ind edges of 1/2: present in a quarter of worlds
+    ind = {"label": "a"}
+    for label in ("s", "r"):
+        ind = {"label": label, "children": [{"node": {
+            "label": "ind", "kind": "ind",
+            "children": [{"prob": "1/2", "node": ind}]}}]}
+    p.write_text(json.dumps({"tree": ind}))
+    code, out = run_main(capsys, "prob", "--query", "P_a(x)",
+                         "--prxml", str(p))
+    assert code == 0
+    assert out.strip() == "1/4"
 
 
 def test_count(capsys, instance_file):

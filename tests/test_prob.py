@@ -634,18 +634,29 @@ def test_query_probability_pcc_width_two_oracle():
 
 
 def test_pcc_skips_the_lineage_path(monkeypatch):
-    import treeprov.prob as prob
+    """pcc probability builds no lineage; PrXML probability also builds
+    no pc, no decomposition and no generic encoding."""
+    import treeprov
     from treeprov.prxml import PrXMLDoc, PrXMLNode, prxml_query_probability
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("pcc probability built a lineage")
+    def refuse(*names):
+        def refused(*args, **kwargs):
+            raise AssertionError("probability called a refused stage")
 
-    for name in ("lineage_circuit", "message_passing_prob"):
-        monkeypatch.setattr(prob, name, refuse)
+        modules = [getattr(treeprov, m) for m in (
+            "circuits", "encoding", "prob", "prxml", "relational")]
+        for name in names:
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+
+    refuse("lineage_circuit", "message_passing_prob")
     rng = random.Random(91)
     pcc = random_gated(rng, random_directions(rng, cycle_edges(5)))
     query_probability_pcc(parse_ucq("R(x,y),R(y,z)"), pcc)
     query_probability_pcc(loop_guesser(), pcc)
+    refuse("fie_to_pc", "pc_to_pcc", "arity_two", "tree_decomposition",
+           "normalize_decomposition", "encode")
     doc = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
         "m", "mux", [(Fraction(1, 3), PrXMLNode("a")),
                      (Fraction(1, 2), PrXMLNode("b"))]))]))

@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 
 from treeprov.prob import pc_width
-from treeprov.prxml import (PrXMLDoc, PrXMLNode, doc_from_json, doc_nodes,
-                            doc_to_json, fie_to_pc, lcrs,
-                            muxind_to_binary, muxind_to_fie,
+from treeprov.encoding import decode
+from treeprov.errors import NoDecomposition
+from treeprov.prxml import (PrXMLDoc, PrXMLNode, _presence_encoding,
+                            doc_from_json, doc_nodes, doc_to_json, fie_to_pc,
+                            lcrs, muxind_to_binary, muxind_to_fie,
                             prxml_query_probability, scope_width, unlcrs,
                             xml_relational_encoding)
-from treeprov.relational import tree_decomposition
-from treeprov.ucq import parse_ucq
+from treeprov.relational import Instance, tree_decomposition
+from treeprov.ucq import parse_ucq, satisfies
 
 from genutil import rand_doc
-from oracles import doc_canon, fie_worlds, muxind_worlds
+from oracles import (decomposes_circuit, doc_canon, fie_worlds,
+                     instances_isomorphic, label_worlds, muxind_worlds)
 
 
 def test_doc_validation():
@@ -87,12 +90,19 @@ def test_muxind_to_binary_preserves_distribution():
 
 def test_binary_form_shape():
     rng = random.Random(94)
-    for _ in range(30):
-        binary = muxind_to_binary(rand_doc(rng))
+    wide = PrXMLDoc(PrXMLNode("r", children=[
+        (None, PrXMLNode(x)) for x in "abc"] + [
+        (None, PrXMLNode("i", "ind", [(Fraction(1, k), PrXMLNode("a"))
+                                      for k in (2, 3, 4)])),
+        (None, PrXMLNode("m", "mux", [(Fraction(1, 5), PrXMLNode(x))
+                                      for x in "abcb"]))]))
+    for doc in [wide] + [rand_doc(rng) for _ in range(30)]:
+        binary = muxind_to_binary(doc)
         for n in doc_nodes(binary.root):
             assert len(n.children) in (0, 2)
             if n.kind == "mux":
                 assert sum(p for p, _ in n.children) == 1
+    assert muxind_worlds(muxind_to_binary(wide)) == muxind_worlds(wide)
 
 
 def test_muxind_to_fie_preserves_distribution():
@@ -168,6 +178,90 @@ def test_prxml_query_probability_mux():
                                                  PrXMLNode("b"))]))]))
     assert prxml_query_probability(parse_ucq("P_a(x)"), doc) == \
         Fraction(3, 10)
+
+
+def nested_document(depth):
+    """Label a under depth nested ind edges of probability 1/2."""
+    node = PrXMLNode("a")
+    for i in range(depth):
+        node = PrXMLNode("ind", "ind", [(Fraction(1, 2), node)])
+        if i < depth - 1:
+            node = PrXMLNode("s", children=[(None, node)])
+    return PrXMLDoc(PrXMLNode("r", children=[(None, node)]))
+
+
+def world_probability(q, doc):
+    return sum((w for inst, w in label_worlds(doc) if satisfies(q, inst)),
+               Fraction(0))
+
+
+def test_label_queries_match_document_worlds():
+    """Label facts hold in exactly the world's nodes: a node under a
+    regular edge below a choice edge is as likely as its parent, and
+    P_fie, the label of choice nodes, holds nowhere."""
+    rng = random.Random(100)
+    for _ in range(300):
+        doc = rand_doc(rng)
+        a, b = (rng.choice(("a", "b", "c", "fie")) for _ in range(2))
+        for text in ("P_%s(x)" % a, "P_%s(x),P_%s(y)" % (a, b),
+                     "P_%s(x);P_%s(y)" % (a, b)):
+            q = parse_ucq(text)
+            assert prxml_query_probability(q, doc) == \
+                world_probability(q, doc), text
+    q = parse_ucq("P_a(x)")
+    for depth, want in ((2, Fraction(1, 4)), (3, Fraction(1, 8))):
+        doc = nested_document(depth)
+        assert prxml_query_probability(q, doc) == \
+            world_probability(q, doc) == want
+
+
+def test_presence_encoding_structure():
+    """The walk's data side is fie_to_pc's instance less its P_fie facts,
+    at width 1, and its circuit bags decompose the circuit with at most
+    3 gates each."""
+    rng = random.Random(101)
+    for _ in range(200):
+        fie = muxind_to_fie(muxind_to_binary(rand_doc(rng)))
+        circuit, cc, probs, signature, width = _presence_encoding(fie)
+        pc = fie_to_pc(fie)
+        assert instances_isomorphic(decode(cc.encoding.root), Instance(
+            pc.instance.signature,
+            [f for f in pc.instance.facts if f.rel != "P_fie"]))
+        assert signature == pc.instance.signature
+        assert set(probs) == set(circuit.inputs())
+        decomposition = cc.circuit_decomposition
+        assert decomposes_circuit(circuit, decomposition)
+        assert max(len(n.label.dom) for n in cc.encoding.nodes()) - 1 == \
+            cc.encoding.k <= 1
+        assert max(len(b.dom) for b in decomposition.bags()) <= 3
+        assert width <= 4
+
+
+def test_k_bounds_the_joint_width():
+    doc = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
+        "i", "ind", [(Fraction(1, 2), PrXMLNode("m", "mux", [
+            (Fraction(1, 3), PrXMLNode("a")),
+            (Fraction(1, 2), PrXMLNode("b"))]))]))]))
+    q = parse_ucq("P_a(x)")
+    width = _presence_encoding(muxind_to_fie(muxind_to_binary(doc)))[4]
+    assert width == 4
+    assert prxml_query_probability(q, doc, width) == Fraction(1, 6)
+    with pytest.raises(NoDecomposition,
+                       match="data width 1 and joint width 4, above the "
+                             "bound 3"):
+        prxml_query_probability(q, doc, width - 1)
+
+
+def test_deep_documents():
+    """Wide and deep documents at the default recursion limit: 1,000 ind
+    siblings become a 1,000-deep chain, and 300 nested ind levels."""
+    wide = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
+        "i", "ind", [(Fraction(1, 2), PrXMLNode("a"))
+                     for _ in range(1000)]))]))
+    q = parse_ucq("P_a(x)")
+    assert prxml_query_probability(q, wide) == 1 - Fraction(1, 2 ** 1000)
+    assert prxml_query_probability(q, nested_document(300)) == \
+        Fraction(1, 2 ** 300)
 
 
 def test_doc_json_roundtrip():
