@@ -3,11 +3,15 @@
 Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
 text.  Exit codes: 2 signals NoDecomposition or an invalid encoding,
-3 a resource cap (a state blowup, or a polynomial expansion past its
-monomial cap), and 4 invalid input: a missing or unreadable file,
-malformed JSON, an input file without a required key, a query or
-formula that does not parse, or a query atom whose arity disagrees with
-the instance.  Each error is one line on stderr.
+3 a resource cap (a state blowup, a polynomial expansion past its
+monomial cap, or an output that nests deeper than the json module can
+write, about 1,000 levels of arrays and objects), and 4 invalid input:
+a missing or unreadable file, malformed JSON or JSON nested deeper than
+the json module can read, an input file without a required key, a query
+or formula that does not parse, or a query atom whose arity disagrees
+with the instance.  Each error is one line on stderr.  The tree-shaped
+formats (decompositions, encodings, PrXML documents) nest two or three
+levels per tree level, so their depth limit comes from the json module.
 """
 
 import argparse
@@ -41,6 +45,9 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError("%s is not valid JSON: %s" % (path, exc))
+        except RecursionError:
+            raise ValueError("%s nests deeper than the json module can "
+                             "read" % path) from None
 
 
 def _load_instance(path):
@@ -48,7 +55,11 @@ def _load_instance(path):
 
 
 def _emit(data, path=None):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    except RecursionError:
+        raise SizeCap("the output nests deeper than the json module can "
+                      "write") from None
     if path:
         with open(path, "w") as fh:
             fh.write(text)

@@ -9,8 +9,9 @@ fresh elements for slots not shared with the parent.
 
 from dataclasses import dataclass
 
-from .relational import Fact, Instance, TreeDecomposition
-from .trees import Node, postorder
+from .relational import (Fact, Instance, TreeDecomposition,
+                         normalize_decomposition)
+from .trees import Node, children, fold, map_labels, postorder
 
 
 @dataclass(frozen=True)
@@ -67,47 +68,41 @@ def encode(instance, decomposition):
     order.  The root bag maps its elements to slots 1.. in sorted order.
     """
     if not decomposition.normalized:
-        decomposition = _ensure_normalized(decomposition, instance)
+        if decomposition.instance is None:
+            decomposition = TreeDecomposition(decomposition.root, instance)
+        decomposition = normalize_decomposition(decomposition)
     k = max(decomposition.width, 0)
-
-    def label_of(bag, slot_of):
+    slots = range(1, 2 * k + 3)
+    fact_nodes = {}
+    node_bag = {}
+    done = []  # the nodes of finished bags
+    # (bag, its parent's slots, False) on the way down, then (bag, its
+    # slots, True) on the way up, once its children are pushed
+    stack = [(decomposition.root, {}, False)]
+    while stack:
+        bag, slot_of, up = stack.pop()
+        if not up:
+            used = set(slot_of.values())
+            slot_of = {a: s for a, s in slot_of.items() if a in bag.dom}
+            free = [s for s in slots if s not in used]
+            fresh = sorted(bag.dom - set(slot_of), key=str)
+            slot_of.update(zip(fresh, free))
+            stack.append((bag, slot_of, True))
+            stack.extend((c, slot_of, False) for c in reversed(bag.children))
+            continue
         struct = None
         if bag.facts:
             f = instance.by_id[bag.facts[0]]
             struct = (f.rel, tuple(slot_of[a] for a in f.args))
-        return alphabet_label({slot_of[a] for a in bag.dom}, struct, k)
-
-    fact_nodes = {}
-    node_bag = {}
-
-    def build(bag, parent_slot_of):
-        used = set(parent_slot_of.values())
-        slot_of = {a: s for a, s in parent_slot_of.items() if a in bag.dom}
-        free = [s for s in range(1, 2 * k + 3) if s not in used]
-        fresh = sorted(bag.dom - set(slot_of), key=str)
-        for a, s in zip(fresh, free):
-            slot_of[a] = s
-        if bag.children:
-            left = build(bag.children[0], slot_of)
-            right = build(bag.children[1], slot_of)
-            node = Node(label_of(bag, slot_of), left, right)
-        else:
-            node = Node(label_of(bag, slot_of))
+        label = alphabet_label({slot_of[a] for a in bag.dom}, struct, k)
+        cut = len(done) - len(bag.children)
+        node = Node(label, *done[cut:])
+        del done[cut:]
         if bag.facts:
             fact_nodes[bag.facts[0]] = node
         node_bag[id(node)] = bag
-        return node
-
-    root = build(decomposition.root, {})
-    return TreeEncoding(root, k, fact_nodes, node_bag)
-
-
-def _ensure_normalized(decomposition, instance):
-    from .relational import normalize_decomposition
-
-    if decomposition.instance is None:
-        decomposition = TreeDecomposition(decomposition.root, instance)
-    return normalize_decomposition(decomposition)
+        done.append(node)
+    return TreeEncoding(done[0], k, fact_nodes, node_bag)
 
 
 INVALID = None  # decode returns None for invalid encodings
@@ -118,35 +113,25 @@ def decode(root):
     created twice.  Fresh elements are named e1, e2, ... in preorder."""
     facts = []
     seen = set()
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return "e%d" % counter[0]
-
-    def walk(node, parent_map):
+    fresh = 0
+    stack = [(root, {})]  # (node, its parent's slot -> element)
+    while stack:
+        node, parent_map = stack.pop()
         label = node.label
         elem_of = {}
         for s in sorted(label.dom):
             if s in parent_map:
                 elem_of[s] = parent_map[s]
             else:
-                elem_of[s] = fresh()
+                fresh += 1
+                elem_of[s] = "e%d" % fresh
         if label.rel is not None:
             key = (label.rel, tuple(elem_of[s] for s in label.args))
             if key in seen:
-                return False
+                return INVALID
             seen.add(key)
             facts.append(key)
-        if not node.is_leaf():
-            if not walk(node.left, elem_of):
-                return False
-            if not walk(node.right, elem_of):
-                return False
-        return True
-
-    if not walk(root, {}):
-        return INVALID
+        stack.extend((c, elem_of) for c in reversed(children(node)))
     signature = {}
     for rel, args in facts:
         signature[rel] = len(args)
@@ -164,32 +149,13 @@ def annotate(encoding, valuation, default=1):
         fid = node_fact.get(id(node))
         return valuation[fid] if fid is not None else default
 
-    return annotate_tree(encoding.root, ann)
-
-
-def annotate_tree(root, ann):
-    """New tree with labels (old_label, ann(node))."""
-    rebuilt = {}
-    for n in postorder(root):
-        lab = (n.label, ann(n))
-        if n.is_leaf():
-            rebuilt[id(n)] = Node(lab)
-        else:
-            rebuilt[id(n)] = Node(lab, rebuilt[id(n.left)], rebuilt[id(n.right)])
-    return rebuilt[id(root)]
+    return fold(encoding.root, children,
+                lambda n, kids: Node((n.label, ann(n)), *kids))
 
 
 def teval(root):
     """Strip a Boolean annotation: (tau,1) -> tau, (tau,0) -> neuter(tau)."""
-    rebuilt = {}
-    for n in postorder(root):
-        label, b = n.label
-        lab = label if b else label.neuter()
-        if n.is_leaf():
-            rebuilt[id(n)] = Node(lab)
-        else:
-            rebuilt[id(n)] = Node(lab, rebuilt[id(n.left)], rebuilt[id(n.right)])
-    return rebuilt[id(root)]
+    return map_labels(root, lambda label: teval_label(*label))
 
 
 def teval_label(label, b):
@@ -236,31 +202,26 @@ def label_from_json(data):
 def encoding_to_json(encoding):
     node_fact = encoding.node_fact
 
-    def conv(node):
+    def conv(node, kids):
         out = label_to_json(node.label)
         fid = node_fact.get(id(node))
         if fid is not None:
             out["fact_id"] = fid
-        if not node.is_leaf():
-            out["children"] = [conv(node.left), conv(node.right)]
+        if kids:
+            out["children"] = kids
         return out
 
-    return {"k": encoding.k, "tree": conv(encoding.root)}
+    return {"k": encoding.k, "tree": fold(encoding.root, children, conv)}
 
 
 def encoding_from_json(data):
     fact_nodes = {}
 
-    def conv(d):
-        label = label_from_json(d)
-        kids = d.get("children")
-        if kids:
-            node = Node(label, conv(kids[0]), conv(kids[1]))
-        else:
-            node = Node(label)
+    def conv(d, kids):
+        node = Node(label_from_json(d), *kids)
         if "fact_id" in d:
             fact_nodes[d["fact_id"]] = node
         return node
 
-    root = conv(data["tree"])
+    root = fold(data["tree"], lambda d: (d.get("children") or ())[:2], conv)
     return TreeEncoding(root, data["k"], fact_nodes)

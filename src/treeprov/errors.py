@@ -19,4 +19,5 @@ class NotMonotone(TreeprovError):
 
 
 class SizeCap(TreeprovError):
-    """Polynomial expansion exceeded the monomial cap."""
+    """A size cap was exceeded: a polynomial expansion's monomial cap,
+    or the nesting depth the json module can write."""

@@ -24,7 +24,7 @@ from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
-from .trees import parents, postorder
+from .trees import fold, parents, postorder
 from .ucq import CQ, UCQ, Atom, _compile_det
 
 
@@ -34,7 +34,10 @@ from .ucq import CQ, UCQ, Atom, _compile_det
 
 def parse_formula(text):
     """Grammar: OR-expr of AND-exprs of literals; literals are event
-    names, constants 0/1, !lit, and parenthesized expressions."""
+    names, constants 0/1, !lit, and parenthesized expressions.  Parsed
+    left to right by operator precedence: "!" binds tightest, then "&",
+    then "|", both left-associative; an open parenthesis saves the
+    enclosing expression on a stack."""
     tokens = []
     i = 0
     while i < len(text):
@@ -52,92 +55,87 @@ def parse_formula(text):
             i = j
         else:
             raise SyntaxError("bad character %r at position %d" % (c, i))
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
-
-    def literal():
-        t = take()
-        if t == "!":
-            return ("not", literal())
-        if t == "(":
-            f = or_expr()
-            if take() != ")":
+    saved = []  # (disjunction, conjunction, pending "!"s) per open "("
+    ors = ands = None
+    nots = 0
+    operand = True  # a literal comes next, else an operator or the end
+    for t in tokens + [None]:
+        if operand:
+            if t == "!":
+                nots += 1
+                continue
+            if t == "(":
+                saved.append((ors, ands, nots))
+                ors = ands = None
+                nots = 0
+                continue
+            if t in (None, ")", "&", "|"):
+                raise SyntaxError("unexpected token %r" % t)
+            lit = ("const", t == "1") if t in ("0", "1") else ("var", t)
+        elif t in ("&", "|"):
+            if t == "|":
+                ors = ands if ors is None else ("or", ors, ands)
+                ands = None
+            operand = True
+            continue
+        else:  # the innermost expression ends here
+            lit = ands if ors is None else ("or", ors, ands)
+            if not saved:
+                if t is not None:
+                    raise SyntaxError("trailing input in formula")
+                return lit
+            if t != ")":
                 raise SyntaxError("missing )")
-            return f
-        if t in ("0", "1"):
-            return ("const", t == "1")
-        if t is None or t in "()!&|":
-            raise SyntaxError("unexpected token %r" % t)
-        return ("var", t)
+            ors, ands, nots = saved.pop()
+        for _ in range(nots):
+            lit = ("not", lit)
+        nots = 0
+        ands = lit if ands is None else ("and", ands, lit)
+        operand = False
 
-    def and_expr():
-        f = literal()
-        while peek() == "&":
-            take()
-            f = ("and", f, literal())
-        return f
 
-    def or_expr():
-        f = and_expr()
-        while peek() == "|":
-            take()
-            f = ("or", f, and_expr())
-        return f
-
-    f = or_expr()
-    if peek() is not None:
-        raise SyntaxError("trailing input in formula")
-    return f
+def _subformulas(f):
+    return f[1:] if f[0] in ("not", "and", "or") else ()
 
 
 def formula_events(f):
-    if f[0] == "var":
-        return {f[1]}
-    if f[0] == "const":
-        return set()
     out = set()
-    for sub in f[1:]:
-        out |= formula_events(sub)
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if f[0] == "var":
+            out.add(f[1])
+        stack.extend(_subformulas(f))
     return out
 
 
 def eval_formula(f, assignment):
-    if f[0] == "var":
-        return bool(assignment[f[1]])
-    if f[0] == "const":
-        return f[1]
-    if f[0] == "not":
-        return not eval_formula(f[1], assignment)
-    if f[0] == "and":
-        return eval_formula(f[1], assignment) and eval_formula(f[2], assignment)
-    return eval_formula(f[1], assignment) or eval_formula(f[2], assignment)
+    def value(f, subs):
+        if f[0] == "var":
+            return bool(assignment[f[1]])
+        if f[0] == "const":
+            return f[1]
+        if f[0] == "not":
+            return not subs[0]
+        return all(subs) if f[0] == "and" else any(subs)
+
+    return fold(f, _subformulas, value)
 
 
 def format_formula(f):
-    if f[0] == "var":
-        return f[1]
-    if f[0] == "const":
-        return "1" if f[1] else "0"
-    if f[0] == "not":
-        sub = format_formula(f[1])
-        if f[1][0] in ("and", "or"):
-            sub = "(%s)" % sub
-        return "!" + sub
-    op = " & " if f[0] == "and" else " | "
-    parts = []
-    for sub in f[1:]:
-        s = format_formula(sub)
-        if f[0] == "and" and sub[0] == "or":
-            s = "(%s)" % s
-        parts.append(s)
-    return op.join(parts)
+    def text(f, subs):
+        if f[0] == "var":
+            return f[1]
+        if f[0] == "const":
+            return "1" if f[1] else "0"
+        if f[0] == "not":
+            return "!(%s)" % subs[0] if f[1][0] in ("and", "or") else \
+                "!" + subs[0]
+        return (" & " if f[0] == "and" else " | ").join(
+            "(%s)" % s if f[0] == "and" and sub[0] == "or" else s
+            for sub, s in zip(f[1:], subs))
+
+    return fold(f, _subformulas, text)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +413,15 @@ def cc_encode(pcc, decomposition):
             f for f in joint.facts
             if isinstance(f.rel, tuple) and f.rel[0] == "plus"])))
 
-    def split(bag):
+    def split(bag, kids):
         gates = {e for e in bag.dom
                  if isinstance(e, tuple) and len(e) == 2 and e[0] == "g"}
         facts = [fid[1] for fid in bag.facts]
-        kids = [split(c) for c in bag.children]
         return (Bag(bag.dom - gates, [d for d, _ in kids], facts),
                 Bag({e[1] for e in gates}, [c for _, c in kids]))
 
-    data_root, circuit_root = split(decomposition.root)
+    data_root, circuit_root = fold(decomposition.root,
+                                   lambda bag: bag.children, split)
     enc = encode(pcc.instance, TreeDecomposition(data_root, pcc.instance,
                                                  normalized=True))
     chi = {id(node): pcc.phi[fid] for fid, node in enc.fact_nodes.items()}
@@ -460,14 +458,15 @@ def lineage_circuit(automaton, pcc, k=None):
         if g not in named:
             gates[("prov", g)] = (t, tuple(wrap(i) for i in ins))
 
-    def union(cbag, rbag):
-        return Bag(cbag.dom | {wrap(g) for g in rbag.dom},
-                   [union(*kids) for kids in zip(cbag.children,
-                                                 rbag.children)])
+    def union(bags, kids):
+        cbag, rbag = bags
+        return Bag(cbag.dom | {wrap(g) for g in rbag.dom}, kids)
 
+    root = fold((cc.circuit_decomposition.root, decomp.root),
+                lambda bags: list(zip(bags[0].children, bags[1].children)),
+                union)
     return (Circuit("bool", gates, wrap(inner.output)),
-            TreeDecomposition(union(cc.circuit_decomposition.root,
-                                    decomp.root), normalized=True))
+            TreeDecomposition(root, normalized=True))
 
 
 def _as_automaton(query):
@@ -571,14 +570,14 @@ def pc_to_pcc(pc, k=None):
     gates = {("e", e): ("inp", ()) for e in pc.events}
     shared = {}  # (type, input gates) -> gate id
 
-    def gate(formula, fid):
+    def gate(formula, ins, fid):
         t = formula[0]
         if t == "var":
             return ("e", formula[1])
         if t == "const":
             gates[("c", fid, formula[1])] = ("and" if formula[1] else "or", ())
             return ("c", fid, formula[1])
-        key = (t, tuple(gate(sub, fid) for sub in formula[1:]))
+        key = (t, tuple(ins))
         g = shared.setdefault(key, ("f", len(shared)))
         gates[g] = key
         return g
@@ -591,7 +590,8 @@ def pc_to_pcc(pc, k=None):
             raise ValueError(
                 "formula of %s uses %d events, more than the width bound %d"
                 % (f.id, n, k))
-        phi[f.id] = gate(formula, f.id)
+        phi[f.id] = fold(formula, _subformulas,
+                         lambda node, ins: gate(node, ins, f.id))
     gates[("truegate",)] = ("and", ())
     circuit = Circuit("bool", gates, ("truegate",))
     return PCCInstance(pc.instance, circuit, phi,
@@ -649,7 +649,13 @@ def bid_to_pcc(bid, k=None):
                 top = b
                 break
 
-        def emit(b, g_in):
+        if total == 1:
+            g_root = add(("bid", bi, "root"), "and")  # constant 1
+        else:
+            g_root = add_input(("bid", bi, "root"), total)
+        stack = [(top, g_root)]  # (bag, its gate), parents first
+        while stack:
+            b, g_in = stack.pop()
             invariant_probs[g_in] = wc[id(b)]
             h = w.get(id(b), Fraction(0))
             rest = wc[id(b)] - h
@@ -669,21 +675,14 @@ def bid_to_pcc(bid, k=None):
                 kids = [c for c in b.children
                         if wc.get(id(c), Fraction(0)) > 0]
                 if len(kids) == 1:
-                    emit(kids[0], cond)
+                    stack.append((kids[0], cond))
                 else:
                     wl = wc[id(kids[0])]
                     sw = add_input(("bid", bi, id(b), "sw"), wl / rest)
                     nsw = add(("bid", bi, id(b), "nsw"), "not", (sw,))
                     gl = add(("bid", bi, id(b), "L"), "and", (cond, sw))
                     gr = add(("bid", bi, id(b), "R"), "and", (cond, nsw))
-                    emit(kids[0], gl)
-                    emit(kids[1], gr)
-
-        if total == 1:
-            g_root = add(("bid", bi, "root"), "and")  # constant 1
-        else:
-            g_root = add_input(("bid", bi, "root"), total)
-        emit(top, g_root)
+                    stack += [(kids[1], gr), (kids[0], gl)]
 
     out = add(("truegate",), "and")
     circuit = Circuit("bool", gates, out)

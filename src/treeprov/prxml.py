@@ -16,7 +16,7 @@ from .errors import NoDecomposition
 from .prob import (CCEncoding, PCInstance, _as_automaton, _check_arities,
                    _pcc_dp, format_formula, formula_events, parse_formula)
 from .relational import Bag, Fact, Instance, TreeDecomposition
-from .trees import Node
+from .trees import Node, fold, preorder
 
 BOT = "bot"  # padding label of the LCRS transform
 
@@ -73,38 +73,42 @@ def doc_nodes(root):
 # LCRS
 
 
+def _doc_children(node):
+    return [c for _, c in node.children]
+
+
 def lcrs(root):
     """Binary full tree: left edge = first child, right edge = next
     sibling, completed with bot leaves.  Labels are (PrXMLNode, edge
     annotation) pairs, bot leaves are labeled None."""
 
-    def pad():
-        return Node(None)
+    def chain(node, below):
+        # node's left subtree: its children linked by right edges, built
+        # from the last; below holds each child's own left subtree
+        out = Node(None)
+        for (edge, c), left in zip(reversed(node.children), reversed(below)):
+            out = Node((c, edge), left, out)
+        return out
 
-    def conv(seq):
-        # seq: remaining (edge, node) siblings; rightmost first built
-        if not seq:
-            return pad()
-        (edge, node), rest = seq[0], seq[1:]
-        return Node((node, edge), conv(node.children), conv(rest))
-
-    return Node((root, None), conv(root.children), pad())
+    return Node((root, None), fold(root, _doc_children, chain), Node(None))
 
 
 def unlcrs(tree):
     """Inverse transform (fresh PrXMLNode objects)."""
 
-    def siblings(node):
+    def doc_children(node):
         out = []
+        node = node.left
         while node.label is not None:
-            src, edge = node.label
-            out.append((edge, PrXMLNode(src.label, src.kind,
-                                        siblings(node.left))))
+            out.append(node)
             node = node.right
         return out
 
-    src, _ = tree.label
-    return PrXMLNode(src.label, src.kind, siblings(tree.left))
+    def make(node, kids):
+        src, edge = node.label
+        return edge, PrXMLNode(src.label, src.kind, kids)
+
+    return fold(tree, doc_children, make)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +162,9 @@ def xml_relational_encoding(root):
 
 def _rebuild(root, make):
     """make(node, [(edge, converted child)]) on every node of a document,
-    children first and left to right, by an explicit stack; returns the
-    root's result."""
-    done = []
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for _, c in reversed(node.children))
-            continue
-        cut = len(done) - len(node.children)
-        kids = [(e, c) for (e, _), c in zip(node.children, done[cut:])]
-        del done[cut:]
-        done.append(make(node, kids))
-    return done[0]
+    children first and left to right; returns the root's result."""
+    return fold(root, _doc_children, lambda node, kids: make(node, [
+        (e, c) for (e, _), c in zip(node.children, kids)]))
 
 
 def _det():
@@ -281,18 +273,7 @@ def _scope_sets(doc):
     """Per-LCRS-node event scopes; returns (tree, {id(node): set})."""
     tree = lcrs(doc.root)
     scopes = {}
-
-    def nodes(t):
-        out = []
-        stack = [t]
-        while stack:
-            n = stack.pop()
-            out.append(n)
-            if not n.is_leaf():
-                stack.extend((n.left, n.right))
-        return out
-
-    allnodes = nodes(tree)
+    allnodes = preorder(tree)
     for e in doc.events:
         counts = {}
         total = 0
@@ -489,16 +470,16 @@ def _edge_to_json(kind, edge, node_json):
 
 
 def doc_to_json(doc):
-    def conv(node):
+    def conv(node, kids):
         out = {"label": node.label}
         if node.kind != "regular":
             out["kind"] = node.kind
         if node.children:
-            out["children"] = [_edge_to_json(node.kind, e, conv(c))
-                               for e, c in node.children]
+            out["children"] = [_edge_to_json(node.kind, e, c)
+                               for e, c in kids]
         return out
 
-    out = {"tree": conv(doc.root)}
+    out = {"tree": _rebuild(doc.root, conv)}
     if doc.events:
         out["events"] = {e: "%d/%d" % (p.numerator, p.denominator)
                          for e, p in sorted(doc.events.items())}
@@ -511,17 +492,18 @@ def doc_from_json(data):
     else:
         tree, events = data, {}
 
-    def conv(d):
+    def conv(d, kids):
         kind = d.get("kind", "regular")
-        children = []
+        edges = []
         for c in d.get("children", []):
             if kind in ("mux", "ind"):
-                edge = Fraction(c["prob"])
+                edges.append(Fraction(c["prob"]))
             elif kind == "fie":
-                edge = parse_formula(c["cond"])
+                edges.append(parse_formula(c["cond"]))
             else:
-                edge = None
-            children.append((edge, conv(c["node"])))
-        return PrXMLNode(d["label"], kind, children)
+                edges.append(None)
+        return PrXMLNode(d["label"], kind, list(zip(edges, kids)))
 
-    return PrXMLDoc(conv(tree), events)
+    return PrXMLDoc(fold(tree, lambda d: [c["node"] for c in
+                                          d.get("children", [])], conv),
+                    events)

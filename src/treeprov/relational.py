@@ -4,6 +4,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import NoDecomposition
+from .trees import fold
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,10 @@ class Bag:
 
     def __repr__(self):
         return "Bag(%s)" % sorted(self.dom, key=str)
+
+
+def _children(bag):
+    return bag.children
 
 
 class TreeDecomposition:
@@ -413,18 +418,12 @@ def normalize_decomposition(decomposition):
     def pad():
         return Bag(frozenset())
 
-    def binarize_children(dom, kids):
-        """Attach a list of built subtrees below a chain of dom-copies."""
-        if len(kids) <= 2:
-            return list(kids)
-        helper = Bag(dom, binarize_children(dom, kids[1:]))
-        return [kids[0], helper]
-
-    def build(bag):
-        kids = [build(c) for c in bag.children]
-        kids = binarize_children(bag.dom, kids)
+    def build(bag, kids):
+        # fan-out hangs below a chain of copies of the bag
+        while len(kids) > 2:
+            kids[-2:] = [Bag(bag.dom, kids[-2:])]
         if len(kids) == 1:
-            kids = [kids[0], pad()]
+            kids.append(pad())
         facts = assigned[id(bag)]
         chain_facts = facts if facts else [None]
         # bottom of the chain carries the children
@@ -437,7 +436,7 @@ def normalize_decomposition(decomposition):
                 node = Bag(bag.dom, [node, pad()], fs)
         return node
 
-    root = build(decomposition.root)
+    root = fold(decomposition.root, _children, build)
     return TreeDecomposition(root, instance, normalized=True)
 
 
@@ -472,21 +471,19 @@ def instance_from_json(data):
 
 
 def decomposition_to_json(decomposition):
-    def conv(bag):
+    def conv(bag, kids):
         out = {"dom": sorted(bag.dom, key=str)}
         if bag.facts:
             out["facts"] = list(bag.facts)
-        if bag.children:
-            out["children"] = [conv(c) for c in bag.children]
+        if kids:
+            out["children"] = kids
         return out
 
-    return conv(decomposition.root)
+    return fold(decomposition.root, _children, conv)
 
 
 def decomposition_from_json(data, instance=None):
-    def conv(node):
-        return Bag(node["dom"],
-                   [conv(c) for c in node.get("children", [])],
-                   tuple(node.get("facts", [])))
-
-    return TreeDecomposition(conv(data), instance)
+    return TreeDecomposition(fold(
+        data, lambda node: node.get("children", []),
+        lambda node, kids: Bag(node["dom"], kids,
+                               tuple(node.get("facts", [])))), instance)

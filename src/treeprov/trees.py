@@ -1,7 +1,10 @@
-"""Rooted ordered binary full trees with arbitrary hashable labels.
+"""Rooted ordered binary full trees with arbitrary hashable labels,
+and `fold`, the one bottom-up walk of any tree-shaped data.
 
 Every node has either zero or two children.  Nodes are identified by
 object identity; `postorder`/`preorder` give stable traversal orders.
+`fold`, `postorder` and `preorder` keep an explicit stack, so the depth
+of a tree is bounded by memory, not by the recursion limit.
 """
 
 
@@ -20,6 +23,31 @@ class Node:
 
     def __repr__(self):
         return "Node(%r%s)" % (self.label, "" if self.is_leaf() else ", ...")
+
+
+def children(node):
+    """A node's children: () for a leaf, else (left, right)."""
+    return () if node.left is None else (node.left, node.right)
+
+
+def fold(root, children, make):
+    """make(node, [results of children(node)]) on every node below root,
+    children first and in order, by an explicit stack; returns the
+    root's result."""
+    done = []
+    stack = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            kids = children(node)
+            stack.append((node, kids))
+            stack.extend((c, None) for c in reversed(kids))
+            continue
+        cut = len(done) - len(kids)
+        result = make(node, done[cut:])
+        del done[cut:]
+        done.append(result)
+    return done[0]
 
 
 def postorder(root):
@@ -65,14 +93,7 @@ def parents(root):
 
 def map_labels(root, f):
     """New tree with the same shape and labels f(old_label)."""
-    # bottom-up rebuild
-    rebuilt = {}
-    for n in postorder(root):
-        if n.is_leaf():
-            rebuilt[n] = Node(f(n.label))
-        else:
-            rebuilt[n] = Node(f(n.label), rebuilt[n.left], rebuilt[n.right])
-    return rebuilt[root]
+    return fold(root, children, lambda n, kids: Node(f(n.label), *kids))
 
 
 def full_binary(depth, label):

@@ -88,6 +88,76 @@ def bid_worlds(bid):
 
 
 # ---------------------------------------------------------------------------
+# Formulas
+
+
+def parse_formula(text):
+    """Recursive-descent parser of the grammar of `prob.parse_formula`,
+    its reference: OR-expr of AND-exprs of literals; literals are event
+    names, constants 0/1, !lit, and parenthesized expressions."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()!&|":
+            tokens.append(c)
+            i += 1
+        elif c.isalnum() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        else:
+            raise SyntaxError("bad character %r at position %d" % (c, i))
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take():
+        t = peek()
+        pos[0] += 1
+        return t
+
+    def literal():
+        t = take()
+        if t == "!":
+            return ("not", literal())
+        if t == "(":
+            f = or_expr()
+            if take() != ")":
+                raise SyntaxError("missing )")
+            return f
+        if t in ("0", "1"):
+            return ("const", t == "1")
+        if t is None or t in "()!&|":
+            raise SyntaxError("unexpected token %r" % t)
+        return ("var", t)
+
+    def and_expr():
+        f = literal()
+        while peek() == "&":
+            take()
+            f = ("and", f, literal())
+        return f
+
+    def or_expr():
+        f = and_expr()
+        while peek() == "|":
+            take()
+            f = ("or", f, and_expr())
+        return f
+
+    f = or_expr()
+    if peek() is not None:
+        raise SyntaxError("trailing input in formula")
+    return f
+
+
+# ---------------------------------------------------------------------------
 # PrXML documents
 
 

@@ -130,6 +130,29 @@ def test_provenance_nx_size_cap_exit_code(capsys, monkeypatch, tmp_path):
     assert captured.err == "size cap: polynomial exceeded 10 monomials\n"
 
 
+def test_deep_path(capsys, tmp_path):
+    """A 600-edge path: provenance and count work, while its
+    decomposition and encoding nest deeper than the json module can
+    write, which is one stderr line and exit code 3."""
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps({"signature": {"R": 2}, "facts": [
+        {"rel": "R", "args": ["v%d" % i, "v%d" % (i + 1)]}
+        for i in range(600)]}))
+    q = "R(x,y), R(y,z)"
+    for mode in ("bool", "nx"):
+        code, out = run_main(capsys, "provenance", "--instance", str(p),
+                             "--query", q, "--mode", mode)
+        assert code == 0 and json.loads(out)["gates"]
+    assert run_main(capsys, "count", "--instance", str(p), "--query", q,
+                    "--free", "x") == (0, "599\n")
+    for args in (["decompose", "--normalize"], ["encode"]):
+        assert main([*args, "--instance", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("size cap: the output nests deeper than "
+                                "the json module can write\n")
+
+
 def test_provenance_nx_semiring(capsys, instance_file, tmp_path):
     assign = tmp_path / "assign.json"
     assign.write_text(json.dumps({"F1": 1, "F2": 1, "F3": 1}))
@@ -195,6 +218,8 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
     no_prob = tmp_path / "no_prob.json"
     no_prob.write_text(json.dumps(
         {"signature": {"R": 2}, "facts": [{"rel": "R", "args": ["a", "b"]}]}))
+    too_deep = tmp_path / "too_deep.json"
+    too_deep.write_text("[" * 5000 + "]" * 5000)
     cases = [
         (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
         (("count", "--query", "R(x)", "--free", "x",
@@ -209,6 +234,9 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
         (("prob", "--query", "R(x,y)", "--bid", str(no_prob)), "'prob'"),
         (("prob", "--query", "R(x,y)", "--pcc", str(no_signature)),
          "'instance'"),
+        (("decode", "--encoding", str(too_deep)), "nests deeper"),
+        (("prxml-convert", "--input", str(too_deep), "--to", "fie"),
+         "nests deeper"),
     ]
     for args, needle in cases:
         assert main(list(args)) == 4

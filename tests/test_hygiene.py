@@ -1,10 +1,14 @@
 """Every name a module imports is used in that module, every parameter
-of a package function is read, and the package never sorts by ``repr``.
+of a package function is read, the package never sorts by ``repr``, and
+no package function calls itself.
 
 The import scan covers the package modules and the test files;
 ``__init__.py`` is left out, since its imports are the package's
 re-exports.  The ``repr`` of a set lists its members in hash order, so a
-``repr``-keyed sort makes the output depend on ``PYTHONHASHSEED``."""
+``repr``-keyed sort makes the output depend on ``PYTHONHASHSEED``.  A
+walk that recurses fails with ``RecursionError`` on an input about
+1,000 levels deep, so walks whose depth follows the input use
+``trees.fold``, ``postorder``/``preorder`` or a loop."""
 
 import ast
 from pathlib import Path
@@ -106,3 +110,38 @@ def test_package_does_not_sort_by_repr():
     found = {str(path.relative_to(ROOT)): lines for path in PACKAGE
              for lines in [repr_sorts(path.read_text())] if lines}
     assert not found, "sorted by repr: %s" % found
+
+
+def self_recursive(source):
+    """(line, function) of each def whose body, nested functions
+    included, calls the def's own name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == node.name
+                for stmt in node.body for n in ast.walk(stmt)):
+            out.append((node.lineno, node.name))
+    return sorted(out)
+
+
+def test_scanner_flags_self_recursion():
+    source = ("def f(n):\n    return f(n - 1) if n else 0\n"
+              "def g(x):\n    def h(y):\n        return [h(z) for z in y]\n"
+              "    return h(x)\n"
+              "def k(x):\n    return f(x) + x.k()\n")
+    assert self_recursive(source) == [(1, "f"), (4, "h")]
+
+
+# depth bounded by the query (_state_key) or by the argument (the test
+# helpers full_binary and enumerate_shapes), not by the input tree
+RECURSION_ALLOWED = {("provcirc.py", "_state_key"),
+                     ("trees.py", "full_binary"),
+                     ("trees.py", "enumerate_shapes")}
+
+
+def test_package_walks_do_not_recurse():
+    found = sorted((path.name, line, name) for path in PACKAGE
+                   for line, name in self_recursive(path.read_text())
+                   if (path.name, name) not in RECURSION_ALLOWED)
+    assert not found, "self-recursive functions: %s" % found

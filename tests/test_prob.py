@@ -22,6 +22,7 @@ from genutil import (rand_bid, rand_decomposed_circuit, rand_instance,
                      rand_pc, rand_pcc, rand_ucq)
 from oracles import (bid_worlds, brute_force_prob, instances_isomorphic,
                      pc_worlds, pcc_worlds)
+from oracles import parse_formula as reference_parse_formula
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,55 @@ def test_format_formula_roundtrip():
         for bits in itertools.product((0, 1), repeat=3):
             nu = dict(zip("abc", bits))
             assert eval_formula(f, nu) == eval_formula(g, nu)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except SyntaxError as exc:
+        return str(exc)
+
+
+def test_parse_formula_matches_recursive_descent():
+    """Same AST or same SyntaxError message as the recursive-descent
+    reference, on random strings of up to 12 tokens."""
+    rng = random.Random(12)
+    pieces = ["a", "b", "0", "1", "!", "(", ")", "&", "|", " "]
+    outcomes = set()
+    for _ in range(30000):
+        text = "".join(rng.choice(pieces)
+                       for _ in range(rng.randint(0, 12)))
+        expected = parse_outcome(reference_parse_formula, text)
+        assert parse_outcome(parse_formula, text) == expected, text
+        outcomes.add(expected if isinstance(expected, str) else "ok")
+    assert outcomes == {"ok", "missing )", "trailing input in formula",
+                        "unexpected token None", "unexpected token ')'",
+                        "unexpected token '&'", "unexpected token '|'"}
+
+
+def test_deep_formulas():
+    """3,000 conjuncts, 3,000 negations and 3,000 open parentheses."""
+    names = ["a%d" % i for i in range(3000)]
+    conj = " & ".join(names)
+    f = parse_formula(conj)
+    assert format_formula(f) == conj
+    assert eval_formula(f, dict.fromkeys(names, 1))
+    assert not eval_formula(f, {**dict.fromkeys(names, 1), "a1500": 0})
+    for n in (2999, 3000):
+        f = parse_formula("!" * n + "a")
+        assert format_formula(f) == "!" * n + "a"
+        assert eval_formula(f, {"a": 1}) == (n % 2 == 0)
+    nested = "!(a & " * 3000 + "a" + ")" * 3000
+    f = parse_formula(nested)
+    assert format_formula(f) == nested
+    for a in (0, 1):
+        value = a
+        for _ in range(3000):
+            value = not (a and value)
+        assert eval_formula(f, {"a": a}) == value
+    assert parse_formula("(" * 3000 + "a" + ")" * 3000) == ("var", "a")
+    with pytest.raises(SyntaxError, match="missing"):
+        parse_formula("(" * 3000 + "a" + ")" * 2999)
 
 
 # ---------------------------------------------------------------------------

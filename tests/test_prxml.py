@@ -252,16 +252,31 @@ def test_k_bounds_the_joint_width():
         prxml_query_probability(q, doc, width - 1)
 
 
+def doc_shape(root):
+    """Each node's label, kind and edges, in preorder: the document up
+    to node identity, read without recursion."""
+    return [(n.label, n.kind, [e for e, _ in n.children])
+            for n in doc_nodes(root)]
+
+
 def test_deep_documents():
     """Wide and deep documents at the default recursion limit: 1,000 ind
-    siblings become a 1,000-deep chain, and 300 nested ind levels."""
+    siblings become a 1,000-deep chain, and 300 nested ind levels.  Their
+    JSON and LCRS forms, and those of their fie forms, round-trip."""
     wide = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
         "i", "ind", [(Fraction(1, 2), PrXMLNode("a"))
                      for _ in range(1000)]))]))
+    deep = nested_document(300)
     q = parse_ucq("P_a(x)")
     assert prxml_query_probability(q, wide) == 1 - Fraction(1, 2 ** 1000)
-    assert prxml_query_probability(q, nested_document(300)) == \
-        Fraction(1, 2 ** 300)
+    assert prxml_query_probability(q, deep) == Fraction(1, 2 ** 300)
+    for doc in (wide, deep):
+        for d in (doc, muxind_to_fie(muxind_to_binary(doc))):
+            shape = doc_shape(d.root)
+            back = doc_from_json(doc_to_json(d))
+            assert back.events == d.events
+            assert doc_shape(back.root) == shape
+            assert doc_shape(unlcrs(lcrs(d.root))) == shape
 
 
 def test_doc_json_roundtrip():

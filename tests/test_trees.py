@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from treeprov.trees import (Node, enumerate_shapes, full_binary, map_labels,
-                            parents, postorder, preorder, size)
+from treeprov.trees import (Node, enumerate_shapes, fold, full_binary,
+                            map_labels, parents, postorder, preorder, size)
 
 from genutil import rand_tree
 
@@ -77,3 +77,23 @@ def test_deep_tree_no_recursion_error():
     for _ in range(5000):
         t = Node("x", t, Node("x"))
     assert size(t) == 10001
+
+
+def test_fold_children_first_in_order():
+    """fold on an unranked tree of (label, children) pairs: make sees a
+    node after all its children, left to right, and 5,000 levels need
+    no recursion."""
+    tree = ("r", [("a", [("b", []), ("c", [])]), ("d", []),
+                  ("e", [("f", [])])])
+    order = []
+
+    def make(node, kids):
+        order.append(node[0])
+        return "%s(%s)" % (node[0], ",".join(kids))
+
+    assert fold(tree, lambda n: n[1], make) == "r(a(b(),c()),d(),e(f()))"
+    assert order == list("bcadfer")
+    deep = ("x", [])
+    for _ in range(5000):
+        deep = ("x", [deep, ("y", [])])
+    assert fold(deep, lambda n: n[1], lambda n, kids: 1 + sum(kids)) == 10001
