@@ -5,6 +5,20 @@ Transition structure is exposed through functions (label -> state set,
 alphabets (the k-fact alphabet and its annotated products) never have to
 materialize their label universe.  Table-backed automata additionally
 carry explicit state and label sets and support JSON round-trips.
+
+An automaton may also carry `project(q, label)`: the part of state q
+that a parent node with this label reads, or None when no run through
+q continues there.  It may depend only on the label's domain, and
+delta(q1, q2, l) == delta(project(q1, l), project(q2, l), l), which is
+EMPTY when either side is None; None as the field means the identity.
+A provenance circuit then pairs a child's projected states, so states
+that differ only in what the parent drops are paired once.  The
+placement automaton of `ucq` sets it: its state is a descriptor
+(slots, placed), a tuple holding each query variable's slot (0 while
+unbound) and the bitmask of the atoms placed below, and its projection
+drops the slots outside the parent's domain.  `union` tags projected
+states with their disjunct and `memoized` keeps the field; the other
+constructions, and table-backed and JSON automata, carry none.
 """
 
 import itertools
@@ -27,12 +41,15 @@ def state_cap(override=None):
 
 
 class BNTA:
-    """states/labels may be None for lazily-defined automata."""
+    """states/labels may be None for lazily-defined automata; project,
+    if not None, is the projection of the module docstring."""
 
-    def __init__(self, iota, delta, is_final, states=None, labels=None):
+    def __init__(self, iota, delta, is_final, states=None, labels=None,
+                 project=None):
         self.iota = iota
         self.delta = delta
         self.is_final = is_final
+        self.project = project
         self.states = list(states) if states is not None else None
         self.labels = set(labels) if labels is not None else None
         self.iota_map = None
@@ -74,7 +91,8 @@ def memoized(automaton):
         return v
 
     return BNTA(miota, mdelta, automaton.is_final,
-                states=automaton.states, labels=automaton.labels)
+                states=automaton.states, labels=automaton.labels,
+                project=automaton.project)
 
 
 def reachable_sets(automaton, root):
@@ -168,16 +186,29 @@ def union(automata):
         j, q2 = s2
         if i != j:
             return EMPTY
-        return frozenset((i, q) for q in automata[i].delta(q1, q2, l))
+        states = automata[i].delta(q1, q2, l)
+        return frozenset((i, q) for q in states) if states else EMPTY
 
     def is_final(s):
         i, q = s
         return automata[i].is_final(q)
 
+    projects = [a.project for a in automata]
+
+    def project(s, l):
+        i, q = s
+        if projects[i] is None:
+            return s
+        p = projects[i](q, l)
+        if p is None:
+            return None
+        return s if p is q else (i, p)
+
     states = None
     if all(a.states is not None for a in automata):
         states = [(i, q) for i, a in enumerate(automata) for q in a.states]
-    return BNTA(iota, delta, is_final, states=states)
+    return BNTA(iota, delta, is_final, states=states,
+                project=project if any(projects) else None)
 
 
 def intersect(a1, a2):

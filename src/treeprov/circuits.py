@@ -210,6 +210,11 @@ CIRCUIT_SIGNATURE = {"R_inp": 1, "R_0": 1, "R_1": 1,
 
 def circuit_relational_encoding(circuit):
     """Instance over the circuit schema; elements are the gate ids."""
+    return Instance(CIRCUIT_SIGNATURE, _circuit_facts(circuit))
+
+
+def _circuit_facts(circuit):
+    """The facts of `circuit_relational_encoding`, not yet validated."""
     facts = []
     n = 0
 
@@ -231,7 +236,7 @@ def circuit_relational_encoding(circuit):
                 add("R_and" if t == "and" else "R_or", (g, ins[0], ins[1]))
             else:
                 raise ValueError("relational encoding needs arity-two form")
-    return Instance(CIRCUIT_SIGNATURE, facts)
+    return facts
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ tree labeled with k-facts; decoding reads the tree top-down, picking
 fresh elements for slots not shared with the parent.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .relational import (Fact, Instance, TreeDecomposition,
                          normalize_decomposition)
@@ -19,9 +19,18 @@ class KFact:
     dom: frozenset
     rel: object = None  # relation name or None
     args: tuple = ()
+    # the hash, computed once: labels key every automaton memo lookup
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.dom, self.rel, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
     def neuter(self):
-        return KFact(self.dom)
+        return self if self.rel is None else KFact(self.dom)
 
     def __repr__(self):
         d = ",".join("a%d" % s for s in sorted(self.dom))
@@ -44,6 +53,9 @@ def alphabet_label(dom, struct, k):
     if not set(args) <= dom:
         raise ValueError("fact arguments outside the label domain")
     return KFact(dom, rel, tuple(args))
+
+
+_PAD = KFact(frozenset())  # the label of every padding leaf
 
 
 class TreeEncoding:
@@ -81,6 +93,11 @@ def encode(instance, decomposition):
     stack = [(decomposition.root, {}, False)]
     while stack:
         bag, slot_of, up = stack.pop()
+        if not (up or bag.dom or bag.facts or bag.children):
+            node = Node(_PAD)  # a padding leaf needs no slots
+            node_bag[id(node)] = bag
+            done.append(node)
+            continue
         if not up:
             used = set(slot_of.values())
             slot_of = {a: s for a, s in slot_of.items() if a in bag.dom}

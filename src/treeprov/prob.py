@@ -15,10 +15,11 @@ step a bag's gates with one helper, `_bag_step`.
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .automata import lazy_determinize, memoized
-from .circuits import (Circuit, arity_two, circuit_from_json,
-                       circuit_relational_encoding, circuit_to_json)
+from .circuits import (Circuit, _circuit_facts, arity_two,
+                       circuit_from_json, circuit_to_json)
 from .encoding import encode
 from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
@@ -384,10 +385,11 @@ def joint_decomposition(pcc, k=None):
     """Relational encoding of a pcc-instance with an arity-two circuit:
     one fact per gate over gate elements, plus one ("plus", rel) fact
     per data fact linking its arguments to its gate; and a tree
-    decomposition of it of width at most k."""
+    decomposition of it of width at most k.  Each fact is validated
+    once, by the joint instance."""
     sig = {}
     facts = []
-    for f in circuit_relational_encoding(pcc.circuit).facts:
+    for f in _circuit_facts(pcc.circuit):
         sig[f.rel] = len(f.args)
         facts.append(Fact(f.rel, tuple(_gate_elem(a) for a in f.args), f.id))
     for rel, arity in pcc.instance.signature.items():
@@ -406,11 +408,12 @@ def cc_encode(pcc, decomposition):
     none per gate fact.  Each bag splits into its data elements, which
     `encode` turns into the tree encoding of pcc.instance, and its
     gates, the circuit bag of the same node; chi maps each fact's node
-    to the fact's gate."""
-    joint = decomposition.instance
+    to the fact's gate.  Normalizing reads only the facts of the
+    decomposition's instance, so it gets the plus facts as they are,
+    validated already."""
     decomposition = normalize_decomposition(TreeDecomposition(
-        decomposition.root, Instance(joint.signature, [
-            f for f in joint.facts
+        decomposition.root, SimpleNamespace(facts=[
+            f for f in decomposition.instance.facts
             if isinstance(f.rel, tuple) and f.rel[0] == "plus"])))
 
     def split(bag, kids):
@@ -610,6 +613,8 @@ def bid_to_pcc(bid, k=None):
     decomp = normalize_decomposition(tree_decomposition(instance, k))
     assigned = decomp.assigned_bag()
     bags = decomp.bags()
+    # gate ids number a bag by its place in bags(), not by its address
+    number = {id(b): n for n, b in enumerate(bags)}
 
     gates = {}
     probs = {}
@@ -656,16 +661,17 @@ def bid_to_pcc(bid, k=None):
         stack = [(top, g_root)]  # (bag, its gate), parents first
         while stack:
             b, g_in = stack.pop()
+            nb = number[id(b)]
             invariant_probs[g_in] = wc[id(b)]
             h = w.get(id(b), Fraction(0))
             rest = wc[id(b)] - h
             cond = g_in
             if h > 0:
                 if rest > 0:
-                    gh = add_input(("bid", bi, id(b), "h"), h / wc[id(b)])
-                    sel = add(("bid", bi, id(b), "sel"), "and", (gh, g_in))
-                    ngh = add(("bid", bi, id(b), "nh"), "not", (gh,))
-                    cond = add(("bid", bi, id(b), "rest"), "and", (g_in, ngh))
+                    gh = add_input(("bid", bi, nb, "h"), h / wc[id(b)])
+                    sel = add(("bid", bi, nb, "sel"), "and", (gh, g_in))
+                    ngh = add(("bid", bi, nb, "nh"), "not", (gh,))
+                    cond = add(("bid", bi, nb, "rest"), "and", (g_in, ngh))
                 else:
                     sel = g_in
                 for f in facts:
@@ -678,10 +684,10 @@ def bid_to_pcc(bid, k=None):
                     stack.append((kids[0], cond))
                 else:
                     wl = wc[id(kids[0])]
-                    sw = add_input(("bid", bi, id(b), "sw"), wl / rest)
-                    nsw = add(("bid", bi, id(b), "nsw"), "not", (sw,))
-                    gl = add(("bid", bi, id(b), "L"), "and", (cond, sw))
-                    gr = add(("bid", bi, id(b), "R"), "and", (cond, nsw))
+                    sw = add_input(("bid", bi, nb, "sw"), wl / rest)
+                    nsw = add(("bid", bi, nb, "nsw"), "not", (sw,))
+                    gl = add(("bid", bi, nb, "L"), "and", (cond, sw))
+                    gr = add(("bid", bi, nb, "R"), "and", (cond, nsw))
                     stack += [(kids[1], gr), (kids[0], gl)]
 
     out = add(("truegate",), "and")

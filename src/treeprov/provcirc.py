@@ -74,7 +74,14 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
     order, with the states of one transition taken in `_state_key`
     order, so the circuit does not depend on how states hash.  The bag
     of a node holds its own gates and its children's state gates.
+
+    If the automaton has a `project`, each child's states are projected
+    once per node, on the label read on 1 (it depends only on the
+    label's domain); the gates of states that project alike are ORed
+    into one gate, states that project to None are dropped, and only
+    then are the two children's states paired.
     Returns (circuit, decomposition)."""
+    project = automaton.project
     gates = {}
     reach = {}  # id(node) -> {state: gate, or None for 1}, first seen first
     bags = {}
@@ -94,6 +101,8 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
 
     def disj(gid, ins):
         """OR of ins as a chain of fan-in-2 gates, the last one gid."""
+        if len(ins) == 1:
+            return ins[0]
         ins = list(dict.fromkeys(ins))
         if None in ins:
             return None
@@ -108,6 +117,11 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
         None at a leaf) to the states reached on reading 0 (s0) or 1
         (s1); js numbers the child states in gate ids."""
         nonlocal neg
+        if not s0:
+            g1 = conj(("pi", i) + js, g, x)
+            for q in _in_order(s1, keys):
+                targets.setdefault(q, []).append(g1)
+            return
         if monotone and not s0 <= s1:
             raise NotMonotone("label %r reaches a state on 0 but not on 1"
                               % (tau,))
@@ -123,6 +137,16 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
             g0 = conj(("pni", i) + js, g, neg)
             for q in _in_order(s0 - s1, keys):
                 targets.setdefault(q, []).append(g0)
+
+    def projected(states, side):
+        """A child's {state: gate} as the node being built reads it."""
+        groups = {}
+        for q, g in states.items():
+            p = project(q, l1)
+            if p is not None:
+                groups.setdefault(p, []).append(g)
+        return {p: disj((side, i, j), gs)
+                for j, (p, gs) in enumerate(groups.items())}
 
     for i, n in enumerate(postorder(root)):
         tau = n.label
@@ -141,6 +165,11 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
         else:
             rl = reach.pop(id(n.left))
             rr = reach.pop(id(n.right))
+            dom.extend(g for g in (*rl.values(), *rr.values())
+                       if g is not None)
+            if project is not None:
+                rl = projected(rl, "ul")
+                rr = projected(rr, "ur")
             for jl, (ql, gl) in enumerate(rl.items()):
                 for jr, (qr, gr) in enumerate(rr.items()):
                     s1 = automaton.delta(ql, qr, l1)
@@ -149,8 +178,6 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
                     if s0 or s1:
                         follow(conj(("p", i, jl, jr), gl, gr), s0, s1,
                                (jl, jr))
-            dom.extend(g for g in (*rl.values(), *rr.values())
-                       if g is not None)
             kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
         reach[id(n)] = {q: disj(("q", i, j), lst)
                         for j, (q, lst) in enumerate(targets.items())}

@@ -180,52 +180,22 @@ def nx_provenance_bruteforce(q, instance):
 # Partial-match automata
 
 
-def _bind(cq, mu, pairs):
-    """The binding mu extended by (variable, slot) pairs, or None if a
-    variable would get two slots or two variables required distinct
-    would share a slot (distinct slots are distinct elements)."""
-    new = dict(mu)
-    for v, s in pairs:
-        if new.setdefault(v, s) != s:
-            return None
-    for pair in cq.diseqs:
-        x, y = tuple(pair)
-        if x in new and y in new and new[x] == new[y]:
-            return None
-    return new
-
-
-def _project(cq, desc, dom):
-    """A child's descriptor seen from its parent, whose slots are dom.
-    A descriptor binds only slots of its own node, and a slot the parent
-    shares names the same element there, so bindings to slots outside dom
-    are dropped.  None if a dropped variable still occurs in an unmatched
-    atom: its element has left scope for good."""
-    mu, matched = desc
-    keep = {}
-    gone = set()
-    for v, s in mu:
-        if s in dom:
-            keep[v] = s
-        else:
-            gone.add(v)
-    if gone:
-        for idx, a in enumerate(cq.atoms):
-            if idx not in matched and gone & set(a.vars):
-                return None
-    return (frozenset(keep.items()), matched)
-
-
 _ACCEPT = "accept"
 _SINK = frozenset([_ACCEPT])
-_NO_MATCH = (frozenset(), frozenset())  # the empty descriptor
 
 
-def _accepting(automaton):
+def _no_match(cq):
+    """The empty descriptor of cq's placement automaton."""
+    return ((0,) * len(cq.variables), 0)
+
+
+def _accepting(automaton, no_match):
     """One disjunct's placement automaton with every full descriptor
     renamed to one absorbing accepting state, which moves up only beside
-    the empty descriptor (see `compile_bool` for why this is exact)."""
+    the empty descriptor no_match (see `compile_bool` for why this is
+    exact).  The accepting state projects to itself."""
     final = automaton.is_final
+    project = automaton.project
 
     def rename(states):
         if any(map(final, states)):
@@ -234,29 +204,34 @@ def _accepting(automaton):
 
     def delta(q1, q2, l):
         if q1 == _ACCEPT or q2 == _ACCEPT:
-            return _SINK if _NO_MATCH in (q1, q2) else EMPTY
+            return _SINK if no_match in (q1, q2) else EMPTY
         return rename(automaton.delta(q1, q2, l))
 
+    def project_accepting(q, l):
+        return q if q == _ACCEPT else project(q, l)
+
     return BNTA(lambda l: rename(automaton.iota(l)), delta,
-                lambda q: q == _ACCEPT)
+                lambda q: q == _ACCEPT, project=project_accepting)
 
 
 def compile_bool(q):
     """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
     per disjunct, the placement automaton that lets a fact hold any
     number of atoms, with every full descriptor renamed to one absorbing
-    accepting state that moves up only beside the empty descriptor.
-    Runs are not unique: `_compile_det` is the deterministic version.
+    accepting state that moves up only beside the empty descriptor; the
+    union is memoized as a whole.  Runs are not unique: `_compile_det`
+    is the deterministic version.
 
     This is exact: every node reaches the empty descriptor under every
     valuation (a fact may hold no atom), a full descriptor never fails
-    `_project` (no unmatched atom is left to lose a variable), and a
+    to project (no unmatched atom is left to lose a variable), and a
     full descriptor beside the empty one gives a full descriptor again.
     So a full match below a node is a full match at the root."""
     if isinstance(q, CQ):
         q = UCQ((q,))
-    return union([_accepting(memoized(placement_automaton(d, any_count=True)))
-                  for d in q.disjuncts])
+    return memoized(union([
+        _accepting(placement_automaton(d, any_count=True), _no_match(d))
+        for d in q.disjuncts]))
 
 
 def _accepting_sink(subsets):
@@ -300,50 +275,100 @@ def placement_automaton(cq, any_count=False):
     annotated `ann`; other nodes must be annotated 0.  With any_count,
     labels are bare KFacts and a fact node places any number of atoms.
 
-    A state is one descriptor: a partial variable->slot map with the set
-    of atoms placed in the subtree.  Children that both placed an atom
-    are rejected, so each atom sits on exactly one fact.
-    """
-    atoms = cq.atoms
-    full = frozenset(range(len(atoms)))
+    A state is one descriptor (slots, placed): slots has one entry per
+    variable of cq.variables, the slot (1..2k+2) it is bound to or 0
+    while unbound, and placed is the bitmask of the atoms placed in the
+    subtree.  Children that both placed an atom are rejected, so each
+    atom sits on exactly one fact.  Two variables required distinct
+    never share a slot (elements out of scope are distinct from all in
+    scope).
 
-    def place(mu, matched, label):
+    `project(q, label)` is a child's descriptor seen from a parent
+    labelled label: a descriptor binds only slots of its own node, and
+    a slot the parent shares names the same element there, so bindings
+    to slots outside the parent's domain are dropped.  It is None if a
+    dropped variable still occurs in an unplaced atom: its element has
+    left scope for good.  `delta` projects both children first.
+    """
+    index = {v: i for i, v in enumerate(cq.variables)}
+    atom_vars = [tuple(index[v] for v in a.vars) for a in cq.atoms]
+    occurs = [0] * len(index)  # per variable, the mask of its atoms
+    by_sig = {}  # (rel, arity) -> indexes of the atoms of that shape
+    for idx, (a, vs) in enumerate(zip(cq.atoms, atom_vars)):
+        for v in vs:
+            occurs[v] |= 1 << idx
+        by_sig.setdefault((a.rel, len(vs)), []).append(idx)
+    diseqs = [(index[x], index[y]) for x, y in map(tuple, cq.diseqs)
+              if x in index and y in index]
+    full = (1 << len(cq.atoms)) - 1
+    unbound = (0,) * len(index)
+
+    def bind(slots, pairs):
+        """slots extended by (variable, slot) pairs, or None if a
+        variable would get two slots or two variables required distinct
+        would share one."""
+        new = list(slots)
+        for v, s in pairs:
+            if not new[v]:
+                new[v] = s
+            elif new[v] != s:
+                return None
+        for x, y in diseqs:
+            if new[x] and new[x] == new[y]:
+                return None
+        return tuple(new)
+
+    in_scope = {}  # dom -> dom and 0: the slot values dom keeps
+
+    def project(q, label):
+        dom = (label if any_count else label[0]).dom
+        slots, placed = q
+        keeps = in_scope.get(dom)
+        if keeps is None:
+            keeps = in_scope[dom] = dom | {0}
+        if keeps.issuperset(slots):
+            return q
+        gone = [v for v, s in enumerate(slots) if s not in keeps]
+        if any(occurs[v] & ~placed for v in gone):
+            return None
+        return (tuple(s if s in dom else 0 for s in slots), placed)
+
+    def place(slots, placed, label):
         kf, ann = (label, 0) if any_count else label
-        if kf.rel is None:
-            if ann:
-                return EMPTY
-            return frozenset([(frozenset(mu.items()), matched)])
-        fit = [idx for idx, a in enumerate(atoms)
-               if idx not in matched and a.rel == kf.rel
-               and len(a.vars) == len(kf.args)]
-        sizes = range(len(fit) + 1) if any_count else [ann]
-        out = set()
+        fit = [idx for idx in by_sig.get((kf.rel, len(kf.args)), ())
+               if not placed >> idx & 1]  # none on a node without a fact
+        if any_count or not ann:  # placing no atom keeps the descriptor
+            out = {(slots, placed)}
+            sizes = range(1, len(fit) + 1) if any_count else ()
+        else:
+            out, sizes = set(), [ann]
         for n in sizes:
             for chosen in itertools.combinations(fit, n):
-                new = _bind(cq, mu, [(v, s) for idx in chosen
-                                     for v, s in zip(atoms[idx].vars,
-                                                     kf.args)])
+                new = bind(slots, [(v, s) for idx in chosen
+                                   for v, s in zip(atom_vars[idx], kf.args)])
                 if new is not None:
-                    out.add((frozenset(new.items()), matched | set(chosen)))
+                    mask = placed
+                    for idx in chosen:
+                        mask |= 1 << idx
+                    out.add((new, mask))
         return frozenset(out)
 
     def iota(label):
-        return place({}, frozenset(), label)
+        return place(unbound, 0, label)
 
     def delta(q1, q2, label):
         if q1[1] & q2[1]:
             return EMPTY
-        dom = (label if any_count else label[0]).dom
-        d1 = _project(cq, q1, dom)
-        d2 = _project(cq, q2, dom)
+        d1 = project(q1, label)
+        d2 = project(q2, label)
         if d1 is None or d2 is None:
             return EMPTY
-        mu = _bind(cq, d1[0], d2[0])
-        if mu is None:
+        slots = bind(d1[0], [(v, s) for v, s in enumerate(d2[0]) if s])
+        if slots is None:
             return EMPTY
-        return place(mu, d1[1] | d2[1], label)
+        return place(slots, d1[1] | d2[1], label)
 
-    return BNTA(iota, delta, lambda q: q[1] == full)
+    return BNTA(iota, delta, lambda q: q[1] == full, project=project)
 
 
 def compile_bag(cq, p=None):

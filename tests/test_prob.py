@@ -1,6 +1,11 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -444,6 +449,43 @@ def test_bid_to_pcc_gate_marginals():
                 if eval_bool(sub, nu):
                     marginals[g] += w
         assert marginals == pcc.invariant_probs
+
+
+_BID_JSON = """
+import json
+from fractions import Fraction
+from treeprov.prob import BIDInstance, bid_to_pcc, pcc_to_json
+from treeprov.relational import make_instance
+
+facts = [("R", ("v%d" % i, "v%d" % (i + 1))) for i in range(5)]
+facts += [("R", ("v%d" % i, "w%d" % i)) for i in range(5)]
+inst = make_instance({"R": 2}, facts)
+bid = BIDInstance(inst, {"R": (0,)},
+                  {f.id: Fraction(1, 3) for f in inst.facts})
+print(json.dumps(pcc_to_json(bid_to_pcc(bid))))
+"""
+
+
+def test_bid_to_pcc_json_does_not_depend_on_the_run():
+    """pcc_to_json(bid_to_pcc(.)) comes out byte for byte the same in two
+    runs under one hash seed and in a run under another: gate ids
+    number bags by their place in the decomposition.  The blocks of two
+    facts spread over several bags, so the input names carry bag
+    numbers."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        outs.append(subprocess.run([sys.executable, "-c", _BID_JSON],
+                                   env=env, capture_output=True, check=True,
+                                   text=True).stdout)
+    names = [g["name"] for g in json.loads(outs[0])["circuit"]["gates"]
+             if g["type"] == "inp"]
+    assert any(name.endswith(("'h')", "'sw')")) for name in names)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_query_probability_bid_oracle():

@@ -199,6 +199,10 @@ _GRID_EDGES = ([(r * 5 + j, r * 5 + j + 1) for r in (0, 1) for j in range(4)]
 
 _UNIONS = ("R(x,y),S(y);S(x),R(y,x)",
            "R(x,y),S(y);S(x),R(y,x);R(x,y),R(y,z)")
+# the grid with a branch: at width 2, child states that differ in a
+# slot the parent drops project alike, on the left and on the right
+_BRANCHED_EDGES = _GRID_EDGES + [(2, 20), (7, 21), (20, 22)]
+_BRANCHED_UNION = "R(x,y),R(y,z);R(x,y),R(z,y)"
 
 _BUILD = """
 import json
@@ -220,6 +224,9 @@ lineage, _ = lineage_circuit(compile_bool(parse_ucq("R(x,y),R(y,z)")), pcc)
 marked = instance_from_json(json.load(open(%r)))
 unions = [query_provenance_circuit(compile_bool(parse_ucq(q)), marked,
                                    None)[0].circuit for q in %r]
+branched = instance_from_json(json.load(open(%r)))
+unions.append(query_provenance_circuit(compile_bool(parse_ucq(%r)), branched,
+                                       2)[0].circuit)
 nx = nx_provenance(parse_ucq("R(x,y),R(y,z)"), marked)
 print(json.dumps([circuit_to_json(c)
                   for c in [res.circuit, lineage, *unions, nx]]))
@@ -227,13 +234,14 @@ print(json.dumps([circuit_to_json(c)
 
 
 def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
-    """Boolean provenance (library and CLI, one disjunct and unions),
-    lineage and N[X] (library and CLI) circuits come out byte for byte
-    the same under two hash seeds."""
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"signature": {"R": 2}, "facts": [
-        {"rel": "R", "args": ["e%02d" % a, "e%02d" % b], "id": "F%d" % i}
-        for i, (a, b) in enumerate(_GRID_EDGES, 1)]}))
+    """Boolean provenance (library and CLI, one disjunct and unions, at
+    widths 1 and 2), lineage and N[X] (library and CLI) circuits come
+    out byte for byte the same under two hash seeds."""
+    grid, branched = tmp_path / "grid.json", tmp_path / "branched.json"
+    for path, edges in ((grid, _GRID_EDGES), (branched, _BRANCHED_EDGES)):
+        path.write_text(json.dumps({"signature": {"R": 2}, "facts": [
+            {"rel": "R", "args": ["e%02d" % a, "e%02d" % b], "id": "F%d" % i}
+            for i, (a, b) in enumerate(edges, 1)]}))
     marked = tmp_path / "marked.json"
     marked.write_text(json.dumps({"signature": {"R": 2, "S": 1}, "facts": [
         {"rel": "R", "args": ["v%d" % i, "v%d" % (i + 1)], "id": "F%d" % i}
@@ -248,7 +256,8 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
                        [src] + [p for p in [os.environ.get("PYTHONPATH")]
                                 if p]))
         lib = subprocess.run([sys.executable, "-c",
-                              _BUILD % (str(grid), str(marked), _UNIONS)],
+                              _BUILD % (str(grid), str(marked), _UNIONS,
+                                        str(branched), _BRANCHED_UNION)],
                              env=env, capture_output=True, check=True,
                              text=True).stdout
         cli = [subprocess.run([sys.executable, "-m", "treeprov.cli",
@@ -261,6 +270,17 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
                    (marked, "R(x,y),R(y,z)", ["--mode", "nx"])]]
         outs.append((lib, cli))
     kinds = [c["kind"] for c in json.loads(outs[0][0])]
-    assert kinds == ["bool"] * 4 + ["semiring"]
+    assert kinds == ["bool"] * 5 + ["semiring"]
     assert all(out.startswith("{") for out in outs[0][1])
     assert outs[0] == outs[1]
+
+
+def test_branched_union_merges_projected_states():
+    """The width-2 union of the hash-seed test ORs child states that
+    project alike, for a left child and for a right child."""
+    branched = make_instance({"R": 2}, [("R", ("e%02d" % a, "e%02d" % b))
+                                        for a, b in _BRANCHED_EDGES])
+    res, _ = query_provenance_circuit(
+        compile_bool(parse_ucq(_BRANCHED_UNION)), branched, 2)
+    assert {g[0] for g in res.circuit.gates if isinstance(g, tuple)} >= \
+        {"ul", "ur"}

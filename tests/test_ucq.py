@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treeprov.automata import accepts
+from treeprov.automata import BNTA, EMPTY, accepts
 from treeprov.circuits import (NAT, POSBOOL, eval_bool, eval_bool_vector,
                                expand_polynomial)
 from treeprov.encoding import annotate, encode
@@ -115,6 +115,74 @@ def test_query_provenance_circuit_width_two():
         for v in range(width):
             world = {fid for i, fid in enumerate(fids) if (v >> i) & 1}
             assert ((out >> v) & 1) == any(u <= world for u in uses)
+
+
+def _projection_cases(rng):
+    """Random UCQs on random instances of width 1 and 2, then random
+    R-only UCQs on width-2 cycles and grids: (query, instance, width)."""
+    cases = []
+    while len(cases) < 60:
+        q = rand_ucq(rng, max_disjuncts=2, max_atoms=3, diseq=True)
+        inst = rand_instance(rng, max_facts=7, max_dom=5)
+        k = tree_decomposition(inst).width
+        if k in (1, 2):
+            cases.append((q, inst, k))
+    for inst in _width_two_instances(rng, 4):
+        cases.append((rand_ucq(rng, max_disjuncts=2, max_atoms=3,
+                               signature={"R": 2}), inst, 2))
+    return cases
+
+
+def _stripped(automaton, seen):
+    """The automaton without its project, noting each delta lookup."""
+
+    def delta(q1, q2, l):
+        seen.append((q1, q2, l))
+        return automaton.delta(q1, q2, l)
+
+    return BNTA(automaton.iota, delta, automaton.is_final)
+
+
+def test_compile_bool_projection_contract():
+    """Every (q1, q2, label) that a circuit build meets, with project
+    stripped so that states reach delta unprojected, satisfies
+    delta(q1, q2, l) == delta(project(q1, l), project(q2, l), l), EMPTY
+    when either side is None; project is idempotent and reads only the
+    label's domain."""
+    rng = random.Random(67)
+    widths = set()
+    for q, inst, k in _projection_cases(rng):
+        automaton = compile_bool(q)
+        project = automaton.project
+        seen = []
+        query_provenance_circuit(_stripped(automaton, seen), inst, k)
+        widths.add(k)
+        for q1, q2, l in seen:
+            p1, p2 = project(q1, l), project(q2, l)
+            want = EMPTY if p1 is None or p2 is None else \
+                automaton.delta(p1, p2, l)
+            assert automaton.delta(q1, q2, l) == want
+            for state, p in ((q1, p1), (q2, p2)):
+                assert project(state, l.neuter()) == p
+                assert p is None or project(p, l) == p
+    assert widths == {1, 2}
+
+
+def test_compile_bool_projection_keeps_circuit_values():
+    """The same queries with project stripped from the automaton give
+    circuits that agree with compile_bool's on every valuation."""
+    rng = random.Random(67)
+    for q, inst, k in _projection_cases(rng):
+        automaton = compile_bool(q)
+        got = query_provenance_circuit(automaton, inst, k)[0].circuit
+        plain = query_provenance_circuit(_stripped(automaton, []), inst,
+                                         k)[0].circuit
+        fids = [f.id for f in inst.facts]
+        width = 1 << len(fids)
+        vec = {fid: sum(1 << v for v in range(width) if (v >> i) & 1)
+               for i, fid in enumerate(fids)}
+        assert eval_bool_vector(got, vec, width) == \
+            eval_bool_vector(plain, vec, width)
 
 
 def _directed_chain(edges):
