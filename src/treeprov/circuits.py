@@ -386,10 +386,42 @@ BUILTIN_SEMIRINGS = {
 
 def expand_polynomial(circuit, cap=100000):
     """Canonical polynomial captured by an N[X] circuit; inputs are the
-    variables (named by their gate ids)."""
+    variables (named by their gate ids).  This is `eval_semiring` over
+    `nx_semiring(cap)`, except that an add gate sums in place into its
+    largest input that no other gate reads: every value here is a
+    Polynomial of its own gate, so a chain of n add gates costs O(n)
+    monomial updates rather than n copies of a growing sum."""
+    readers = {circuit.output: 1}  # the caller reads the output
+    for _t, ins in circuit.gates.values():
+        for i in ins:
+            readers[i] = readers.get(i, 0) + 1
     sr = nx_semiring(cap)
-    assignment = {g: Polynomial.variable(g) for g in circuit.inputs()}
-    return eval_semiring(circuit, sr, assignment)
+    val = {}
+    for g in circuit.topo_order():
+        t, ins = circuit.gates[g]
+        if t == "inp":
+            val[g] = Polynomial.variable(g)
+        elif t == "add":
+            own = max((j for j, i in enumerate(ins) if readers[i] == 1),
+                      key=lambda j: len(val[ins[j]]), default=None)
+            v = Polynomial() if own is None else val.pop(ins[own])
+            out = v.monomials
+            for j, i in enumerate(ins):
+                if j != own:
+                    for m, c in val[i].monomials.items():
+                        out[m] = out.get(m, 0) + c
+                    if cap is not None and len(out) > cap:
+                        raise SizeCap("polynomial exceeded %d monomials"
+                                      % cap)
+            val[g] = v
+        elif t == "mul":
+            v = Polynomial.constant(1)
+            for i in ins:
+                v = sr.mul(v, val[i])
+            val[g] = v
+        else:
+            raise ValueError("bad gate type %s" % t)
+    return val[circuit.output]
 
 
 # ---------------------------------------------------------------------------

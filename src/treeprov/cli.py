@@ -113,7 +113,8 @@ def cmd_compile(args):
     else:
         signature = _load_json(args.signature)
     labels = kfact_labels(signature, args.width)
-    automaton = materialize(_compile_det(q), labels)
+    automaton = _compile_det(
+        q, lambda automaton, _step: materialize(automaton, labels))
     _emit(automaton_to_json(automaton), args.output)
     return 0
 

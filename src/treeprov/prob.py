@@ -472,10 +472,13 @@ def lineage_circuit(automaton, pcc, k=None):
             TreeDecomposition(root, normalized=True))
 
 
-def _as_automaton(query):
+def _with_step(query, run):
+    """run(step) on the determinised, memoized automaton of query: for a
+    UCQ or CQ, `_compile_det`'s, kept across calls; a user-supplied
+    automaton is wrapped for this call only."""
     if isinstance(query, (UCQ, CQ)):
-        return _compile_det(query)
-    return query
+        return _compile_det(query, lambda _automaton, step: run(step))
+    return run(memoized(lazy_determinize(query)))
 
 
 def _check_arities(query, signature):
@@ -501,18 +504,18 @@ def query_probability_pcc(query, pcc, k=None):
     joint decomposition of data and circuit."""
     _check_arities(query, pcc.instance.signature)
     c2, cc = _cc_encoding(pcc, k)
-    return _pcc_dp(_as_automaton(query), c2, cc, pcc.probs)
+    return _with_step(query, lambda step: _pcc_dp(step, c2, cc, pcc.probs))
 
 
-def _pcc_dp(automaton, circuit, cc, probs):
-    """The determinised automaton (summing a nondeterministic one's runs
-    would count a world once per run) run bottom-up over the cc-encoding
-    cc of an arity-two circuit with input probabilities probs: a message
-    maps (state, values of the node's gates kept in the parent's bag) to
-    an integer weight.  `_bag_step` steps each bag, so every gate needs
-    a bag holding it and its inputs.  A node reads its label if it has
-    no chi gate or its chi is true, else the neutered label."""
-    step = memoized(lazy_determinize(automaton))
+def _pcc_dp(step, circuit, cc, probs):
+    """The determinised automaton step (summing a nondeterministic one's
+    runs would count a world once per run; see `_with_step`) run
+    bottom-up over the cc-encoding cc of an arity-two circuit with input
+    probabilities probs: a message maps (state, values of the node's
+    gates kept in the parent's bag) to an integer weight.  `_bag_step`
+    steps each bag, so every gate needs a bag holding it and its inputs.
+    A node reads its label if it has no chi gate or its chi is true,
+    else the neutered label."""
     pos = {g: i for i, g in enumerate(circuit.topo_order())}
     weights = _input_weights(circuit, probs)
     # children first: (node, {its gates in topological order: index},
@@ -702,12 +705,13 @@ def query_probability_bid(query, bid, k=None):
     labels) on a BID instance; k bounds the width of the instance's
     tree decomposition."""
     _check_arities(query, bid.instance.signature)
-    return _bid_dp(_as_automaton(query), bid, k)
+    return _with_step(query, lambda step: _bid_dp(step, bid, k))
 
 
-def _bid_dp(automaton, bid, k):
-    """Bottom-up run of the determinised automaton over the instance's
-    own tree encoding, summing integer world weights per state.
+def _bid_dp(step, bid, k):
+    """Bottom-up run of the determinised automaton step (see
+    `_with_step`) over the instance's own tree encoding, summing integer
+    world weights per state.
 
     Each block B is scaled by d_B, the lcm of its denominators, so a
     fact weighs a_f = p_f * d_B.  A fact node branches on its label
@@ -722,7 +726,6 @@ def _bid_dp(automaton, bid, k):
     instance = bid.instance
     enc = encode(instance, normalize_decomposition(
         tree_decomposition(instance, k)))
-    step = memoized(lazy_determinize(automaton))
     parent = parents(enc.root)
     scale = 1
     branch_weights = {}  # fact id -> (present weight, absent weight, bit)

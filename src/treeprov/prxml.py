@@ -13,8 +13,8 @@ from fractions import Fraction
 from .circuits import Circuit
 from .encoding import KFact, TreeEncoding
 from .errors import NoDecomposition
-from .prob import (CCEncoding, PCInstance, _as_automaton, _check_arities,
-                   _pcc_dp, format_formula, formula_events, parse_formula)
+from .prob import (CCEncoding, PCInstance, _check_arities, _pcc_dp,
+                   _with_step, format_formula, formula_events, parse_formula)
 from .relational import Bag, Fact, Instance, TreeDecomposition
 from .trees import Node, fold, preorder
 
@@ -453,7 +453,7 @@ def prxml_query_probability(q, doc, k=None):
         raise NoDecomposition(
             "the document's cc-encoding has data width %d and joint width "
             "%d, above the bound %d" % (cc.encoding.k, width, k))
-    return _pcc_dp(_as_automaton(q), circuit, cc, probs)
+    return _with_step(q, lambda step: _pcc_dp(step, circuit, cc, probs))
 
 
 # ---------------------------------------------------------------------------

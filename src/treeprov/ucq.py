@@ -17,16 +17,26 @@ share a slot (elements out of scope are distinct from all in scope).
   absorbing accepting state.  It stays nondeterministic: a provenance
   circuit gets one gate per descriptor a node can hold.  Where worlds
   are counted, `_compile_det` determinises it on demand.
+
+An automaton depends only on the query, so each of `compile_bool`,
+`_compile_det` and `nx_provenance` compiles a query once per process:
+`_compiled` keeps the automata, with their transition memos, of the
+`_COMPILED_MAX` queries used last, keyed by the query and the state cap
+in force.  A call on a warm entry returns what a cold one returns, and
+`_compile_det` evicts an entry whose subset count trips the cap and
+reruns once on a fresh one, so no refusal depends on earlier calls.
 """
 
 import itertools
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .automata import (BNTA, EMPTY, lazy_determinize, memoized, monotonize,
-                       union)
+                       state_cap, union)
 from .circuits import Polynomial
 from .encoding import encode
+from .errors import StateBlowup
 from .provcirc import ALL, _nx_circuit
 from .relational import normalize_decomposition, tree_decomposition
 
@@ -220,18 +230,22 @@ def compile_bool(q):
     number of atoms, with every full descriptor renamed to one absorbing
     accepting state that moves up only beside the empty descriptor; the
     union is memoized as a whole.  Runs are not unique: `_compile_det`
-    is the deterministic version.
+    is the deterministic version.  It is compiled once per query and
+    state cap (see `_compiled`): later calls return the same automaton,
+    its memo filled by the runs before.
 
     This is exact: every node reaches the empty descriptor under every
     valuation (a fact may hold no atom), a full descriptor never fails
     to project (no unmatched atom is left to lose a variable), and a
     full descriptor beside the empty one gives a full descriptor again.
     So a full match below a node is a full match at the root."""
-    if isinstance(q, CQ):
-        q = UCQ((q,))
+    return _compiled(_key(_bool_automaton, q))
+
+
+def _bool_automaton(disjuncts):
     return memoized(union([
         _accepting(placement_automaton(d, any_count=True), _no_match(d))
-        for d in q.disjuncts]))
+        for d in disjuncts]))
 
 
 def _accepting_sink(subsets):
@@ -253,19 +267,77 @@ def _accepting_sink(subsets):
                 lambda s: s == _ACCEPT)
 
 
-def _compile_det(q):
-    """`compile_bool` made deterministic, for counting worlds: per
-    disjunct, the placement automaton determinised on demand, with every
-    subset holding a full match merged into one absorbing accepting
-    state.  A state is that sink or a set of descriptors with no full
-    match.  Every reachable subset holds the empty descriptor, so a
-    subset with a full match only leads to subsets with one (see
-    `compile_bool`), and the result stays deterministic."""
+def _compile_det(q, run):
+    """run(automaton, step) on `compile_bool` made deterministic, for
+    counting worlds: automaton is, per disjunct, the placement automaton
+    determinised on demand, with every subset holding a full match
+    merged into one absorbing accepting state, and step is the union of
+    the disjuncts determinised in turn and memoized.  A state is that
+    sink or a set of descriptors with no full match.  Every reachable
+    subset holds the empty descriptor, so a subset with a full match
+    only leads to subsets with one (see `compile_bool`), and the result
+    stays deterministic.
+
+    Both are compiled once per query and state cap (see `_compiled`).
+    Their subset counts grow across calls, so on `StateBlowup` the entry
+    is evicted and, if earlier calls had filled it, run is called once
+    more on a fresh one: a call is refused exactly when it would be on
+    an automaton of its own."""
+    key = _key(_det_automaton, q)
+    warm = key in _COMPILED
+    while True:
+        try:
+            return run(*_compiled(key))
+        except StateBlowup:
+            _COMPILED.pop(key, None)
+            if not warm:
+                raise
+            warm = False
+
+
+def _det_automaton(disjuncts):
+    automaton = union([_accepting_sink(lazy_determinize(
+        memoized(placement_automaton(d, any_count=True))))
+        for d in disjuncts])
+    return automaton, memoized(lazy_determinize(automaton))
+
+
+# ---------------------------------------------------------------------------
+# Compiled automata, kept across calls
+
+
+_COMPILED_MAX = 32
+_COMPILED = OrderedDict()  # _key -> what its build returned, oldest first
+
+
+def _key(build, q):
+    """build together with q's disjuncts as hashable CQs, so that a CQ
+    and its one-disjunct UCQ name one entry and a UCQ built from lists
+    has one, and the state cap in force (a determinised automaton counts
+    its subsets against the cap it was built under)."""
     if isinstance(q, CQ):
         q = UCQ((q,))
-    return union([_accepting_sink(lazy_determinize(
-        memoized(placement_automaton(d, any_count=True))))
-        for d in q.disjuncts])
+    disjuncts = tuple(
+        CQ(tuple(Atom(a.rel, tuple(a.vars)) for a in d.atoms),
+           frozenset(frozenset(pair) for pair in d.diseqs))
+        for d in q.disjuncts)
+    return build, disjuncts, state_cap()
+
+
+def _compiled(key):
+    """build(disjuncts) for the `_key` (build, disjuncts, cap), made once
+    and kept, with its memos, for the `_COMPILED_MAX` keys used last.
+    A memo holds at most one entry per states x labels of width k, so
+    an entry stays bounded too."""
+    value = _COMPILED.get(key)
+    if value is None:
+        build, disjuncts, _cap = key
+        value = _COMPILED[key] = build(disjuncts)
+        if len(_COMPILED) > _COMPILED_MAX:
+            _COMPILED.popitem(last=False)
+    else:
+        _COMPILED.move_to_end(key)
+    return value
 
 
 def placement_automaton(cq, any_count=False):
@@ -391,12 +463,17 @@ def nx_provenance(q, instance, k=None):
     """N[X] provenance circuit of a UCQ on a treelike instance, with the
     fact ids as inputs.  The union of the disjuncts' placement automata
     has one accepting run per match of a disjunct, and the circuit
-    weighs each run by the product of the facts its match uses."""
+    weighs each run by the product of the facts its match uses.  The
+    memoized union is compiled once per query and state cap (see
+    `_compiled`)."""
     if isinstance(q, CQ):
         q = UCQ((q,))
     enc = encode(instance, normalize_decomposition(
         tree_decomposition(instance, k)))
-    automaton = memoized(union([placement_automaton(d)
-                                for d in q.disjuncts]))
+    automaton = _compiled(_key(_nx_automaton, q))
     p = max(len(d.atoms) for d in q.disjuncts)
     return _nx_circuit(automaton, enc.root, enc.node_fact, ALL, p)[0]
+
+
+def _nx_automaton(disjuncts):
+    return memoized(union([placement_automaton(d) for d in disjuncts]))

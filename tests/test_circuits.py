@@ -172,6 +172,15 @@ def test_expand_polynomial():
     assert p == (Polynomial.variable("x") + Polynomial.variable("y")) * \
         (Polynomial.variable("x") + Polynomial.variable("y"))
     assert str(p) == "2*x*y + x^2 + y^2"
+    # s feeds two add gates, each of which sums in place into its other
+    # input, and the output feeds an add gate too
+    c = Circuit("semiring",
+                {"x": ("inp", ()), "y": ("inp", ()), "z": ("inp", ()),
+                 "s": ("add", ("x", "y")), "a": ("add", ("s", "z")),
+                 "b": ("add", ("s", "x")), "o": ("mul", ("a", "b")),
+                 "d": ("add", ("o",))}, "o")
+    x, y, z = map(Polynomial.variable, "xyz")
+    assert expand_polynomial(c) == (x + y + z) * (x + y + x)
 
 
 def test_eval_semiring_tropical():

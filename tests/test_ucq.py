@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -239,6 +240,20 @@ def test_nx_provenance_worked_example():
     assert str(poly) == "F1^2 + 2*F2*F3"
     assert poly == nx_provenance_bruteforce(q, inst)
     assert poly.evaluate(NAT, {"F1": 1, "F2": 1, "F3": 1}) == 3
+
+
+def test_nx_expansion_with_a_shared_add_gate():
+    """`expand_polynomial` sums in place only into inputs that no other
+    gate reads: an add gate that feeds two parents (here a mul and an
+    add gate) keeps its value."""
+    inst = make_instance({"R": 2}, [("R", ("a", "b")), ("R", ("a", "c")),
+                                    ("R", ("a", "d")), ("R", ("d", "a"))])
+    q = parse_ucq("R(x,y),R(y,z)")
+    circuit = nx_provenance(q, inst)
+    readers = Counter(i for _t, ins in circuit.gates.values() for i in ins)
+    assert any(t == "add" and readers[g] == 2
+               for g, (t, _ins) in circuit.gates.items())
+    assert expand_polynomial(circuit) == nx_provenance_bruteforce(q, inst)
 
 
 def test_nx_provenance_random_oracle():
