@@ -11,8 +11,11 @@ that a parent node with this label reads, or None when no run through
 q continues there.  It may depend only on the label's domain, and
 delta(q1, q2, l) == delta(project(q1, l), project(q2, l), l), which is
 EMPTY when either side is None; None as the field means the identity.
+A state reached at a node binds only slots of that node's label
+domain, so project(q, l) is q whenever l's domain contains the node's.
 A provenance circuit then pairs a child's projected states, so states
-that differ only in what the parent drops are paired once.  The
+that differ only in what the parent drops are paired once, and skips
+the projection of a child whose domain lies inside the parent's.  The
 placement automaton of `ucq` sets it: its state is a descriptor
 (slots, placed), a tuple holding each query variable's slot (0 while
 unbound) and the bitmask of the atoms placed below, and its projection

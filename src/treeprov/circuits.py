@@ -133,16 +133,31 @@ def eval_bool_vector(circuit, valuation, width):
 
 
 def eval_semiring(circuit, semiring, assignment):
+    """The circuit's value in the semiring, its inputs valued by
+    assignment.  Under `nx_semiring` an add gate sums in place into the
+    largest of its inputs' values that this evaluation made and that no
+    other gate reads (see `_sum_in_place`), so a chain of n add gates
+    costs O(n) monomial updates rather than n copies of a growing sum."""
     _check_total(circuit, assignment)
+    sum_into = semiring._sum_into
+    if sum_into is not None:
+        readers = {circuit.output: 1}  # the caller reads the output
+        for _t, ins in circuit.gates.values():
+            for i in ins:
+                readers[i] = readers.get(i, 0) + 1
+        sole = set()  # made here, read by one gate only
     val = {}
     for g in circuit.topo_order():
         t, ins = circuit.gates[g]
         if t == "inp":
             val[g] = assignment[g]
         elif t == "add":
-            v = semiring.zero
-            for i in ins:
-                v = semiring.add(v, val[i])
+            if sum_into is None:
+                v = semiring.zero
+                for i in ins:
+                    v = semiring.add(v, val[i])
+            else:
+                v = _sum_in_place(ins, val, sole, sum_into)
             val[g] = v
         elif t == "mul":
             v = semiring.one
@@ -151,7 +166,20 @@ def eval_semiring(circuit, semiring, assignment):
             val[g] = v
         else:
             raise ValueError("bad gate type %s" % t)
+        # an input's value is the caller's and a constant the semiring's
+        if sum_into is not None and ins and readers.get(g) == 1:
+            sole.add(g)
     return val[circuit.output]
+
+
+def _sum_in_place(ins, val, sole, sum_into):
+    """An add gate's value: the values val[i] of its inputs summed by
+    sum_into into the largest one whose gate is in sole, which then
+    leaves val, or into a new zero if no input is in sole."""
+    own = max((i for i in ins if i in sole), key=lambda i: len(val[i]),
+              default=None)
+    acc = None if own is None else val.pop(own)
+    return sum_into(acc, [val[i] for i in ins if i != own])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +279,10 @@ class Semiring:
         self.add = add
         self.mul = mul
         self.eq = eq or (lambda a, b: a == b)
+        # sum_into(acc, values): acc plus values, made in acc, a value no
+        # one else holds (a new zero if acc is None); `nx_semiring` sets
+        # it, and `eval_semiring` then sums in place
+        self._sum_into = None
 
     def times_int(self, n, x):
         v = self.zero
@@ -374,8 +406,19 @@ def nx_semiring(cap=None):
             raise SizeCap("polynomial exceeded %d monomials" % cap)
         return p
 
-    return Semiring("nx", Polynomial(), Polynomial.constant(1),
-                    lambda a, b: checked(a + b), lambda a, b: checked(a * b))
+    def sum_into(acc, values):
+        acc = Polynomial() if acc is None else acc
+        out = acc.monomials
+        for p in values:
+            for m, c in p.monomials.items():
+                out[m] = out.get(m, 0) + c
+            checked(acc)
+        return acc
+
+    sr = Semiring("nx", Polynomial(), Polynomial.constant(1),
+                  lambda a, b: checked(a + b), lambda a, b: checked(a * b))
+    sr._sum_into = sum_into
+    return sr
 
 
 BUILTIN_SEMIRINGS = {
@@ -386,42 +429,11 @@ BUILTIN_SEMIRINGS = {
 
 def expand_polynomial(circuit, cap=100000):
     """Canonical polynomial captured by an N[X] circuit; inputs are the
-    variables (named by their gate ids).  This is `eval_semiring` over
-    `nx_semiring(cap)`, except that an add gate sums in place into its
-    largest input that no other gate reads: every value here is a
-    Polynomial of its own gate, so a chain of n add gates costs O(n)
-    monomial updates rather than n copies of a growing sum."""
-    readers = {circuit.output: 1}  # the caller reads the output
-    for _t, ins in circuit.gates.values():
-        for i in ins:
-            readers[i] = readers.get(i, 0) + 1
-    sr = nx_semiring(cap)
-    val = {}
-    for g in circuit.topo_order():
-        t, ins = circuit.gates[g]
-        if t == "inp":
-            val[g] = Polynomial.variable(g)
-        elif t == "add":
-            own = max((j for j, i in enumerate(ins) if readers[i] == 1),
-                      key=lambda j: len(val[ins[j]]), default=None)
-            v = Polynomial() if own is None else val.pop(ins[own])
-            out = v.monomials
-            for j, i in enumerate(ins):
-                if j != own:
-                    for m, c in val[i].monomials.items():
-                        out[m] = out.get(m, 0) + c
-                    if cap is not None and len(out) > cap:
-                        raise SizeCap("polynomial exceeded %d monomials"
-                                      % cap)
-            val[g] = v
-        elif t == "mul":
-            v = Polynomial.constant(1)
-            for i in ins:
-                v = sr.mul(v, val[i])
-            val[g] = v
-        else:
-            raise ValueError("bad gate type %s" % t)
-    return val[circuit.output]
+    variables (named by their gate ids): `eval_semiring` over
+    `nx_semiring(cap)`."""
+    return eval_semiring(circuit, nx_semiring(cap),
+                         {g: Polynomial.variable(g)
+                          for g in circuit.inputs()})
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,20 @@ the 2k+2 slot names (here: integers 1..2k+2) and struct is zero or one
 fact whose arguments are slots of dom.  A tree encoding is a binary full
 tree labeled with k-facts; decoding reads the tree top-down, picking
 fresh elements for slots not shared with the parent.
+
+An instance's encoding depends only on the instance and the width bound,
+so `_encoded` builds it once per process: it keeps, weakly per
+`Instance` object and once per bound, the encoding of the instance's
+normalized decomposition, with its postorder node tuple, and rebuilds it
+when `instance.facts` has been replaced.  An encoding it returns is
+shared by every later call on that instance and must not be changed.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 from .relational import (Fact, Instance, TreeDecomposition,
-                         normalize_decomposition)
+                         normalize_decomposition, tree_decomposition)
 from .trees import Node, children, fold, map_labels, postorder
 
 
@@ -21,6 +29,9 @@ class KFact:
     args: tuple = ()
     # the hash, computed once: labels key every automaton memo lookup
     _hash: int = field(init=False, compare=False, repr=False)
+    # neuter()'s result, made on its first call
+    _neutered: object = field(default=None, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash",
@@ -30,7 +41,11 @@ class KFact:
         return self._hash
 
     def neuter(self):
-        return self if self.rel is None else KFact(self.dom)
+        if self.rel is None:
+            return self
+        if self._neutered is None:
+            object.__setattr__(self, "_neutered", KFact(self.dom))
+        return self._neutered
 
     def __repr__(self):
         d = ",".join("a%d" % s for s in sorted(self.dom))
@@ -67,9 +82,13 @@ class TreeEncoding:
         self.fact_nodes = dict(fact_nodes or {})  # fact id -> Node
         self.node_fact = {id(n): fid for fid, n in self.fact_nodes.items()}
         self.node_bag = node_bag or {}  # id(Node) -> source Bag
+        self._nodes = None
 
     def nodes(self):
-        return postorder(self.root)
+        """The nodes in postorder, as a tuple computed once."""
+        if self._nodes is None:
+            self._nodes = tuple(postorder(self.root))
+        return self._nodes
 
 
 def encode(instance, decomposition):
@@ -120,6 +139,26 @@ def encode(instance, decomposition):
         node_bag[id(node)] = bag
         done.append(node)
     return TreeEncoding(done[0], k, fact_nodes, node_bag)
+
+
+_ENCODED = weakref.WeakKeyDictionary()  # Instance -> {k: (facts, encoding)}
+
+
+def _encoded(instance, k):
+    """encode(instance, normalize_decomposition(tree_decomposition(
+    instance, k))), kept for later calls with the same instance object
+    and k while instance.facts is the tuple it was built from.  The
+    entry holds no reference to the instance, so it goes with it; a
+    refusal (NoDecomposition) is raised again on every call."""
+    entries = _ENCODED.get(instance) or {}
+    built = entries.get(k)
+    if built is not None and built[0] is instance.facts:
+        return built[1]
+    enc = encode(instance, normalize_decomposition(
+        tree_decomposition(instance, k)))
+    entries[k] = (instance.facts, enc)
+    _ENCODED[instance] = entries
+    return enc
 
 
 INVALID = None  # decode returns None for invalid encodings

@@ -20,12 +20,12 @@ from types import SimpleNamespace
 from .automata import lazy_determinize, memoized
 from .circuits import (Circuit, _circuit_facts, arity_two,
                        circuit_from_json, circuit_to_json)
-from .encoding import encode
+from .encoding import _encoded, encode
 from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
-from .trees import fold, parents, postorder
+from .trees import fold, parents
 from .ucq import CQ, UCQ, Atom, _compile_det
 
 
@@ -448,7 +448,7 @@ def lineage_circuit(automaton, pcc, k=None):
     fact inputs become their chi gates, and each bag is the union of
     the two circuits' bags at one encoding node."""
     c2, cc = _cc_encoding(pcc, k)
-    inner, decomp = _bool_circuit(automaton, cc.encoding.root, cc.chi,
+    inner, decomp = _bool_circuit(automaton, cc.encoding.nodes(), cc.chi,
                                   _neutered)
     named = set(cc.chi.values())
 
@@ -723,9 +723,7 @@ def _bid_dp(step, bid, k):
     The automaton must be deterministic here: summing the runs of a
     nondeterministic one would count a world once per accepting run.
     """
-    instance = bid.instance
-    enc = encode(instance, normalize_decomposition(
-        tree_decomposition(instance, k)))
+    enc = _encoded(bid.instance, k)
     parent = parents(enc.root)
     scale = 1
     branch_weights = {}  # fact id -> (present weight, absent weight, bit)
@@ -753,7 +751,7 @@ def _bid_dp(step, bid, k):
         closings.setdefault(id(top), []).append((bit, d - sum(a.values())))
 
     messages = {}  # id(node) -> {(state, chosen bits): weight}
-    for n in postorder(enc.root):
+    for n in enc.nodes():
         if n.is_leaf():
             below = {(None, None, 0): 1}
         else:

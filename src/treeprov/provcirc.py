@@ -15,10 +15,9 @@ fixed automaton.
 
 from .automata import EMPTY
 from .circuits import Circuit
-from .encoding import encode
+from .encoding import _encoded
 from .errors import NotMonotone
-from .relational import (Bag, TreeDecomposition, normalize_decomposition,
-                         tree_decomposition)
+from .relational import Bag, TreeDecomposition
 from .trees import postorder
 
 ALL = "all"
@@ -60,9 +59,10 @@ def _in_order(states, keys):
         states
 
 
-def _bool_circuit(automaton, root, name_of, labels, monotone=False):
-    """Boolean provenance circuit of a bNTA on a tree and its
-    decomposition of the same skeleton, in one pass.
+def _bool_circuit(automaton, nodes, name_of, labels, monotone=False):
+    """Boolean provenance circuit of a bNTA on a tree, given as its
+    nodes in postorder, and its decomposition of the same skeleton, in
+    one pass.
 
     labels(tau) gives the automaton labels a node labelled tau reads on
     0 and on 1, such as ((tau, 0), (tau, 1)) for a (Gamma x {0,1})-bNTA.
@@ -79,9 +79,13 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
     once per node, on the label read on 1 (it depends only on the
     label's domain); the gates of states that project alike are ORed
     into one gate, states that project to None are dropped, and only
-    then are the two children's states paired.
+    then are the two children's states paired.  A child whose label
+    domain lies inside the node's is not projected: its states bind
+    only slots of its own domain, so they project to themselves (see
+    `automata`).
     Returns (circuit, decomposition)."""
     project = automaton.project
+    last = len(nodes) - 1
     gates = {}
     reach = {}  # id(node) -> {state: gate, or None for 1}, first seen first
     bags = {}
@@ -148,7 +152,7 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
         return {p: disj((side, i, j), gs)
                 for j, (p, gs) in enumerate(groups.items())}
 
-    for i, n in enumerate(postorder(root)):
+    for i, n in enumerate(nodes):
         tau = n.label
         l0, l1 = labels(tau)
         dom = []
@@ -168,8 +172,10 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
             dom.extend(g for g in (*rl.values(), *rr.values())
                        if g is not None)
             if project is not None:
-                rl = projected(rl, "ul")
-                rr = projected(rr, "ur")
+                if not n.left.label.dom <= tau.dom:
+                    rl = projected(rl, "ul")
+                if not n.right.label.dom <= tau.dom:
+                    rr = projected(rr, "ur")
             for jl, (ql, gl) in enumerate(rl.items()):
                 for jr, (qr, gr) in enumerate(rr.items()):
                     s1 = automaton.delta(ql, qr, l1)
@@ -181,7 +187,7 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
             kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
         reach[id(n)] = {q: disj(("q", i, j), lst)
                         for j, (q, lst) in enumerate(targets.items())}
-        if n is root:
+        if i == last:
             finals = [g for q, g in reach[id(n)].items()
                       if automaton.is_final(q)]
             out = disj(("out",), finals) if finals else \
@@ -190,7 +196,7 @@ def _bool_circuit(automaton, root, name_of, labels, monotone=False):
                 out = add(("out",), "and")
         bags[id(n)] = Bag(dom, kids)
     return (Circuit("bool", gates, out),
-            TreeDecomposition(bags[id(root)], normalized=True))
+            TreeDecomposition(bags[id(nodes[-1])], normalized=True))
 
 
 def _neutered(tau):
@@ -208,9 +214,10 @@ def bool_provenance_circuit(automaton, root, monotone=False):
     NotMonotone if the transitions touched by the tree violate the
     inclusion conditions.
     """
-    input_map = {id(n): ("i", i) for i, n in enumerate(postorder(root))}
+    nodes = postorder(root)
+    input_map = {id(n): ("i", i) for i, n in enumerate(nodes)}
     circuit, decomp = _bool_circuit(
-        automaton, root, input_map, lambda tau: ((tau, 0), (tau, 1)),
+        automaton, nodes, input_map, lambda tau: ((tau, 0), (tau, 1)),
         monotone)
     return ProvenanceResult(circuit, input_map, decomp)
 
@@ -222,11 +229,13 @@ def monotone_provenance_circuit(automaton, root):
 def query_provenance_circuit(automaton, instance, k):
     """Boolean provenance of a query (given as a width-k encoding
     automaton) on a treelike instance: inputs are the fact ids; nodes
-    encoding no fact are hardwired to 1."""
-    decomp = tree_decomposition(instance, k)
-    enc = encode(instance, normalize_decomposition(decomp))
-    circuit, gate_decomp = _bool_circuit(automaton, enc.root, enc.node_fact,
-                                         _neutered)
+    encoding no fact are hardwired to 1.  Returns the result and the
+    instance's encoding, which is built once per instance and k (see
+    `encoding._encoded`) and shared with later calls: treat it as
+    read-only."""
+    enc = _encoded(instance, k)
+    circuit, gate_decomp = _bool_circuit(automaton, enc.nodes(),
+                                         enc.node_fact, _neutered)
     input_map = {fid: fid for fid in enc.node_fact.values()}
     return ProvenanceResult(circuit, input_map, gate_decomp), enc
 
@@ -238,14 +247,16 @@ def nx_provenance_circuit(automaton, root, l=ALL, p=1):
     l = ALL sums over all multiplicity valuations; an integer l restricts
     to valuations of total sum l.
     """
-    input_map = {id(n): ("i", i) for i, n in enumerate(postorder(root))}
-    circuit, decomp = _nx_circuit(automaton, root, input_map, l, p)
+    nodes = postorder(root)
+    input_map = {id(n): ("i", i) for i, n in enumerate(nodes)}
+    circuit, decomp = _nx_circuit(automaton, nodes, input_map, l, p)
     return ProvenanceResult(circuit, input_map, decomp)
 
 
-def _nx_circuit(automaton, root, name_of, l, p):
-    """N[X] provenance circuit of a (Gamma x {0..p})-bNTA on a Gamma-tree
-    and its decomposition of the same skeleton, in one pass.
+def _nx_circuit(automaton, nodes, name_of, l, p):
+    """N[X] provenance circuit of a (Gamma x {0..p})-bNTA on a Gamma-tree,
+    given as its nodes in postorder, and its decomposition of the same
+    skeleton, in one pass.
 
     Node n reads the input gate name_of[id(n)] with multiplicity 0..p;
     a node with no name has multiplicity 0.  A node's states are keyed
@@ -260,6 +271,7 @@ def _nx_circuit(automaton, root, name_of, l, p):
     state gates.  Returns (circuit, decomposition)."""
     restricted = l != ALL
     limit = l if restricted else p
+    last = len(nodes) - 1
     gates = {}
     reach = {}  # id(node) -> {(state, m): gate or None}, first seen first
     bags = {}
@@ -302,7 +314,7 @@ def _nx_circuit(automaton, root, name_of, l, p):
         for q in _in_order(states, keys):
             targets.setdefault((q, m if restricted else 0), []).append(g)
 
-    for i, n in enumerate(postorder(root)):
+    for i, n in enumerate(nodes):
         tau = n.label
         dom = []
         x = name_of.get(id(n))
@@ -335,7 +347,7 @@ def _nx_circuit(automaton, root, name_of, l, p):
             kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
         reach[id(n)] = {key: plus(("q", i, j), lst)
                         for j, (key, lst) in enumerate(targets.items())}
-        if n is root:
+        if i == last:
             finals = [g for (q, m), g in reach[id(n)].items()
                       if m == (l if restricted else 0)
                       and automaton.is_final(q)]
@@ -344,4 +356,4 @@ def _nx_circuit(automaton, root, name_of, l, p):
                 out = add(("out",), "mul")
         bags[id(n)] = Bag(dom, kids)
     return (Circuit("semiring", gates, out),
-            TreeDecomposition(bags[id(root)], normalized=True))
+            TreeDecomposition(bags[id(nodes[-1])], normalized=True))

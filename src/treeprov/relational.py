@@ -306,7 +306,8 @@ def _decomposition_from_order(verts, adj, order, instance):
     later_nbrs = []
     remaining = set(verts)
     for v in order:
-        nb = adj[v] & remaining - {v}
+        nb = adj[v] & remaining  # `remaining - {v}` would copy it per v
+        nb.discard(v)
         bags.append(Bag({v} | nb))
         later_nbrs.append(nb)
         for a in nb:

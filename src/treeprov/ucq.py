@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from .automata import (BNTA, EMPTY, lazy_determinize, memoized, monotonize,
                        state_cap, union)
 from .circuits import Polynomial
-from .encoding import encode
+from .encoding import _encoded
 from .errors import StateBlowup
 from .provcirc import ALL, _nx_circuit
-from .relational import normalize_decomposition, tree_decomposition
 
 
 @dataclass(frozen=True)
@@ -229,10 +228,11 @@ def compile_bool(q):
     per disjunct, the placement automaton that lets a fact hold any
     number of atoms, with every full descriptor renamed to one absorbing
     accepting state that moves up only beside the empty descriptor; the
-    union is memoized as a whole.  Runs are not unique: `_compile_det`
-    is the deterministic version.  It is compiled once per query and
-    state cap (see `_compiled`): later calls return the same automaton,
-    its memo filled by the runs before.
+    union (for one disjunct, its automaton) is memoized as a whole.
+    Runs are not unique: `_compile_det` is the deterministic version.
+    It is compiled once per query and state cap (see `_compiled`):
+    later calls return the same automaton, its memo filled by the runs
+    before.
 
     This is exact: every node reaches the empty descriptor under every
     valuation (a fact may hold no atom), a full descriptor never fails
@@ -243,9 +243,16 @@ def compile_bool(q):
 
 
 def _bool_automaton(disjuncts):
-    return memoized(union([
+    return memoized(_union_unless_one([
         _accepting(placement_automaton(d, any_count=True), _no_match(d))
         for d in disjuncts]))
+
+
+def _union_unless_one(automata):
+    """The union of automata, or the one automaton itself: its states
+    then carry no disjunct tag, which sorts them as the tagged ones are
+    (by `provcirc._state_key`), so a circuit does not change."""
+    return automata[0] if len(automata) == 1 else union(automata)
 
 
 def _accepting_sink(subsets):
@@ -465,15 +472,16 @@ def nx_provenance(q, instance, k=None):
     has one accepting run per match of a disjunct, and the circuit
     weighs each run by the product of the facts its match uses.  The
     memoized union is compiled once per query and state cap (see
-    `_compiled`)."""
+    `_compiled`), and the instance's encoding once per instance and k
+    (see `encoding._encoded`)."""
     if isinstance(q, CQ):
         q = UCQ((q,))
-    enc = encode(instance, normalize_decomposition(
-        tree_decomposition(instance, k)))
+    enc = _encoded(instance, k)
     automaton = _compiled(_key(_nx_automaton, q))
     p = max(len(d.atoms) for d in q.disjuncts)
-    return _nx_circuit(automaton, enc.root, enc.node_fact, ALL, p)[0]
+    return _nx_circuit(automaton, enc.nodes(), enc.node_fact, ALL, p)[0]
 
 
 def _nx_automaton(disjuncts):
-    return memoized(union([placement_automaton(d) for d in disjuncts]))
+    return memoized(_union_unless_one([placement_automaton(d)
+                                       for d in disjuncts]))

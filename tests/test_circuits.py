@@ -11,6 +11,8 @@ from treeprov.circuits import (FUZZY, NAT, POSBOOL, SECURITY, TROPICAL,
                                circuit_to_json, eval_bool, eval_bool_vector,
                                eval_semiring, expand_polynomial, nx_semiring)
 from treeprov.errors import SizeCap
+from treeprov.relational import make_instance
+from treeprov.ucq import nx_provenance, parse_ucq
 
 
 def rand_bool_circuit(rng, n_inputs=4, n_gates=10):
@@ -202,3 +204,27 @@ def test_circuit_json_roundtrip():
             v1 = eval_bool(c, dict(zip(inputs, bits)))
             v2 = eval_bool(back, {str(g): b for g, b in zip(inputs, bits)})
             assert v1 == v2
+
+
+def test_eval_semiring_over_nx_sums_like_expand_polynomial():
+    """Under nx_semiring, eval_semiring gives expand_polynomial's
+    polynomial on a 1,000-edge path's N[X] circuit and on a circuit
+    where one add gate feeds two parents, and leaves the caller's input
+    values as they were."""
+    path = make_instance({"R": 2}, [("R", ("v%d" % i, "v%d" % (i + 1)))
+                                    for i in range(1000)])
+    shared = Circuit("semiring",
+                     {"x": ("inp", ()), "y": ("inp", ()), "z": ("inp", ()),
+                      "s": ("add", ("x", "y")), "a": ("add", ("s", "z")),
+                      "b": ("add", ("s", "x")), "o": ("mul", ("a", "b"))},
+                     "o")
+    ids = [f.id for f in path.facts]
+    x, y, z = map(Polynomial.variable, "xyz")
+    for c, want in ((nx_provenance(parse_ucq("R(x,y),R(y,z)"), path),
+                     Polynomial({tuple(sorted([(a, 1), (b, 1)])): 1
+                                 for a, b in zip(ids, ids[1:])})),
+                    (shared, (x + y + z) * (x + y + x))):
+        variables = {g: Polynomial.variable(g) for g in c.inputs()}
+        assert eval_semiring(c, nx_semiring(), variables) == want
+        assert expand_polynomial(c) == want
+        assert all(p == Polynomial.variable(g) for g, p in variables.items())

@@ -13,7 +13,7 @@ from treeprov.circuits import eval_bool, expand_polynomial
 from treeprov.prob import (BIDInstance, PCInstance, count_matches, pc_to_pcc,
                            query_probability_bid, query_probability_pcc)
 from treeprov.provcirc import query_provenance_circuit
-from treeprov.relational import make_instance
+from treeprov.relational import make_instance, tree_decomposition
 from treeprov.ucq import compile_bool, nx_provenance, parse_ucq
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -65,3 +65,11 @@ def test_pc_on_a_1000_edge_path():
                     {"e%d" % i: Fraction(1, 2) for i in range(1000)})
     assert query_probability_pcc(parse_ucq(QUERY), pc_to_pcc(pc)) == \
         bench_oracles.path_query_probability(1000)
+
+
+def test_decomposition_of_a_16000_edge_path():
+    """One bag per element, of width 1: the bag construction takes each
+    vertex's later neighbours without copying the remaining vertices."""
+    dec = tree_decomposition(directed_path(16000))
+    assert dec.width == 1
+    assert len(dec.bags()) == 16001

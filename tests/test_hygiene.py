@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every parameter
-of a package function is read, the package never sorts by ``repr``, and
-no package function calls itself.
+of a package function is read, the package never sorts by ``repr``, no
+package function calls itself, and one function builds the tree
+encoding of an instance from scratch.
 
 The import scan covers the package modules and the test files;
 ``__init__.py`` is left out, since its imports are the package's
@@ -8,7 +9,10 @@ re-exports.  The ``repr`` of a set lists its members in hash order, so a
 ``repr``-keyed sort makes the output depend on ``PYTHONHASHSEED``.  A
 walk that recurses fails with ``RecursionError`` on an input about
 1,000 levels deep, so walks whose depth follows the input use
-``trees.fold``, ``postorder``/``preorder`` or a loop."""
+``trees.fold``, ``postorder``/``preorder`` or a loop.  An instance's
+encoding is kept across calls by ``encoding._encoded``, so a function
+that chains ``tree_decomposition``, ``normalize_decomposition`` and
+``encode`` itself builds, on every call, what that function keeps."""
 
 import ast
 from pathlib import Path
@@ -145,3 +149,46 @@ def test_package_walks_do_not_recurse():
                    for line, name in self_recursive(path.read_text())
                    if (path.name, name) not in RECURSION_ALLOWED)
     assert not found, "self-recursive functions: %s" % found
+
+
+_CHAIN = {"tree_decomposition", "normalize_decomposition", "encode"}
+
+
+def encoding_chains(source):
+    """(line, function) of each def whose body, nested functions
+    included, calls all of tree_decomposition, normalize_decomposition
+    and encode."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {n.func.id if isinstance(n.func, ast.Name)
+                      else getattr(n.func, "attr", None)
+                      for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Call)}
+            if _CHAIN <= called:
+                out.append((node.lineno, node.name))
+    return sorted(out)
+
+
+def test_scanner_flags_encoding_chains():
+    source = ("def f(i, k):\n"
+              "    return encode(i, normalize_decomposition(\n"
+              "        relational.tree_decomposition(i, k)))\n"
+              "def g(i, k):\n    d = tree_decomposition(i, k)\n"
+              "    def h():\n        return encode(i, d)\n"
+              "    return normalize_decomposition(d), h\n"
+              "def m(i, d):\n"
+              "    return encode(i, normalize_decomposition(d))\n")
+    assert encoding_chains(source) == [(1, "f"), (4, "g")]
+
+
+# the cache itself, and the CLI command that prints an encoding
+ENCODING_CHAINS_ALLOWED = {("encoding.py", "_encoded"),
+                           ("cli.py", "cmd_encode")}
+
+
+def test_only_the_cache_encodes_an_instance():
+    found = sorted((path.name, line, name) for path in PACKAGE
+                   for line, name in encoding_chains(path.read_text())
+                   if (path.name, name) not in ENCODING_CHAINS_ALLOWED)
+    assert not found, "encodes an instance outside _encoded: %s" % found

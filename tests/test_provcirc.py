@@ -172,7 +172,7 @@ def test_nx_provenance_decomposition():
         automaton = memoized(union([placement_automaton(d)
                                     for d in q.disjuncts]))
         p = max(len(d.atoms) for d in q.disjuncts)
-        circuit, decomp = _nx_circuit(automaton, enc.root, enc.node_fact,
+        circuit, decomp = _nx_circuit(automaton, enc.nodes(), enc.node_fact,
                                       ALL, p)
         assert circuit_to_json(circuit) == \
             circuit_to_json(nx_provenance(q, inst))
@@ -213,16 +213,19 @@ from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import instance_from_json, make_instance
 from treeprov.ucq import compile_bool, nx_provenance, parse_ucq
 
-grid = instance_from_json(json.load(open(%r)))
-path = make_instance({"R": 2}, [("R", ("v%%d" %% i, "v%%d" %% (i + 1)))
-                                for i in range(4)])
-pcc = bid_to_pcc(BIDInstance(path, {"R": (0,)},
-                             {f.id: Fraction(1, 2) for f in path.facts}))
-marked = instance_from_json(json.load(open(%r)))
-branched = instance_from_json(json.load(open(%r)))
+
+def load():
+    grid = instance_from_json(json.load(open(%r)))
+    path = make_instance({"R": 2}, [("R", ("v%%d" %% i, "v%%d" %% (i + 1)))
+                                    for i in range(4)])
+    pcc = bid_to_pcc(BIDInstance(path, {"R": (0,)},
+                                 {f.id: Fraction(1, 2) for f in path.facts}))
+    marked = instance_from_json(json.load(open(%r)))
+    branched = instance_from_json(json.load(open(%r)))
+    return grid, pcc, marked, branched
 
 
-def build():
+def build(grid, pcc, marked, branched):
     res, _ = query_provenance_circuit(
         compile_bool(parse_ucq("R(x,y),R(y,z),R(z,w)")), grid, 2)
     lineage, _ = lineage_circuit(compile_bool(parse_ucq("R(x,y),R(y,z)")),
@@ -236,9 +239,12 @@ def build():
             for c in [res.circuit, lineage, *unions, nx]]
 
 
-# the second build runs on the automata, and memos, of the first
-print(json.dumps(build()))
-print(json.dumps(build()))
+# the second build runs on the automata, with their memos, and on the
+# instance encodings of the first; the third on the automata only
+inputs = load()
+print(json.dumps(build(*inputs)))
+print(json.dumps(build(*inputs)))
+print(json.dumps(build(*load())))
 """
 
 
@@ -246,7 +252,9 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
     """Boolean provenance (library and CLI, one disjunct and unions, at
     widths 1 and 2), lineage and N[X] (library and CLI) circuits come
     out byte for byte the same under two hash seeds, and the library's
-    the same again when built a second time on a warm cache."""
+    the same again when built a second time in the process, on warm
+    automata and instance encodings, and a third, on warm automata and
+    new instances."""
     grid, branched = tmp_path / "grid.json", tmp_path / "branched.json"
     for path, edges in ((grid, _GRID_EDGES), (branched, _BRANCHED_EDGES)):
         path.write_text(json.dumps({"signature": {"R": 2}, "facts": [
@@ -280,10 +288,10 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
                    (grid, "R(x,y),R(y,z),R(z,w)", ["--width", "2"]),
                    (marked, "R(x,y),R(y,z)", ["--mode", "nx"])]]
         outs.append((lib, cli))
-    cold, warm = outs[0][0].splitlines()
+    cold, warm, reloaded = outs[0][0].splitlines()
     assert [c["kind"] for c in json.loads(cold)] == \
         ["bool"] * 5 + ["semiring"]
-    assert cold == warm
+    assert cold == warm == reloaded
     assert all(out.startswith("{") for out in outs[0][1])
     assert outs[0] == outs[1]
 
@@ -297,3 +305,36 @@ def test_branched_union_merges_projected_states():
         compile_bool(parse_ucq(_BRANCHED_UNION)), branched, 2)
     assert {g[0] for g in res.circuit.gates if isinstance(g, tuple)} >= \
         {"ul", "ur"}
+
+
+def test_states_project_to_themselves_under_a_wider_domain():
+    """The contract `_bool_circuit` relies on to skip a projection: on
+    random encodings of width 1 and 2, every state that `compile_bool`
+    reaches at a child, under any valuation, projects to itself at a
+    parent whose label domain holds the child's."""
+    rng = random.Random(71)
+    widths, checked = set(), 0
+    while widths != {1, 2} or checked < 200:
+        inst = rand_instance(rng, max_facts=6, max_dom=5)
+        enc = encode(inst, normalize_decomposition(
+            tree_decomposition(inst, None)))
+        if enc.k not in (1, 2):
+            continue
+        widths.add(enc.k)
+        automaton = compile_bool(rand_ucq(rng, max_disjuncts=2, max_atoms=3))
+        reached = {}
+        for n in enc.nodes():
+            labels = {n.label, n.label.neuter()}
+            if n.is_leaf():
+                states = {q for l in labels for q in automaton.iota(l)}
+            else:
+                for c in (n.left, n.right):
+                    if c.label.dom <= n.label.dom:
+                        checked += 1
+                        for q in reached[id(c)]:
+                            assert automaton.project(q, n.label) == q
+                states = {q for l in labels
+                          for q1 in reached[id(n.left)]
+                          for q2 in reached[id(n.right)]
+                          for q in automaton.delta(q1, q2, l)}
+            reached[id(n)] = states
