@@ -4,14 +4,16 @@ Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
 text.  Exit codes: 2 signals NoDecomposition or an invalid encoding,
 3 a resource cap (a state blowup, a polynomial expansion past its
-monomial cap, or an output that nests deeper than the json module can
-write, about 1,000 levels of arrays and objects), and 4 invalid input:
-a missing or unreadable file, malformed JSON or JSON nested deeper than
-the json module can read, an input file without a required key, a query
-or formula that does not parse, or a query atom whose arity disagrees
-with the instance.  Each error is one line on stderr.  The tree-shaped
-formats (decompositions, encodings, PrXML documents) nest two or three
-levels per tree level, so their depth limit comes from the json module.
+monomial cap, running out of memory, or an output that nests deeper
+than the json module can write, about 1,000 levels of arrays and
+objects), and 4 invalid input: a missing or unreadable file, malformed
+JSON or JSON nested deeper than the json module can read, an input file
+without a required key, a query or formula that does not parse, a query
+atom whose arity disagrees with the instance, or a PrXML document with
+a probability outside [0, 1] or a fie node where mux/ind are expected.
+Each error is one line on stderr.  The tree-shaped formats
+(decompositions, encodings, PrXML documents) nest two or three levels
+per tree level, so their depth limit comes from the json module.
 """
 
 import argparse
@@ -302,6 +304,9 @@ def main(argv=None):
         return 3
     except SizeCap as exc:
         sys.stderr.write("size cap: %s\n" % exc)
+        return 3
+    except MemoryError:
+        sys.stderr.write("out of memory in %s\n" % args.command)
         return 3
     except (OSError, SyntaxError, ValueError) as exc:
         sys.stderr.write("invalid input: %s\n" % exc)

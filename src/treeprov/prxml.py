@@ -1,22 +1,23 @@
 """Probabilistic XML: mux/ind and event-formula (fie) documents,
 left-child-right-sibling binarization, relational and pc encodings,
-scope analysis, and probability evaluation by the pcc DP over a
-cc-encoding read off the document in one walk.
+scope analysis, and probability evaluation by one automaton DP over
+the binary mux/ind form, with one message per node if present and one
+if absent.
 
 Documents are unranked ordered labeled trees; probabilistic nodes carry
 annotations on the edges to their children (rationals for mux/ind,
 propositional formulas for fie).
 """
 
+import functools
 from fractions import Fraction
 
-from .circuits import Circuit
-from .encoding import KFact, TreeEncoding
+from .encoding import KFact
 from .errors import NoDecomposition
-from .prob import (CCEncoding, PCInstance, _check_arities, _pcc_dp,
-                   _with_step, format_formula, formula_events, parse_formula)
-from .relational import Bag, Fact, Instance, TreeDecomposition
-from .trees import Node, fold, preorder
+from .prob import (PCInstance, _check_arities, _with_step, format_formula,
+                   formula_events, parse_formula)
+from .relational import Fact, Instance
+from .trees import Node, children, fold, postorder
 
 BOT = "bot"  # padding label of the LCRS transform
 
@@ -46,7 +47,15 @@ class PrXMLDoc:
             raise ValueError("the root must be a regular node")
         self.root = root
         self.events = {e: Fraction(p) for e, p in (events or {}).items()}
+        for e, p in self.events.items():
+            if not 0 <= p <= 1:
+                raise ValueError("event %s has probability %s, outside "
+                                 "[0, 1]" % (e, p))
         for node in doc_nodes(root):
+            if node.kind in ("mux", "ind") and not all(
+                    0 <= p <= 1 for p, _ in node.children):
+                raise ValueError("%s node %r has an edge probability "
+                                 "outside [0, 1]" % (node.kind, node.label))
             if node.kind == "mux":
                 if sum((p for p, _ in node.children), Fraction(0)) > 1:
                     raise ValueError("mux probabilities sum to more than 1")
@@ -175,8 +184,12 @@ def _det():
 def _binary_node(node, kids):
     """Binary form of one node whose children kids are converted."""
     kind = node.kind
+    if kind == "fie":
+        raise ValueError("fie node %r: the binary form takes mux/ind "
+                         "documents only" % node.label)
+    if kind != "regular":  # Fraction edges; a mux drops those of 0
+        kids = [(Fraction(p), c) for p, c in kids if kind == "ind" or p]
     if kind == "mux":
-        kids = [(p, c) for p, c in kids if p > 0]
         total = sum((p for p, _ in kids), Fraction(0))
         if total < 1:
             kids.append((1 - total, _det()))
@@ -224,7 +237,8 @@ def _spill_chain(kids):
 
 def muxind_to_binary(doc):
     """Equivalent document in binary form: full binary tree, every mux
-    with edge probabilities summing to exactly 1."""
+    with edge probabilities summing to exactly 1.  A fie node is refused
+    with ValueError."""
     return PrXMLDoc(_rebuild(doc.root, _binary_node), doc.events)
 
 
@@ -264,54 +278,24 @@ def muxind_to_fie(doc):
 def scope_width(doc):
     """Max over LCRS nodes of the number of events whose minimal
     covering subtree (over the nodes where the event occurs in the
-    incoming-edge annotation) contains the node."""
-    _, scopes = _scope_sets(doc)
-    return max((len(s) for s in scopes.values()), default=0)
-
-
-def _scope_sets(doc):
-    """Per-LCRS-node event scopes; returns (tree, {id(node): set})."""
-    tree = lcrs(doc.root)
-    scopes = {}
-    allnodes = preorder(tree)
-    for e in doc.events:
-        counts = {}
-        total = 0
-        for n in reversed(allnodes):  # children before parents
-            c = 0
-            if n.label is not None:
-                _, edge = n.label
-                if edge is not None and e in formula_events(edge):
-                    c = 1
-            if not n.is_leaf():
-                c += counts[id(n.left)] + counts[id(n.right)]
-            counts[id(n)] = c
-        total = counts[id(tree)]
-        if total == 0:
-            continue
-        # walk down to the LCA of all occurrences
-        lca = tree
-        while True:
-            occ_here = False
-            if lca.label is not None:
-                _, edge = lca.label
-                occ_here = edge is not None and e in formula_events(edge)
-            if occ_here or lca.is_leaf():
-                break
-            below = [c for c in (lca.left, lca.right)
-                     if counts[id(c)] == total]
-            if not below:
-                break
-            lca = below[0]
-        stack = [lca]
-        while stack:
-            n = stack.pop()
-            if counts[id(n)] == 0 and n is not lca:
-                continue
-            scopes.setdefault(id(n), set()).add(e)
-            if not n.is_leaf():
-                stack.extend((n.left, n.right))
-    return tree, scopes
+    incoming-edge annotation) contains the node: the events that occur
+    at or below the node, less those whose occurrences all lie below
+    one of its children."""
+    if not doc.events:
+        return 0
+    nodes = postorder(lcrs(doc.root))
+    counts = {}  # id(node) -> {event: occurrences at or below it}
+    for n in nodes:
+        edge = None if n.label is None else n.label[1]
+        c = {} if edge is None else dict.fromkeys(formula_events(edge), 1)
+        for kid in children(n):
+            for e, k in counts[id(kid)].items():
+                c[e] = c.get(e, 0) + k
+        counts[id(n)] = c
+    total = counts[id(nodes[-1])]
+    return max(sum(all(counts[id(kid)].get(e) != total[e]
+                       for kid in children(n)) for e in counts[id(n)])
+               for n in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -331,109 +315,116 @@ def fie_to_pc(doc):
 
 
 # ---------------------------------------------------------------------------
-# Probability pipeline
+# Probability
 
 
-def _presence_encoding(fie):
-    """The arity-two pcc circuit and cc-encoding of a binary fie document
-    (`muxind_to_fie` output), in one walk; returns (circuit, cc-encoding,
-    input probabilities, signature, joint width).
+# per slot s of a node: its FC and NS labels, and its children's slots,
+# the two others of {1, 2, 3}
+_BELOW = {s: (KFact(frozenset((s, a)), "FC", (s, a)),
+              KFact(frozenset((a, b)), "NS", (a, b)), a, b)
+          for s, a, b in ((1, 2, 3), (2, 1, 3), (3, 1, 2))}
+_EMPTY = KFact(frozenset())  # a padding leaf
 
-    Gates: one input ("e", e) per event, one NOT ("n", e) per negated
-    event, and per node a presence gate, true iff the node is in the
-    world: the AND ("p", i) of its parent's presence and its edge
-    literal.  The root and the children of regular nodes reuse their
-    parent's presence (None: certain), and under a certain fie node a
-    child's presence is its literal.
 
-    Data: `fie_to_pc`'s facts (`_encode`) at width 1, less the label
-    facts of fie nodes: a choice node or a binarization helper is in no
-    world.  A node n is a P(n) node, whose chi is n's presence if n is
-    regular and which holds no fact if n is a fie node; with children
-    c1, c2 it has an FC(n,c1) node below it and an NS(c1,c2) node below
-    that, whose children are the P nodes of c1 and c2, padded with empty
-    leaves.  FC and NS facts are certain.  The signature is
-    `fie_to_pc`'s, P_fie included.
+@functools.lru_cache(maxsize=4096)
+def _p_label(rel, s):
+    """rel(s), or ({s},-) if rel is None; kept across calls, so that the
+    automaton memos meet one object per label and its neutered form."""
+    return KFact(frozenset((s,)), *((rel, (s,)) if rel else ()))
 
-    Circuit bags, same skeleton: a P(c) bag holds c's presence and the
-    inputs it is formed from; FC(n,c1) and NS(c1,c2) carry n's presence,
-    and NS also homes a mux's NOT beside its event.  So a bag holds at
-    most 3 gates, and the joint width (data elements and gates of a
-    node, less one) is at most 4."""
-    gates = {}
-    probs = {}
+
+def _layout(root):
+    """One walk of the binary form of a mux/ind document from its root;
+    returns (per node in preorder, its P label and, if it has children,
+    (FC label, NS label, weighted cases, denominator)), the
+    signature, the joint width and the product of the denominators.
+
+    The encoding has data width 1.  A node in slot s has a P node
+    labelled P_label(s) if it is regular, else ({s},-): a choice node or
+    binarization helper is in no world.  With children c1, c2 it has an
+    FC node below it and an NS node below that, over the P nodes of c1
+    and c2; empty leaves pad.  The root takes slot 1.  An ind edge a/d
+    weighs a if kept and d - a if not; a mux's first child weighs a and
+    its second d - a.  The signature is `fie_to_pc`'s on the fie form.
+
+    The joint width is that of the fie form's cc-encoding with presence
+    gates, which `k` bounds: with u = "below a choice node", the largest
+    of 1 + the gates of a child's P bag ([u] of its parent under a
+    regular node, else 1 + 2[u]) and 2 + those of a node's NS bag
+    ([u] + 2[mux]), less one."""
     signature = {"FC": 2, "NS": 2}
-    chi = {}
-    empty = KFact(frozenset())
-    widest = 0  # largest data elements + gates of one node
-
-    def label(rel, *slots):
-        return KFact(frozenset(slots), rel, slots)
-
-    def literal(edge):
-        neg = edge[0] == "not"
-        e = edge[1][1] if neg else edge[1]
-        g = ("e", e)
-        if g not in gates:
-            gates[g] = ("inp", ())
-            probs[g] = fie.events[e]
-        if not neg:
-            return g, ()
-        gates["n", e] = ("not", (g,))
-        return ("n", e), (g, ("n", e))
-
-    done = []  # (P node, its bag) of each finished document node
-    # (node, its slot, its presence, its P bag's gates, and once its
-    # children are pushed, their slots and the FC and NS bags' gates)
-    stack = [(fie.root, 1, None, (), None)]
+    widest, scale, nodes = 1, 1, []
+    stack = [(root, 1, False)]  # (node, slot, u)
     while stack:
-        node, s, pres, own, below = stack.pop()
-        if below is None and node.children:
-            if len(node.children) != 2:
-                raise ValueError("document not in binary form")
-            s1, s2 = (x for x in (1, 2, 3) if x != s)
-            carry = () if pres is None else (pres,)
-            ns = set(carry)
-            kids = []
-            for (edge, c), sc in zip(node.children, (s1, s2)):
-                if node.kind != "fie":
-                    kids.append((c, sc, pres, carry, None))
-                    continue
-                g, homed = literal(edge)
-                ns.update(homed)
-                if pres is None:
-                    kids.append((c, sc, g, (g,), None))
-                else:
-                    a = ("p", len(gates))
-                    gates[a] = ("and", (pres, g))
-                    kids.append((c, sc, a, (pres, g, a), None))
-            stack.append((node, s, pres, own, (s1, s2, carry, ns)))
-            stack.extend(reversed(kids))
-            continue
-        rel = _label_rel(node)
+        node, s, under = stack.pop()
+        regular = node.kind == "regular"
+        rel = "P_%s" % node.label if regular else "P_fie"
         signature[rel] = 1
-        fact = label(rel, s) if node.kind == "regular" else \
-            KFact(frozenset((s,)))
-        widest = max(widest, 1 + len(own))
+        label = _p_label(rel if regular else None, s)
+        if not node.children:
+            nodes.append((label, None))
+            continue
+        fc, ns, s1, s2 = _BELOW[s]
+        (e1, c1), (e2, c2) = node.children
+        # (message of c1 and of c2, 0 if present and 1 if not, weight)
+        cases, den = ((0, 0, 1),), 1
+        if node.kind == "mux":
+            a, den = e1.numerator, e1.denominator
+            cases = ((0, 1, a), (1, 0, den - a))
+        elif not regular:
+            (a1, d1), (a2, d2) = ((e.numerator, e.denominator)
+                                  for e in (e1, e2))
+            cases = ((0, 0, a1 * a2), (0, 1, a1 * (d2 - a2)),
+                     (1, 0, (d1 - a1) * a2), (1, 1, (d1 - a1) * (d2 - a2)))
+            den = d1 * d2
+        scale *= den
+        widest = max(widest, 2 + under + 2 * (node.kind == "mux"),
+                     1 + (under if regular else 1 + 2 * under))
+        nodes.append((label, (fc, ns, cases, den)))
+        stack += [(c2, s2, under or not regular),
+                  (c1, s1, under or not regular)]
+    return nodes, signature, widest - 1, scale
+
+
+def _up(step, cases, label, fc, ns, empty):
+    """A P node's message from weighted pairs of its children's: NS
+    steps each pair, then FC and the P node step beside an empty leaf."""
+    below, out = {}, {}
+    for m1, m2, w in cases:
+        for q1, w1 in m1.items() if w else ():
+            for q2, w2 in m2.items():
+                for q in step.delta(q1, q2, ns):
+                    below[q] = below.get(q, 0) + w * w1 * w2
+    for q, w in below.items():
+        for e in empty:
+            for r in step.delta(q, e, fc):
+                for t in step.delta(r, e, label):
+                    out[t] = out.get(t, 0) + w
+    return out
+
+
+def _dp(step, nodes):
+    """The determinised automaton step (see `_with_step`) run over
+    `_layout`'s nodes, children first: each gets a message {state:
+    integer weight} if it is in the world and one if it is not, where
+    every label below is neutered.  Returns the accepted weight."""
+    empty = step.iota(_EMPTY)
+    leaves = {}  # label -> a leaf's messages, shared: none is changed
+    done = []  # (present, absent) messages of finished nodes
+    for label, below in reversed(nodes):
         if below is None:
-            p, bag = Node(fact), Bag(own)
-        else:
-            s1, s2, carry, ns = below
-            (n2, b2), (n1, b1) = done.pop(), done.pop()
-            widest = max(widest, 2 + len(ns))  # ns holds carry
-            fc = Node(label("FC", s, s1),
-                      Node(label("NS", s1, s2), n1, n2), Node(empty))
-            p = Node(fact, fc, Node(empty))
-            bag = Bag(own, [Bag(carry, [Bag(ns, [b1, b2]), Bag(())]),
-                            Bag(())])
-        if pres is not None and fact.rel is not None:
-            chi[id(p)] = pres
-        done.append((p, bag))
-    root, bag = done.pop()
-    cc = CCEncoding(TreeEncoding(root, 0 if root.is_leaf() else 1),
-                    TreeDecomposition(bag, normalized=True), chi)
-    # no output gate: the query automaton reads the gates through chi
-    return Circuit("bool", gates, None), cc, probs, signature, widest - 1
+            if label not in leaves:
+                leaves[label] = ({q: 1 for q in step.iota(label)},
+                                 {q: 1 for q in step.iota(label.neuter())})
+            done.append(leaves[label])
+            continue
+        fc, ns, cases, den = below
+        m1, m2 = done.pop(), done.pop()
+        done.append((_up(step, [(m1[i], m2[j], w) for i, j, w in cases],
+                         label, fc, ns, empty),
+                     _up(step, ((m1[1], m2[1], den),), label.neuter(), fc,
+                         ns, empty)))
+    return sum(w for q, w in done[0][0].items() if step.is_final(q))
 
 
 def prxml_query_probability(q, doc, k=None):
@@ -441,19 +432,20 @@ def prxml_query_probability(q, doc, k=None):
     the query.  A regular node's label fact P_label(n) holds iff the node
     is in the world; choice nodes are in no world and have no label fact
     (`fie_to_pc` gives them P_fie).  FC/NS are the certain facts of the
-    document's binary fie form (`muxind_to_binary`, then
-    `muxind_to_fie`), whose choice nodes and binarization helpers they
-    link too.  `_pcc_dp` runs over the `_presence_encoding` of that form.
-    k, if given, must be at least that encoding's joint width, else
-    NoDecomposition."""
-    circuit, cc, probs, signature, width = _presence_encoding(
-        muxind_to_fie(muxind_to_binary(doc)))
+    document's binary form (`muxind_to_binary`), whose choice nodes and
+    binarization helpers they link too.  `_layout` lays out its encoding
+    in one walk, and `_dp` runs the query over it with two messages per
+    node, no event and no gate.  k, if given, must be at least the joint
+    width `_layout` reports, else NoDecomposition."""
+    # the binary form of a valid document needs no check of its own
+    nodes, signature, width, scale = _layout(_rebuild(doc.root,
+                                                      _binary_node))
     _check_arities(q, signature)
     if k is not None and width > k:
         raise NoDecomposition(
             "the document's cc-encoding has data width %d and joint width "
-            "%d, above the bound %d" % (cc.encoding.k, width, k))
-    return _with_step(q, lambda step: _pcc_dp(step, circuit, cc, probs))
+            "%d, above the bound %d" % (min(len(nodes) - 1, 1), width, k))
+    return Fraction(_with_step(q, lambda step: _dp(step, nodes)), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,33 @@ def rand_doc(rng, max_choices=6):
     return PrXMLDoc(build(3, "regular"))
 
 
+def rand_wide_doc(rng):
+    """Random mux/ind document whose nodes have 3-5 children: a regular
+    root over leaves, one ind and one mux node, each choosing among
+    leaves and at most one regular node over 3-5 leaves."""
+    from treeprov.prxml import PrXMLDoc, PrXMLNode
+
+    def leaf():
+        return PrXMLNode(rng.choice(DOC_LABELS))
+
+    def choice(kind):
+        kids = [leaf() for _ in range(rng.randint(3, 5))]
+        if rng.random() < 0.5:
+            kids[0].children = [(None, leaf())
+                                for _ in range(rng.randint(3, 5))]
+        probs = [rand_fraction(rng, den_max=4) for _ in kids]
+        total = sum(probs)
+        if kind == "mux" and total > 1:
+            probs = [p / total for p in probs]
+        return PrXMLNode(kind, kind, list(zip(probs, kids)))
+
+    kids = [choice("ind"), choice("mux")]
+    kids += [leaf() for _ in range(rng.randint(1, 3))]
+    rng.shuffle(kids)
+    return PrXMLDoc(PrXMLNode(rng.choice(DOC_LABELS),
+                              children=[(None, c) for c in kids]))
+
+
 def rand_decomposed_circuit(rng, max_bags=8, max_bag=5, not_prob=0.2):
     """Random Boolean arity-two circuit together with a valid tree
     decomposition of bounded width, built decomposition-first."""

@@ -241,6 +241,46 @@ def label_worlds(doc):
     return out
 
 
+def binary_doc_worlds(binary):
+    """(instance, probability) per world of a binary mux/ind document
+    (`muxind_to_binary` output), by local enumeration: the FC and NS
+    facts between all of its nodes, choice nodes included, hold in every
+    world, and P_label(n) holds iff n is a regular node of the world."""
+    nodes = []  # preorder
+    stack = [binary.root]
+    while stack:
+        n = stack.pop()
+        nodes.append(n)
+        stack.extend(c for _, c in reversed(n.children))
+    name = {id(n): "n%d" % i for i, n in enumerate(nodes)}
+    certain = []
+    for n in nodes:
+        kids = [name[id(c)] for _, c in n.children]
+        if kids:
+            certain.append(("FC", (name[id(n)], kids[0])))
+        certain += [("NS", pair) for pair in zip(kids, kids[1:])]
+    # per node, children first: [(the label facts of a world's nodes at
+    # or below it, probability)], given the node is in the world
+    below = {}
+    for n in reversed(nodes):
+        if n.kind == "mux":  # one child, or none
+            below[id(n)] = _merge(
+                [((), 1 - sum(p for p, _ in n.children))]
+                + [(s, p * q) for p, c in n.children for s, q in below[id(c)]])
+            continue
+        out = [((("P_%s" % n.label, (name[id(n)],)),)
+                if n.kind == "regular" else (), Fraction(1))]
+        for p, c in n.children:
+            kid = below[id(c)]
+            if p is not None:  # an ind edge: the child may be left out
+                kid = [(s, p * q) for s, q in kid] + [((), 1 - p)]
+            out = _merge([(s + t, q * r) for s, q in out for t, r in kid])
+        below[id(n)] = out
+    return [(make_instance({rel: len(args) for rel, args in certain + list(s)},
+                           certain + list(s)), p)
+            for s, p in below[id(binary.root)] if p]
+
+
 def _merge(options):
     acc = {}
     for f, p in options:

@@ -220,6 +220,26 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
         {"signature": {"R": 2}, "facts": [{"rel": "R", "args": ["a", "b"]}]}))
     too_deep = tmp_path / "too_deep.json"
     too_deep.write_text("[" * 5000 + "]" * 5000)
+
+    def doc_file(name, node, event="1/2"):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps({"tree": {"label": "r", "children": [
+            {"node": node}]}, "events": {"e": event}}))
+        return str(path)
+
+    def ind(prob):
+        return {"label": "i", "kind": "ind", "children": [
+            {"prob": prob, "node": {"label": "a"}}]}
+
+    # a fie node where mux/ind are expected, whatever its number of
+    # children, and probabilities outside [0, 1]
+    docs = [(doc_file("fie%d" % n, {"label": "f", "kind": "fie", "children": [
+        {"cond": "e", "node": {"label": "a"}}] * n}), "fie node 'f'")
+        for n in (1, 2, 3)]
+    docs += [(doc_file("high", ind("3/2")), "outside [0, 1]"),
+             (doc_file("negative", ind("-1/2")), "outside [0, 1]"),
+             (doc_file("event", ind("1/2"), "3/2"),
+              "event e has probability 3/2")]
     cases = [
         (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
         (("count", "--query", "R(x)", "--free", "x",
@@ -238,6 +258,9 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
         (("prxml-convert", "--input", str(too_deep), "--to", "fie"),
          "nests deeper"),
     ]
+    for path, needle in docs:
+        cases += [(("prob", "--query", "P_a(x)", "--prxml", path), needle),
+                  (("prxml-convert", "--input", path, "--to", "fie"), needle)]
     for args, needle in cases:
         assert main(list(args)) == 4
         captured = capsys.readouterr()
@@ -268,6 +291,23 @@ def test_prob_prxml(capsys, tmp_path):
                          "--prxml", str(p))
     assert code == 0
     assert out.strip() == "1/4"
+
+
+def test_compile_out_of_memory(capsys, monkeypatch, tmp_path):
+    """A MemoryError is one stderr line and exit code 3, like a size
+    cap."""
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "materialize", exhausted)
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"R": 2}))
+    code = main(["compile", "--query", "R(x,y)", "--width", "1",
+                 "--signature", str(sig)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "out of memory in compile\n"
 
 
 def test_count(capsys, instance_file):

@@ -3,20 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from treeprov.prob import pc_width
-from treeprov.encoding import decode
+from treeprov.prob import parse_formula, pc_width
 from treeprov.errors import NoDecomposition
-from treeprov.prxml import (PrXMLDoc, PrXMLNode, _presence_encoding,
-                            doc_from_json, doc_nodes, doc_to_json, fie_to_pc,
-                            lcrs, muxind_to_binary, muxind_to_fie,
+from treeprov.prxml import (PrXMLDoc, PrXMLNode, _layout, doc_from_json,
+                            doc_nodes, doc_to_json, fie_to_pc, lcrs,
+                            muxind_to_binary, muxind_to_fie,
                             prxml_query_probability, scope_width, unlcrs,
                             xml_relational_encoding)
-from treeprov.relational import Instance, tree_decomposition
+from treeprov.relational import tree_decomposition
 from treeprov.ucq import parse_ucq, satisfies
 
-from genutil import rand_doc
-from oracles import (decomposes_circuit, doc_canon, fie_worlds,
-                     instances_isomorphic, label_worlds, muxind_worlds)
+from genutil import rand_doc, rand_wide_doc
+from oracles import (binary_doc_worlds, doc_canon, fie_worlds, label_worlds,
+                     muxind_worlds)
 
 
 def test_doc_validation():
@@ -34,6 +33,36 @@ def test_doc_validation():
     with pytest.raises(ValueError):
         PrXMLDoc(bad_fie)  # event e undeclared
     PrXMLDoc(bad_fie, {"e": Fraction(1, 2)})  # fine when declared
+    for kind, p in (("ind", Fraction(3, 2)), ("ind", Fraction(-1, 2)),
+                    ("mux", Fraction(-1, 2))):
+        with pytest.raises(ValueError, match="outside"):
+            PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
+                kind, kind, [(p, PrXMLNode("a"))]))]))
+    for p in (Fraction(3, 2), Fraction(-1, 5)):
+        with pytest.raises(ValueError, match="event e has probability"):
+            PrXMLDoc(bad_fie, {"e": p})
+    PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
+        "i", "ind", [(Fraction(0), PrXMLNode("a")),
+                     (Fraction(1), PrXMLNode("b"))]))]), {"e": 1})
+
+
+def fie_document(n):
+    """A fie node with n children below a regular root."""
+    return PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
+        "f", "fie", [(("var", "e"), PrXMLNode("a")) for _ in range(n)]))]),
+        {"e": Fraction(1, 2)})
+
+
+def test_fie_nodes_refused():
+    """The binary form, and so the probability, takes mux/ind documents
+    only: a fie node is refused by name, whatever its number of
+    children."""
+    for n in (1, 2, 3):
+        doc = fie_document(n)
+        with pytest.raises(ValueError, match="fie node 'f'"):
+            muxind_to_binary(doc)
+        with pytest.raises(ValueError, match="fie node 'f'"):
+            prxml_query_probability(parse_ucq("P_a(x)"), doc)
 
 
 def test_lcrs_roundtrip():
@@ -118,6 +147,17 @@ def test_fie_scope_width_at_most_one():
     for _ in range(30):
         fie = muxind_to_fie(muxind_to_binary(rand_doc(rng)))
         assert scope_width(fie) <= 1
+
+
+def test_scope_width_hand_example():
+    """Below r, a fie node f keeps a on e1 and b on e1 & e2.  In the LCRS
+    tree b is a's right child, so e1's scope is {a, b} and e2's is {b}:
+    b lies in two scopes."""
+    doc = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode("f", "fie", [
+        (parse_formula("e1"), PrXMLNode("a")),
+        (parse_formula("e1 & e2"), PrXMLNode("b"))]))]),
+        {"e1": Fraction(1, 2), "e2": Fraction(1, 3)})
+    assert scope_width(doc) == 2
 
 
 def test_fie_to_pc_width_bounded():
@@ -215,41 +255,57 @@ def test_label_queries_match_document_worlds():
             world_probability(q, doc) == want
 
 
-def test_presence_encoding_structure():
-    """The walk's data side is fie_to_pc's instance less its P_fie facts,
-    at width 1, and its circuit bags decompose the circuit with at most
-    3 gates each."""
-    rng = random.Random(101)
-    for _ in range(200):
-        fie = muxind_to_fie(muxind_to_binary(rand_doc(rng)))
-        circuit, cc, probs, signature, width = _presence_encoding(fie)
-        pc = fie_to_pc(fie)
-        assert instances_isomorphic(decode(cc.encoding.root), Instance(
-            pc.instance.signature,
-            [f for f in pc.instance.facts if f.rel != "P_fie"]))
-        assert signature == pc.instance.signature
-        assert set(probs) == set(circuit.inputs())
-        decomposition = cc.circuit_decomposition
-        assert decomposes_circuit(circuit, decomposition)
-        assert max(len(n.label.dom) for n in cc.encoding.nodes()) - 1 == \
-            cc.encoding.k <= 1
-        assert max(len(b.dom) for b in decomposition.bags()) <= 3
-        assert width <= 4
+def test_wide_nodes_match_worlds():
+    """Regular, ind and mux nodes with 3-5 children go through the spill
+    and mux chains of the binary form.  Label queries agree with the
+    document's worlds, and queries over FC and NS with the worlds of its
+    binary form, where P_fie holds nowhere."""
+    rng = random.Random(102)
+    label_queries = ("P_a(x)", "P_a(x),P_b(y)", "P_a(x);P_c(y)")
+    queries = ("P_fie(x)", "P_fie(x);P_b(y)", "FC(x,y),P_a(y)",
+               "NS(x,y),P_a(x),P_b(y)", "FC(x,y),NS(y,z),P_b(z)",
+               "P_a(x),FC(x,y),P_c(y)")
+    for _ in range(12):
+        doc = rand_wide_doc(rng)
+        worlds = binary_doc_worlds(muxind_to_binary(doc))
+        for text in label_queries + queries:
+            q = parse_ucq(text)
+            want = sum((p for inst, p in worlds if satisfies(q, inst)),
+                       Fraction(0))
+            assert prxml_query_probability(q, doc) == want, text
+            if text in label_queries:
+                assert want == world_probability(q, doc), text
 
 
 def test_k_bounds_the_joint_width():
+    """k bounds the joint width of the document's cc-encoding with
+    presence gates, which `_layout` gives in closed form: 4 for a mux
+    below an ind node, 1 for a deterministic document, 0 for one node."""
     doc = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode(
         "i", "ind", [(Fraction(1, 2), PrXMLNode("m", "mux", [
             (Fraction(1, 3), PrXMLNode("a")),
             (Fraction(1, 2), PrXMLNode("b"))]))]))]))
     q = parse_ucq("P_a(x)")
-    width = _presence_encoding(muxind_to_fie(muxind_to_binary(doc)))[4]
+    width = _layout(muxind_to_binary(doc).root)[2]
     assert width == 4
     assert prxml_query_probability(q, doc, width) == Fraction(1, 6)
     with pytest.raises(NoDecomposition,
                        match="data width 1 and joint width 4, above the "
                              "bound 3"):
         prxml_query_probability(q, doc, width - 1)
+    det = PrXMLDoc(PrXMLNode("r", children=[(None, PrXMLNode("a")),
+                                            (None, PrXMLNode("b"))]))
+    assert _layout(muxind_to_binary(det).root)[2] == 1
+    assert prxml_query_probability(q, det, 1) == 1
+    with pytest.raises(NoDecomposition,
+                       match="data width 1 and joint width 1, above the "
+                             "bound 0"):
+        prxml_query_probability(q, det, 0)
+    single = PrXMLDoc(PrXMLNode("a"))
+    assert _layout(muxind_to_binary(single).root)[2] == 0
+    assert prxml_query_probability(q, single, 0) == 1
+    with pytest.raises(ValueError, match="arity 1"):
+        prxml_query_probability(parse_ucq("P_a(x,y)"), doc)
 
 
 def doc_shape(root):
