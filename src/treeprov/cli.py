@@ -115,8 +115,7 @@ def cmd_compile(args):
     else:
         signature = _load_json(args.signature)
     labels = kfact_labels(signature, args.width)
-    automaton = _compile_det(
-        q, lambda automaton, _step: materialize(automaton, labels))
+    automaton = _compile_det(q, lambda step: materialize(step, labels))
     _emit(automaton_to_json(automaton), args.output)
     return 0
 

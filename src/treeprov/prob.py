@@ -477,7 +477,7 @@ def _with_step(query, run):
     UCQ or CQ, `_compile_det`'s, kept across calls; a user-supplied
     automaton is wrapped for this call only."""
     if isinstance(query, (UCQ, CQ)):
-        return _compile_det(query, lambda _automaton, step: run(step))
+        return _compile_det(query, run)
     return run(memoized(lazy_determinize(query)))
 
 

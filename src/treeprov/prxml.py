@@ -12,11 +12,11 @@ propositional formulas for fie).
 import functools
 from fractions import Fraction
 
-from .encoding import KFact
+from .encoding import _PAD, KFact
 from .errors import NoDecomposition
 from .prob import (PCInstance, _check_arities, _with_step, format_formula,
                    formula_events, parse_formula)
-from .relational import Fact, Instance
+from .relational import Fact, Instance, json_field
 from .trees import Node, children, fold, postorder
 
 BOT = "bot"  # padding label of the LCRS transform
@@ -271,6 +271,13 @@ def muxind_to_fie(doc):
     return PrXMLDoc(_rebuild(doc.root, conv), events)
 
 
+def _formula_edges(nodes):
+    """{id(child): its edge formula} over the children of the fie nodes
+    among nodes; mux/ind edges carry probabilities, not formulas."""
+    return {id(c): e for n in nodes if n.kind == "fie"
+            for e, c in n.children}
+
+
 # ---------------------------------------------------------------------------
 # Scopes
 
@@ -283,10 +290,11 @@ def scope_width(doc):
     one of its children."""
     if not doc.events:
         return 0
+    formula = _formula_edges(doc_nodes(doc.root))
     nodes = postorder(lcrs(doc.root))
     counts = {}  # id(node) -> {event: occurrences at or below it}
     for n in nodes:
-        edge = None if n.label is None else n.label[1]
+        edge = None if n.label is None else formula.get(id(n.label[0]))
         c = {} if edge is None else dict.fromkeys(formula_events(edge), 1)
         for kid in children(n):
             for e, k in counts[id(kid)].items():
@@ -308,8 +316,7 @@ def fie_to_pc(doc):
     parent-edge formula (1 if none); FC/NS facts are certain."""
     nodes = doc_nodes(doc.root)
     instance, label_fact = _encode(nodes)
-    edge_of = {id(c): e for n in nodes if n.kind == "fie"
-               for e, c in n.children}
+    edge_of = _formula_edges(nodes)
     conds = {f: edge_of[n] for n, f in label_fact.items() if n in edge_of}
     return PCInstance(instance, conds, doc.events)
 
@@ -323,7 +330,6 @@ def fie_to_pc(doc):
 _BELOW = {s: (KFact(frozenset((s, a)), "FC", (s, a)),
               KFact(frozenset((a, b)), "NS", (a, b)), a, b)
           for s, a, b in ((1, 2, 3), (2, 1, 3), (3, 1, 2))}
-_EMPTY = KFact(frozenset())  # a padding leaf
 
 
 @functools.lru_cache(maxsize=4096)
@@ -408,7 +414,7 @@ def _dp(step, nodes):
     `_layout`'s nodes, children first: each gets a message {state:
     integer weight} if it is in the world and one if it is not, where
     every label below is neutered.  Returns the accepted weight."""
-    empty = step.iota(_EMPTY)
+    empty = step.iota(_PAD)
     leaves = {}  # label -> a leaf's messages, shared: none is changed
     done = []  # (present, absent) messages of finished nodes
     for label, below in reversed(nodes):
@@ -486,16 +492,17 @@ def doc_from_json(data):
 
     def conv(d, kids):
         kind = d.get("kind", "regular")
-        edges = []
+        edges, where = [], "%s edge" % kind
         for c in d.get("children", []):
             if kind in ("mux", "ind"):
-                edges.append(Fraction(c["prob"]))
+                edges.append(Fraction(json_field(c, "prob", where)))
             elif kind == "fie":
-                edges.append(parse_formula(c["cond"]))
+                edges.append(parse_formula(json_field(c, "cond", where)))
             else:
                 edges.append(None)
-        return PrXMLNode(d["label"], kind, list(zip(edges, kids)))
+        return PrXMLNode(json_field(d, "label", "document node"), kind,
+                         list(zip(edges, kids)))
 
-    return PrXMLDoc(fold(tree, lambda d: [c["node"] for c in
-                                          d.get("children", [])], conv),
-                    events)
+    return PrXMLDoc(fold(tree, lambda d: [
+        json_field(c, "node", "document edge")
+        for c in d.get("children", [])], conv), events)

@@ -16,7 +16,8 @@ share a slot (elements out of scope are distinct from all in scope).
   and a UCQ is monotone, so a disjunct's full descriptors are one
   absorbing accepting state.  It stays nondeterministic: a provenance
   circuit gets one gate per descriptor a node can hold.  Where worlds
-  are counted, `_compile_det` determinises it on demand.
+  are counted, `_compile_det` determinises it on demand, once for the
+  whole union, through the same transition memo.
 
 An automaton depends only on the query, so each of `compile_bool`,
 `_compile_det` and `nx_provenance` compiles a query once per process:
@@ -229,10 +230,10 @@ def compile_bool(q):
     number of atoms, with every full descriptor renamed to one absorbing
     accepting state that moves up only beside the empty descriptor; the
     union (for one disjunct, its automaton) is memoized as a whole.
-    Runs are not unique: `_compile_det` is the deterministic version.
-    It is compiled once per query and state cap (see `_compiled`):
-    later calls return the same automaton, its memo filled by the runs
-    before.
+    Runs are not unique, so Boolean provenance runs it as it is and
+    `_compile_det` determinises it, sharing its memo.  It is compiled
+    once per query and state cap (see `_compiled`): later calls return
+    the same automaton, its memo filled by the runs before.
 
     This is exact: every node reaches the empty descriptor under every
     valuation (a fact may hold no atom), a full descriptor never fails
@@ -255,46 +256,19 @@ def _union_unless_one(automata):
     return automata[0] if len(automata) == 1 else union(automata)
 
 
-def _accepting_sink(subsets):
-    """The determinised placement automaton of one disjunct with every
-    subset that holds a full match merged into one absorbing accepting
-    state (see `_compile_det` for why this is exact)."""
-
-    def collapse(states):
-        if any(subsets.is_final(s) for s in states):
-            return _SINK
-        return states
-
-    def delta(s1, s2, l):
-        if s1 == _ACCEPT or s2 == _ACCEPT:
-            return _SINK
-        return collapse(subsets.delta(s1, s2, l))
-
-    return BNTA(lambda l: collapse(subsets.iota(l)), delta,
-                lambda s: s == _ACCEPT)
-
-
 def _compile_det(q, run):
-    """run(automaton, step) on `compile_bool` made deterministic, for
-    counting worlds: automaton is, per disjunct, the placement automaton
-    determinised on demand, with every subset holding a full match
-    merged into one absorbing accepting state, and step is the union of
-    the disjuncts determinised in turn and memoized.  A state is that
-    sink or a set of descriptors with no full match.  Every reachable
-    subset holds the empty descriptor, so a subset with a full match
-    only leads to subsets with one (see `compile_bool`), and the result
-    stays deterministic.
-
-    Both are compiled once per query and state cap (see `_compiled`).
-    Their subset counts grow across calls, so on `StateBlowup` the entry
-    is evicted and, if earlier calls had filled it, run is called once
-    more on a fresh one: a call is refused exactly when it would be on
-    an automaton of its own."""
+    """run(step), for counting worlds (summing the runs of a
+    nondeterministic automaton would count a world once per run): step
+    is `_det_automaton`'s, compiled once per query and state cap (see
+    `_compiled`).  Its subset count grows across calls, so on
+    `StateBlowup` the entry is evicted and, if earlier calls had filled
+    it, run is called once more on a fresh one: a call is refused
+    exactly when it would be on an automaton of its own."""
     key = _key(_det_automaton, q)
     warm = key in _COMPILED
     while True:
         try:
-            return run(*_compiled(key))
+            return run(_compiled(key))
         except StateBlowup:
             _COMPILED.pop(key, None)
             if not warm:
@@ -303,10 +277,27 @@ def _compile_det(q, run):
 
 
 def _det_automaton(disjuncts):
-    automaton = union([_accepting_sink(lazy_determinize(
-        memoized(placement_automaton(d, any_count=True))))
-        for d in disjuncts])
-    return automaton, memoized(lazy_determinize(automaton))
+    """`compile_bool`'s automaton determinised on demand, under one state
+    cap, and memoized: a state is a set of its states with no accepting
+    one, or `_SINK`, into which every subset holding an accepting state
+    collapses and which is absorbing.  This is exact: every node reaches
+    each disjunct's empty descriptor, so every reachable subset holds
+    them all, and beside one of them an accepting state moves up (see
+    `compile_bool`).  The subsets step through `compile_bool`'s memo,
+    so Boolean provenance and counting share it."""
+    subsets = lazy_determinize(compile_bool(UCQ(disjuncts)))
+    sink = frozenset([_SINK])
+
+    def collapse(states):
+        return sink if any(map(subsets.is_final, states)) else states
+
+    def delta(s1, s2, l):
+        if s1 == _SINK or s2 == _SINK:
+            return sink
+        return collapse(subsets.delta(s1, s2, l))
+
+    return memoized(BNTA(lambda l: collapse(subsets.iota(l)), delta,
+                         lambda s: s == _SINK))
 
 
 # ---------------------------------------------------------------------------

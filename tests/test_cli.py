@@ -1,7 +1,9 @@
 import functools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +93,29 @@ def test_compile_two_variables_width_one(capsys, monkeypatch, tmp_path,
                          "--width", "1", "--signature", str(sig))
     assert code == 0
     assert len(json.loads(out)["states"]) <= max_states
+
+
+def test_compile_union_is_deterministic(capsys, tmp_path):
+    """A union compiles to one determinised automaton: its subsets carry
+    no disjunct tag, and each holding a full match of either disjunct is
+    the one accepting state.  The output is the same under two hash
+    seeds."""
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"R": 2, "S": 1}))
+    args = ["compile", "--query", "R(x,y);S(x)", "--width", "1",
+            "--signature", str(sig)]
+    code, out = run_main(capsys, *args)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["states"]) == 2
+    assert all(len(e["states"]) == 1 for e in data["iota"] + data["delta"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        assert subprocess.run([sys.executable, "-m", "treeprov.cli", *args],
+                              env=env, capture_output=True, check=True,
+                              text=True).stdout == out
 
 
 def test_provenance_bool(capsys, instance_file):
@@ -240,6 +265,16 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
              (doc_file("negative", ind("-1/2")), "outside [0, 1]"),
              (doc_file("event", ind("1/2"), "3/2"),
               "event e has probability 3/2")]
+    # a required key left out: an ind edge's prob, a fie edge's cond, an
+    # edge's node, each below a choice node c, and a node's label
+    leaf = {"label": "a"}
+    for key, kind, edge in (("prob", "ind", {"node": leaf}),
+                            ("cond", "fie", {"node": leaf}),
+                            ("node", "ind", {"prob": "1/2"})):
+        docs.append((doc_file("lacks_" + key, {
+            "label": "c", "kind": kind, "children": [edge]}), "'%s'" % key))
+    docs.append((doc_file("lacks_label", {"kind": "ind", "children": [
+        {"prob": "1/2", "node": leaf}]}), "'label'"))
     cases = [
         (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
         (("count", "--query", "R(x)", "--free", "x",

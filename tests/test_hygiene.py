@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, every parameter
 of a package function is read, the package never sorts by ``repr``, no
-package function calls itself, and one function builds the tree
-encoding of an instance from scratch.
+package function calls itself, one function builds the tree encoding
+of an instance from scratch, and one determinises a query's automaton.
 
 The import scan covers the package modules and the test files;
 ``__init__.py`` is left out, since its imports are the package's
@@ -12,7 +12,11 @@ walk that recurses fails with ``RecursionError`` on an input about
 ``trees.fold``, ``postorder``/``preorder`` or a loop.  An instance's
 encoding is kept across calls by ``encoding._encoded``, so a function
 that chains ``tree_decomposition``, ``normalize_decomposition`` and
-``encode`` itself builds, on every call, what that function keeps."""
+``encode`` itself builds, on every call, what that function keeps.
+Likewise ``ucq._det_automaton`` determinises ``compile_bool``'s
+automaton once per query, under one state cap, so no other function
+takes ``lazy_determinize`` but the two that determinise an automaton
+they are given."""
 
 import ast
 from pathlib import Path
@@ -192,3 +196,47 @@ def test_only_the_cache_encodes_an_instance():
                    for line, name in encoding_chains(path.read_text())
                    if (path.name, name) not in ENCODING_CHAINS_ALLOWED)
     assert not found, "encodes an instance outside _encoded: %s" % found
+
+
+def determinizers(source):
+    """(line, function) of each read of the name lazy_determinize, bare
+    or as an attribute, with the innermost def around it (None at module
+    level)."""
+    out = []
+    stack = [(ast.parse(source), None)]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (isinstance(node, ast.Name) and node.id == "lazy_determinize"
+              or isinstance(node, ast.Attribute)
+              and node.attr == "lazy_determinize"):
+            out.append((node.lineno, where))
+        stack.extend((kid, where) for kid in ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+def test_scanner_flags_determinizers():
+    source = ("from automata import lazy_determinize\n"
+              "def f(a):\n    return lazy_determinize(a)\n"
+              "def g(a):\n    def h():\n"
+              "        return automata.lazy_determinize(a)\n"
+              "    return h\n"
+              "step = lazy_determinize\n"
+              "def lazy_determinize(a):\n    return a\n")
+    assert determinizers(source) == [(3, "f"), (6, "h"), (8, None)]
+
+
+# the query automaton's one determinisation, and the two that determinise
+# an automaton they are given: a user-supplied one, or one over a finite
+# label universe
+DETERMINIZERS_ALLOWED = {("ucq.py", "_det_automaton"),
+                         ("prob.py", "_with_step"),
+                         ("automata.py", "determinize")}
+
+
+def test_one_determinisation_per_query():
+    found = sorted((path.name, name) for path in PACKAGE
+                   for _line, name in determinizers(path.read_text()))
+    assert found == sorted(DETERMINIZERS_ALLOWED), \
+        "lazy_determinize taken by %s" % found

@@ -160,6 +160,16 @@ def test_scope_width_hand_example():
     assert scope_width(doc) == 2
 
 
+def test_scope_width_reads_only_formula_edges():
+    """Below r, a fie node f keeps a on e and an ind node i keeps b with
+    probability 1/2: one event, occurring once, so the width is 1."""
+    doc = PrXMLDoc(PrXMLNode("r", children=[
+        (None, PrXMLNode("f", "fie", [(parse_formula("e"), PrXMLNode("a"))])),
+        (None, PrXMLNode("i", "ind", [(Fraction(1, 2), PrXMLNode("b"))]))]),
+        {"e": Fraction(1, 2)})
+    assert scope_width(doc) == 1
+
+
 def test_fie_to_pc_width_bounded():
     """pc-encoding width stays small when event scopes are small."""
     rng = random.Random(97)
