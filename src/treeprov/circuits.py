@@ -454,14 +454,32 @@ def circuit_to_json(circuit):
             "output": idx[circuit.output]}
 
 
-def circuit_from_json(data):
+def _gate_ids(data):
+    """The gate id of each entry of a circuit's JSON: an input's name, or
+    its index."""
     ids = []
     for i, e in enumerate(json_field(data, "gates", "circuit")):
         kind = json_field(e, "type", "gate %d" % i)
         ids.append(e.get("name", i) if kind == "inp" else i)
+    return ids
+
+
+def _gate_at(ids, j, where):
+    """ids[j] for a gate index j read from JSON, or ValueError naming
+    where it was read."""
+    if type(j) is not int or not 0 <= j < len(ids):
+        raise ValueError("%s is %r, not a gate index below %d"
+                         % (where, j, len(ids)))
+    return ids[j]
+
+
+def circuit_from_json(data):
+    ids = _gate_ids(data)
     gates = {}
     for i, e in enumerate(data["gates"]):
+        where = "gate %d" % i
         gates[ids[i]] = (e["type"], tuple(
-            ids[j] for j in json_field(e, "inputs", "gate %d" % i)))
-    return Circuit(data.get("kind", "bool"), gates,
-                   ids[json_field(data, "output", "circuit")])
+            _gate_at(ids, j, where + " 'inputs'")
+            for j in json_field(e, "inputs", where)))
+    return Circuit(data.get("kind", "bool"), gates, _gate_at(
+        ids, json_field(data, "output", "circuit"), "circuit 'output'"))

@@ -18,8 +18,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .automata import lazy_determinize, memoized
-from .circuits import (Circuit, _circuit_facts, arity_two,
-                       circuit_from_json, circuit_to_json)
+from .circuits import (Circuit, _circuit_facts, _gate_at, _gate_ids,
+                       arity_two, circuit_from_json, circuit_to_json)
 from .encoding import _encoded, encode
 from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
@@ -151,6 +151,10 @@ class PCInstance:
         self.instance = instance
         self.conds = dict(conds)  # fact id -> formula AST
         self.events = {e: Fraction(p) for e, p in events.items()}
+        for e, p in self.events.items():
+            if not 0 <= p <= 1:
+                raise ValueError("event %s has probability %s, outside "
+                                 "[0, 1]" % (e, p))
         for fid, f in self.conds.items():
             missing = formula_events(f) - set(self.events)
             if missing:
@@ -609,93 +613,77 @@ def pc_to_pcc(pc, k=None):
 
 
 def bid_to_pcc(bid, k=None):
-    """Per-block mutually-exclusive selection circuits routed along the
-    block's subtree of a normalized decomposition; Pr[g_in(b)] equals
-    the cumulative fact mass below b (recorded in invariant_probs)."""
-    instance = bid.instance
-    decomp = normalize_decomposition(tree_decomposition(instance, k))
-    assigned = decomp.assigned_bag()
-    bags = decomp.bags()
+    """Per-block mutually-exclusive selection circuits routed along a
+    normalized decomposition; Pr[g_in(b)] is the block's fact mass at or
+    below b (invariant_probs).  One bottom-up pass sums each block's mass
+    per bag until it is whole; routing starts at that bag and walks down
+    the children that carry mass.  Those bags lie between two bags that
+    hold the block's key, so the cost is linear in the data."""
+    bags = normalize_decomposition(tree_decomposition(bid.instance, k)).bags()
     # gate ids number a bag by its place in bags(), not by its address
     number = {id(b): n for n, b in enumerate(bags)}
+    blocks = [facts for _, facts in sorted(bid.blocks().items(),
+                                           key=lambda kv: repr(kv[0]))]
+    block_of = {f.id: bi for bi, facts in enumerate(blocks) for f in facts}
+    total = [sum(bid.probs[f.id] for f in facts) for facts in blocks]
 
-    gates = {}
-    probs = {}
-    phi = {}
-    invariant_probs = {}
+    below = {}  # id(bag) -> {block: its fact mass at or below the bag}
+    start = {}  # block -> the lowest bag with its whole mass below
+    for b in reversed(bags):  # bags() lists parents first
+        mass = {}
+        for c in b.children:
+            for bi, m in below[id(c)].items():
+                if bi not in start:
+                    mass[bi] = mass.get(bi, 0) + m
+        for fid in b.facts:  # a normalized bag holds at most one fact
+            bi = block_of[fid]
+            mass[bi] = mass.get(bi, 0) + bid.probs[fid]
+        start.update((bi, b) for bi, m in mass.items() if m == total[bi])
+        below[id(b)] = mass
 
-    def add(gid, t, ins=()):
-        gates[gid] = (t, tuple(ins))
+    gates, probs, phi, invariant_probs = {}, {}, {}, {}
+
+    def add(gid, t, *ins, p=None):
+        gates[gid] = (t, ins)
+        if p is not None:
+            probs[gid] = p
         return gid
 
-    def add_input(gid, p):
-        add(gid, "inp")
-        probs[gid] = p
-        return gid
-
-    for bi, (block, facts) in enumerate(sorted(
-            bid.blocks().items(), key=lambda kv: repr(kv[0]))):
-        key_elems = set(block[1])
-        in_ta = {id(b) for b in bags if key_elems <= b.dom}
-        w = {}
-        for f in facts:
-            b = assigned[f.id]
-            w[id(b)] = w.get(id(b), Fraction(0)) + bid.probs[f.id]
-        # cumulative mass bottom-up over the block subtree
-        wc = {}
-        order = [b for b in bags if id(b) in in_ta]
-        for b in reversed(order):  # bags() is top-down (stack order)
-            tot = w.get(id(b), Fraction(0))
-            for c in b.children:
-                tot += wc.get(id(c), Fraction(0))
-            wc[id(b)] = tot
-        # root = topmost bag (in top-down order) carrying the full mass
-        top = None
-        total = sum(bid.probs[f.id] for f in facts)
-        for b in order:
-            if wc[id(b)] == total:
-                top = b
-                break
-
-        if total == 1:
+    for bi in range(len(blocks)):
+        if total[bi] == 1:
             g_root = add(("bid", bi, "root"), "and")  # constant 1
         else:
-            g_root = add_input(("bid", bi, "root"), total)
-        stack = [(top, g_root)]  # (bag, its gate), parents first
+            g_root = add(("bid", bi, "root"), "inp", p=total[bi])
+        stack = [(start[bi], g_root)]  # (bag, its gate), parents first
         while stack:
             b, g_in = stack.pop()
             nb = number[id(b)]
-            invariant_probs[g_in] = wc[id(b)]
-            h = w.get(id(b), Fraction(0))
-            rest = wc[id(b)] - h
+            wc = below[id(b)][bi]
+            invariant_probs[g_in] = wc
+            own = [f for f in b.facts if block_of[f] == bi]  # at most one
+            rest = wc - sum(bid.probs[f] for f in own)
             cond = g_in
-            if h > 0:
-                if rest > 0:
-                    gh = add_input(("bid", bi, nb, "h"), h / wc[id(b)])
-                    sel = add(("bid", bi, nb, "sel"), "and", (gh, g_in))
-                    ngh = add(("bid", bi, nb, "nh"), "not", (gh,))
-                    cond = add(("bid", bi, nb, "rest"), "and", (g_in, ngh))
-                else:
-                    sel = g_in
-                for f in facts:
-                    if id(assigned[f.id]) == id(b):
-                        phi[f.id] = sel
-            if rest > 0:
-                kids = [c for c in b.children
-                        if wc.get(id(c), Fraction(0)) > 0]
+            for f in own:
+                phi[f] = g_in
+                if rest:
+                    gh = add(("bid", bi, nb, "h"), "inp", p=bid.probs[f] / wc)
+                    phi[f] = add(("bid", bi, nb, "sel"), "and", gh, g_in)
+                    ngh = add(("bid", bi, nb, "nh"), "not", gh)
+                    cond = add(("bid", bi, nb, "rest"), "and", g_in, ngh)
+            if rest:
+                kids = [c for c in b.children if bi in below[id(c)]]
                 if len(kids) == 1:
                     stack.append((kids[0], cond))
                 else:
-                    wl = wc[id(kids[0])]
-                    sw = add_input(("bid", bi, nb, "sw"), wl / rest)
-                    nsw = add(("bid", bi, nb, "nsw"), "not", (sw,))
-                    gl = add(("bid", bi, nb, "L"), "and", (cond, sw))
-                    gr = add(("bid", bi, nb, "R"), "and", (cond, nsw))
+                    wl = below[id(kids[0])][bi]
+                    sw = add(("bid", bi, nb, "sw"), "inp", p=wl / rest)
+                    nsw = add(("bid", bi, nb, "nsw"), "not", sw)
+                    gl = add(("bid", bi, nb, "L"), "and", cond, sw)
+                    gr = add(("bid", bi, nb, "R"), "and", cond, nsw)
                     stack += [(kids[1], gr), (kids[0], gl)]
 
-    out = add(("truegate",), "and")
-    circuit = Circuit("bool", gates, out)
-    pcc = PCCInstance(instance, circuit, phi, probs)
+    circuit = Circuit("bool", gates, add(("truegate",), "and"))
+    pcc = PCCInstance(bid.instance, circuit, phi, probs)
     pcc.invariant_probs = invariant_probs
     return pcc
 
@@ -859,8 +847,11 @@ def pc_to_json(pc):
 def pc_from_json(data):
     instance = instance_from_json(data)
     conds = {}
-    for f, entry in zip(instance.facts, data.get("facts", [])):
+    entries = data.get("facts", [])
+    for i, (f, entry) in enumerate(zip(instance.facts, entries)):
         if "cond" in entry:
+            if not isinstance(entry["cond"], str):
+                raise ValueError("fact %d 'cond' is not a string" % (i + 1))
             conds[f.id] = parse_formula(entry["cond"])
     events = {e: Fraction(p) for e, p in data.get("events", {}).items()}
     return PCInstance(instance, conds, events)
@@ -881,7 +872,14 @@ def bid_from_json(data):
     entries = data.get("facts", [])
     for i, (f, entry) in enumerate(zip(instance.facts, entries)):
         probs[f.id] = Fraction(json_field(entry, "prob", "fact %d" % (i + 1)))
-    return BIDInstance(instance, data.get("key_positions", {}), probs)
+    keys = data.get("key_positions", {})
+    if not isinstance(keys, dict) or not all(
+            isinstance(v, list) and all(
+                type(i) is int and 0 <= i < instance.signature.get(r, 0)
+                for i in v) for r, v in keys.items()):
+        raise ValueError("'key_positions' must map each relation to a "
+                         "list of its argument positions")
+    return BIDInstance(instance, keys, probs)
 
 
 def pcc_to_json(pcc):
@@ -901,13 +899,12 @@ def pcc_to_json(pcc):
 def pcc_from_json(data):
     instance = instance_from_json(json_field(data, "instance", "pcc"))
     circuit = circuit_from_json(json_field(data, "circuit", "pcc"))
-    ids = []
-    for i, e in enumerate(data["circuit"]["gates"]):
-        ids.append(e.get("name", i) if e["type"] == "inp" else i)
-    phi = {json_field(e, "fact", "phi entry"):
-           ids[json_field(e, "gate", "phi entry")]
-           for e in json_field(data, "phi", "pcc")}
-    probs = {ids[json_field(e, "gate", "probs entry")]:
+    ids = _gate_ids(data["circuit"])
+    phi = {json_field(e, "fact", "phi entry"): _gate_at(
+        ids, json_field(e, "gate", "phi entry"), "phi entry 'gate'")
+        for e in json_field(data, "phi", "pcc")}
+    probs = {_gate_at(ids, json_field(e, "gate", "probs entry"),
+                      "probs entry 'gate'"):
              Fraction(json_field(e, "prob", "probs entry"))
              for e in json_field(data, "probs", "pcc")}
     return PCCInstance(instance, circuit, phi, probs)

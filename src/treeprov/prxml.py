@@ -485,6 +485,8 @@ def doc_to_json(doc):
 
 
 def doc_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError("document is not a JSON object")
     if "tree" in data:
         tree, events = data["tree"], data.get("events", {})
     else:
@@ -503,6 +505,10 @@ def doc_from_json(data):
         return PrXMLNode(json_field(d, "label", "document node"), kind,
                          list(zip(edges, kids)))
 
-    return PrXMLDoc(fold(tree, lambda d: [
-        json_field(c, "node", "document edge")
-        for c in d.get("children", [])], conv), events)
+    def children(d):
+        if not isinstance(d, dict):
+            raise ValueError("document node is not a JSON object")
+        return [json_field(c, "node", "document edge")
+                for c in d.get("children", [])]
+
+    return PrXMLDoc(fold(tree, children, conv), events)

@@ -454,8 +454,10 @@ def instance_to_json(instance):
 
 
 def json_field(data, key, where):
-    """data[key] of parsed JSON, or ValueError naming the missing key."""
-    if not isinstance(data, dict) or key not in data:
+    """data[key] of parsed JSON, or ValueError naming what is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError("%s is not a JSON object" % where)
+    if key not in data:
         raise ValueError("%s has no %r key" % (where, key))
     return data[key]
 

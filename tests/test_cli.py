@@ -275,6 +275,42 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
             "label": "c", "kind": kind, "children": [edge]}), "'%s'" % key))
     docs.append((doc_file("lacks_label", {"kind": "ind", "children": [
         {"prob": "1/2", "node": leaf}]}), "'label'"))
+    # a node, an edge or the whole document that is not a JSON object
+    for name, value, needle in (
+            ("str_node", {"label": "r", "children": [{"node": "x"}]},
+             "document node is not a JSON object"),
+            ("int_edge", {"label": "r", "children": [5]},
+             "document edge is not a JSON object"),
+            ("list_doc", [1, 2], "document is not a JSON object")):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(value if name == "list_doc"
+                                   else {"tree": value}))
+        docs.append((str(path), needle))
+
+    def input_file(name, data):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    fact = {"rel": "R", "args": ["a", "b"], "id": "F1"}
+    bad_keys = input_file("bad_keys", dict(
+        bid, key_positions={"R": 0}))
+    key_past_arity = input_file("key_past_arity", dict(
+        bid, key_positions={"R": [2]}))
+    int_cond = input_file("int_cond", {"signature": {"R": 2}, "facts": [
+        dict(fact, cond=3)]})
+    event_above_one = input_file("event_above_one", {
+        "signature": {"R": 2}, "facts": [dict(fact, cond="e")],
+        "events": {"e": "2"}})
+    pcc = {"instance": {"signature": {"R": 2}, "facts": [fact]},
+           "circuit": {"gates": [{"type": "inp", "name": "g", "inputs": []}],
+                       "output": 0},
+           "phi": [{"fact": "F1", "gate": 0}],
+           "probs": [{"gate": 0, "prob": "1/2"}]}
+    output_past_end = input_file("output_past_end", dict(
+        pcc, circuit=dict(pcc["circuit"], output=5)))
+    phi_past_end = input_file("phi_past_end", dict(
+        pcc, phi=[{"fact": "F1", "gate": 1}]))
     cases = [
         (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
         (("count", "--query", "R(x)", "--free", "x",
@@ -289,6 +325,16 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
         (("prob", "--query", "R(x,y)", "--bid", str(no_prob)), "'prob'"),
         (("prob", "--query", "R(x,y)", "--pcc", str(no_signature)),
          "'instance'"),
+        (("prob", "--query", "R(x,y)", "--bid", bad_keys), "'key_positions'"),
+        (("prob", "--query", "R(x,y)", "--bid", key_past_arity),
+         "'key_positions'"),
+        (("prob", "--query", "R(x,y)", "--pc", int_cond), "'cond'"),
+        (("prob", "--query", "R(x,y)", "--pc", event_above_one),
+         "event e has probability 2"),
+        (("prob", "--query", "R(x,y)", "--pcc", output_past_end),
+         "'output'"),
+        (("prob", "--query", "R(x,y)", "--pcc", phi_past_end),
+         "phi entry 'gate'"),
         (("decode", "--encoding", str(too_deep)), "nests deeper"),
         (("prxml-convert", "--input", str(too_deep), "--to", "fie"),
          "nests deeper"),

@@ -10,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from treeprov.circuits import eval_bool, expand_polynomial
-from treeprov.prob import (BIDInstance, PCInstance, count_matches, pc_to_pcc,
-                           query_probability_bid, query_probability_pcc)
+from treeprov.prob import (BIDInstance, PCInstance, bid_to_pcc, count_matches,
+                           pc_to_pcc, query_probability_bid,
+                           query_probability_pcc)
 from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import make_instance, tree_decomposition
 from treeprov.ucq import compile_bool, nx_provenance, parse_ucq
@@ -34,6 +35,25 @@ def test_bid_and_count_on_a_3000_edge_path():
         bench_oracles.path_query_probability(3000)
     assert count_matches(parse_ucq(QUERY, ("x",)), inst) == \
         bench_oracles.path_query_count(3000)
+
+
+def test_bid_to_pcc_on_a_3000_edge_path():
+    inst = directed_path(3000)
+    bid = BIDInstance(inst, {}, {f.id: Fraction(1, 2) for f in inst.facts})
+    assert query_probability_pcc(parse_ucq(QUERY), bid_to_pcc(bid)) == \
+        bench_oracles.path_query_probability(3000)
+
+
+def test_bid_to_pcc_one_block_over_a_4000_edge_path():
+    """One block holds every fact, so its mass climbs to the root; every
+    fact is routed a gate and the block's root gate carries its total."""
+    inst = directed_path(4000)
+    bid = BIDInstance(inst, {"R": ()},
+                      {f.id: Fraction(1, 4001) for f in inst.facts})
+    pcc = bid_to_pcc(bid)
+    assert set(pcc.phi) == {f.id for f in inst.facts}
+    assert len(set(pcc.phi.values())) == 4000
+    assert pcc.invariant_probs[("bid", 0, "root")] == Fraction(4000, 4001)
 
 
 def test_provenance_on_a_3000_edge_path():

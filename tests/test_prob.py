@@ -19,7 +19,8 @@ from treeprov.prob import (BIDInstance, PCCInstance, PCInstance,
                            pc_from_json, pc_to_json, pc_to_pcc, pc_width,
                            pcc_from_json, pcc_to_json,
                            query_probability_bid, query_probability_pcc)
-from treeprov.relational import make_instance
+from treeprov.relational import (make_instance, normalize_decomposition,
+                                 tree_decomposition)
 from treeprov.ucq import (compile_bool, enumerate_matches, parse_ucq,
                           satisfies)
 
@@ -449,6 +450,38 @@ def test_bid_to_pcc_gate_marginals():
                 if eval_bool(sub, nu):
                     marginals[g] += w
         assert marginals == pcc.invariant_probs
+
+
+def test_bid_to_pcc_gates_sit_at_key_bags():
+    """Each gate ("bid", bi, nb, ...) sits at bag nb of the normalized
+    decomposition, and that bag holds block bi's key elements: the
+    routing stays in the block's key subtree, which bounds the joint
+    width.  Blocks are numbered in the repr order of their keys."""
+    rng = random.Random(82)
+    bids = [rand_bid(rng, max_facts=rng.choice((5, 9))) for _ in range(60)]
+    # a path of 30 edges whose edges 2j and 2j + 1 both end at v(2j + 1)
+    path = make_instance({"R": 2}, [
+        ("R", ("v%d" % (i + 1), "v%d" % i) if i % 2 else
+         ("v%d" % i, "v%d" % (i + 1))) for i in range(30)])
+    bids.append(BIDInstance(path, {"R": (1,)},
+                            {f.id: Fraction(1, 3) for f in path.facts}))
+    routed = 0
+    for bid in bids:
+        bags = normalize_decomposition(
+            tree_decomposition(bid.instance)).bags()
+        keys = sorted(bid.blocks(), key=repr)
+        for g in bid_to_pcc(bid).circuit.gates:
+            if g[0] == "bid" and g[2] != "root":
+                assert set(keys[g[1]][1]) <= bags[g[2]].dom
+                routed += 1
+    assert routed > 100
+
+
+def test_pc_instance_refuses_event_probability_out_of_range():
+    inst = make_instance({"R": 1}, [("R", ("a",))])
+    for p in (Fraction(2), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="event e has probability"):
+            PCInstance(inst, {"F1": ("var", "e")}, {"e": p})
 
 
 _BID_JSON = """
