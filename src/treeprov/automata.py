@@ -11,6 +11,10 @@ that a parent node with this label reads, or None when no run through
 q continues there.  It may depend only on the label's domain, and
 delta(q1, q2, l) == delta(project(q1, l), project(q2, l), l), which is
 EMPTY when either side is None; None as the field means the identity.
+A step reads the label's domain only through `project`: iota(l), and
+delta on states that project to themselves, read only l's fact (all
+of l but its domain), so a step can be kept for every label with the
+same fact.
 A state reached at a node binds only slots of that node's label
 domain, so project(q, l) is q whenever l's domain contains the node's.
 A provenance circuit then pairs a child's projected states, so states

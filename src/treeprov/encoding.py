@@ -144,21 +144,24 @@ def encode(instance, decomposition):
 _ENCODED = weakref.WeakKeyDictionary()  # Instance -> {k: (facts, encoding)}
 
 
-def _encoded(instance, k):
-    """encode(instance, normalize_decomposition(tree_decomposition(
-    instance, k))), kept for later calls with the same instance object
-    and k while instance.facts is the tuple it was built from.  The
-    entry holds no reference to the instance, so it goes with it; a
-    refusal (NoDecomposition) is raised again on every call."""
-    entries = _ENCODED.get(instance) or {}
-    built = entries.get(k)
+def _kept(cache, instance, key, build):
+    """build(), kept weakly per instance object and key in cache while
+    instance.facts is the tuple it was built from, so an entry goes with
+    its instance; what build raises (a refusal) is raised every call."""
+    entries = cache.get(instance) or {}
+    built = entries.get(key)
     if built is not None and built[0] is instance.facts:
         return built[1]
-    enc = encode(instance, normalize_decomposition(
-        tree_decomposition(instance, k)))
-    entries[k] = (instance.facts, enc)
-    _ENCODED[instance] = entries
-    return enc
+    value = build()
+    entries[key] = (instance.facts, value)
+    cache[instance] = entries
+    return value
+
+
+def _encoded(instance, k):
+    """The instance's encoding at width k, `_kept` in `_ENCODED`."""
+    return _kept(_ENCODED, instance, k, lambda: encode(
+        instance, normalize_decomposition(tree_decomposition(instance, k))))
 
 
 INVALID = None  # decode returns None for invalid encodings

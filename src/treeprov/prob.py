@@ -14,13 +14,14 @@ step a bag's gates with one helper, `_bag_step`.
 """
 
 import math
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
 from .automata import lazy_determinize, memoized
 from .circuits import (Circuit, _circuit_facts, _gate_at, _gate_ids,
                        arity_two, circuit_from_json, circuit_to_json)
-from .encoding import _encoded, encode
+from .encoding import _encoded, _kept, encode
 from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
@@ -150,7 +151,7 @@ class PCInstance:
     def __init__(self, instance, conds, events):
         self.instance = instance
         self.conds = dict(conds)  # fact id -> formula AST
-        self.events = {e: Fraction(p) for e, p in events.items()}
+        self.events = _json_events(events)
         for e, p in self.events.items():
             if not 0 <= p <= 1:
                 raise ValueError("event %s has probability %s, outside "
@@ -792,6 +793,9 @@ def _count_rel(var):
     return ("Cnt", var)
 
 
+_COUNTING = weakref.WeakKeyDictionary()  # Instance -> {free: (facts, BID)}
+
+
 def count_matches(q, instance, k=None):
     """|{a-bar : I |= q(a-bar)}| via the BID reduction: one uniform
     block per free variable, probability times |dom|^{free}."""
@@ -802,21 +806,25 @@ def count_matches(q, instance, k=None):
     dom = instance.domain
     if free and not dom:
         return 0
-    sig = dict(instance.signature)
-    key_positions = {r: tuple(range(a)) for r, a in sig.items()}
-    facts = list(instance.facts)
-    probs = {f.id: Fraction(1) for f in instance.facts}
-    n = 0
-    for x in free:
-        rel = _count_rel(x)
-        sig[rel] = 1
-        key_positions[rel] = ()  # one block for the whole table
-        for a in dom:
-            n += 1
-            fid = ("cnt", n)
-            facts.append(Fact(rel, (a,), fid))
-            probs[fid] = Fraction(1, len(dom))
-    bid = BIDInstance(Instance(sig, facts), key_positions, probs)
+
+    def counting_bid():
+        sig = dict(instance.signature)
+        key_positions = {r: tuple(range(a)) for r, a in sig.items()}
+        facts = list(instance.facts)
+        probs = {f.id: Fraction(1) for f in instance.facts}
+        n = 0
+        for x in free:
+            rel = _count_rel(x)
+            sig[rel] = 1
+            key_positions[rel] = ()  # one block for the whole table
+            for a in dom:
+                n += 1
+                fid = ("cnt", n)
+                facts.append(Fact(rel, (a,), fid))
+                probs[fid] = Fraction(1, len(dom))
+        return BIDInstance(Instance(sig, facts), key_positions, probs)
+
+    bid = _kept(_COUNTING, instance, free, counting_bid)
     q2 = UCQ(tuple(CQ(d.atoms + tuple(Atom(_count_rel(x), (x,))
                                       for x in free), d.diseqs)
                    for d in q.disjuncts))
@@ -853,8 +861,24 @@ def pc_from_json(data):
             if not isinstance(entry["cond"], str):
                 raise ValueError("fact %d 'cond' is not a string" % (i + 1))
             conds[f.id] = parse_formula(entry["cond"])
-    events = {e: Fraction(p) for e, p in data.get("events", {}).items()}
-    return PCInstance(instance, conds, events)
+    return PCInstance(instance, conds, data.get("events", {}))
+
+
+def _json_fraction(data, key, where):
+    """Fraction(`json_field(data, key, where)`), or ValueError naming it."""
+    value = json_field(data, key, where)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError("%s %r is not a number or a fraction: %r"
+                         % (where, key, value)) from None
+
+
+def _json_events(events):
+    """{event: Fraction} of an "events" JSON object, or ValueError."""
+    if not isinstance(events, dict):
+        raise ValueError("events is not a JSON object")
+    return {e: _json_fraction(events, e, "events") for e in events}
 
 
 def bid_to_json(bid):
@@ -871,7 +895,7 @@ def bid_from_json(data):
     probs = {}
     entries = data.get("facts", [])
     for i, (f, entry) in enumerate(zip(instance.facts, entries)):
-        probs[f.id] = Fraction(json_field(entry, "prob", "fact %d" % (i + 1)))
+        probs[f.id] = _json_fraction(entry, "prob", "fact %d" % (i + 1))
     keys = data.get("key_positions", {})
     if not isinstance(keys, dict) or not all(
             isinstance(v, list) and all(
@@ -905,6 +929,6 @@ def pcc_from_json(data):
         for e in json_field(data, "phi", "pcc")}
     probs = {_gate_at(ids, json_field(e, "gate", "probs entry"),
                       "probs entry 'gate'"):
-             Fraction(json_field(e, "prob", "probs entry"))
+             _json_fraction(e, "prob", "probs entry")
              for e in json_field(data, "probs", "pcc")}
     return PCCInstance(instance, circuit, phi, probs)

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .encoding import _PAD, KFact
 from .errors import NoDecomposition
-from .prob import (PCInstance, _check_arities, _with_step, format_formula,
-                   formula_events, parse_formula)
+from .prob import (PCInstance, _check_arities, _json_events, _json_fraction,
+                   _with_step, format_formula, formula_events,
+                   parse_formula)
 from .relational import Fact, Instance, json_field
 from .trees import Node, children, fold, postorder
 
@@ -46,7 +47,7 @@ class PrXMLDoc:
         if root.kind != "regular":
             raise ValueError("the root must be a regular node")
         self.root = root
-        self.events = {e: Fraction(p) for e, p in (events or {}).items()}
+        self.events = _json_events({} if events is None else events)
         for e, p in self.events.items():
             if not 0 <= p <= 1:
                 raise ValueError("event %s has probability %s, outside "
@@ -497,7 +498,7 @@ def doc_from_json(data):
         edges, where = [], "%s edge" % kind
         for c in d.get("children", []):
             if kind in ("mux", "ind"):
-                edges.append(Fraction(json_field(c, "prob", where)))
+                edges.append(_json_fraction(c, "prob", where))
             elif kind == "fie":
                 edges.append(parse_formula(json_field(c, "cond", where)))
             else:
@@ -508,7 +509,9 @@ def doc_from_json(data):
     def children(d):
         if not isinstance(d, dict):
             raise ValueError("document node is not a JSON object")
-        return [json_field(c, "node", "document edge")
-                for c in d.get("children", [])]
+        edges = d.get("children", [])
+        if not isinstance(edges, list):
+            raise ValueError("document node 'children' is not a list")
+        return [json_field(c, "node", "document edge") for c in edges]
 
     return PrXMLDoc(fold(tree, children, conv), events)

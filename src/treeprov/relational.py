@@ -467,8 +467,10 @@ def instance_from_json(data):
     facts = []
     for i, f in enumerate(data.get("facts", [])):
         where = "fact %d" % (i + 1)
-        facts.append(Fact(json_field(f, "rel", where),
-                          tuple(json_field(f, "args", where)),
+        args = json_field(f, "args", where)
+        if not isinstance(args, list):
+            raise ValueError("%s 'args' is not a list" % where)
+        facts.append(Fact(json_field(f, "rel", where), tuple(args),
                           f.get("id", "F%d" % (i + 1))))
     return Instance(signature, facts)
 

@@ -13,10 +13,10 @@ share a slot (elements out of scope are distinct from all in scope).
   gives N[X] provenance (`nx_provenance`) and, made monotone in the
   annotation, bag semantics (`compile_bag`).
 - Boolean view (`compile_bool`): a fact may hold any number of atoms,
-  and a UCQ is monotone, so a disjunct's full descriptors are one
-  absorbing accepting state.  It stays nondeterministic: a provenance
-  circuit gets one gate per descriptor a node can hold.  Where worlds
-  are counted, `_compile_det` determinises it on demand, once for the
+  and a UCQ is monotone, so all full descriptors are one absorbing
+  accepting state.  It stays nondeterministic: a provenance circuit
+  gets one gate per descriptor a node can hold.  Where worlds are
+  counted, `_compile_det` determinises it on demand, once for the
   whole union, through the same transition memo.
 
 An automaton depends only on the query, so each of `compile_bool`,
@@ -190,50 +190,22 @@ def nx_provenance_bruteforce(q, instance):
 # Partial-match automata
 
 
+# every disjunct's empty descriptor, as one state; a tuple, so that a set
+# of states hashes, and so prints, alike under every hash seed
+_NONE = ()
 _ACCEPT = "accept"
 _SINK = frozenset([_ACCEPT])
-
-
-def _no_match(cq):
-    """The empty descriptor of cq's placement automaton."""
-    return ((0,) * len(cq.variables), 0)
-
-
-def _accepting(automaton, no_match):
-    """One disjunct's placement automaton with every full descriptor
-    renamed to one absorbing accepting state, which moves up only beside
-    the empty descriptor no_match (see `compile_bool` for why this is
-    exact).  The accepting state projects to itself."""
-    final = automaton.is_final
-    project = automaton.project
-
-    def rename(states):
-        if any(map(final, states)):
-            return frozenset(_ACCEPT if final(q) else q for q in states)
-        return states
-
-    def delta(q1, q2, l):
-        if q1 == _ACCEPT or q2 == _ACCEPT:
-            return _SINK if no_match in (q1, q2) else EMPTY
-        return rename(automaton.delta(q1, q2, l))
-
-    def project_accepting(q, l):
-        return q if q == _ACCEPT else project(q, l)
-
-    return BNTA(lambda l: rename(automaton.iota(l)), delta,
-                lambda q: q == _ACCEPT, project=project_accepting)
 
 
 def compile_bool(q):
     """bNTA over the k-fact alphabet testing a UCQ on valid encodings:
     per disjunct, the placement automaton that lets a fact hold any
-    number of atoms, with every full descriptor renamed to one absorbing
-    accepting state that moves up only beside the empty descriptor; the
-    union (for one disjunct, its automaton) is memoized as a whole.
-    Runs are not unique, so Boolean provenance runs it as it is and
-    `_compile_det` determinises it, sharing its memo.  It is compiled
-    once per query and state cap (see `_compiled`): later calls return
-    the same automaton, its memo filled by the runs before.
+    number of atoms.  A state is `_NONE`, every disjunct's empty
+    descriptor; `_ACCEPT`, every full one, which moves up only beside
+    `_NONE`; or (disjunct, descriptor).  Runs are not unique, so Boolean
+    provenance runs it as it is and `_compile_det` determinises it,
+    sharing its memo.  It is compiled once per query and state cap (see
+    `_compiled`), its memo filled by the runs before.
 
     This is exact: every node reaches the empty descriptor under every
     valuation (a fact may hold no atom), a full descriptor never fails
@@ -244,16 +216,58 @@ def compile_bool(q):
 
 
 def _bool_automaton(disjuncts):
-    return memoized(_union_unless_one([
-        _accepting(placement_automaton(d, any_count=True), _no_match(d))
-        for d in disjuncts]))
+    """`compile_bool`'s automaton.  iota is memoized on the label's fact,
+    delta on the projected states and the fact (see `automata`), and
+    project on the state and the label's domain."""
+    parts, merges = zip(*(_placement(d, True) for d in disjuncts))
+    empty = [((0,) * len(d.variables), 0) for d in disjuncts]
+    iotas, deltas, views = {}, {}, {}
 
+    def tag(i, states):
+        return [_ACCEPT if parts[i].is_final(d) else _NONE if d == empty[i]
+                else (i, d) for d in states]
 
-def _union_unless_one(automata):
-    """The union of automata, or the one automaton itself: its states
-    then carry no disjunct tag, which sorts them as the tagged ones are
-    (by `provcirc._state_key`), so a circuit does not change."""
-    return automata[0] if len(automata) == 1 else union(automata)
+    def project(q, l):
+        if not q or q.__class__ is str:  # _NONE or _ACCEPT
+            return q
+        key = (q, l.dom)
+        if key not in views:
+            p = parts[q[0]].project(q[1], l)
+            views[key] = q if p is q[1] else None if p is None else (q[0], p)
+        return views[key]
+
+    def iota(l):
+        key = (l.rel, l.args)
+        if key not in iotas:
+            iotas[key] = frozenset(q for i, a in enumerate(parts)
+                                   for q in tag(i, a.iota(l)))
+        return iotas[key]
+
+    def step(p1, p2, l):  # delta on projected states
+        if _ACCEPT in (p1, p2):
+            return _SINK if _NONE in (p1, p2) else EMPTY
+        if p1 == _NONE and p2 == _NONE:
+            return frozenset(q for i, e in enumerate(empty)
+                             for q in tag(i, merges[i](e, e, l)))
+        if p1 == _NONE:
+            p1 = (p2[0], empty[p2[0]])
+        elif p2 == _NONE:
+            p2 = (p1[0], empty[p1[0]])
+        elif p1[0] != p2[0]:
+            return EMPTY
+        return frozenset(tag(p1[0], merges[p1[0]](p1[1], p2[1], l)))
+
+    def delta(q1, q2, l):
+        p1, p2 = project(q1, l), project(q2, l)
+        if p1 is None or p2 is None:
+            return EMPTY
+        key = (p1, p2, l.rel, l.args)
+        out = deltas.get(key)
+        if out is None:
+            out = deltas[key] = step(p1, p2, l)
+        return out
+
+    return BNTA(iota, delta, lambda q: q == _ACCEPT, project=project)
 
 
 def _compile_det(q, run):
@@ -281,15 +295,15 @@ def _det_automaton(disjuncts):
     cap, and memoized: a state is a set of its states with no accepting
     one, or `_SINK`, into which every subset holding an accepting state
     collapses and which is absorbing.  This is exact: every node reaches
-    each disjunct's empty descriptor, so every reachable subset holds
-    them all, and beside one of them an accepting state moves up (see
-    `compile_bool`).  The subsets step through `compile_bool`'s memo,
-    so Boolean provenance and counting share it."""
+    `_NONE`, so every reachable subset holds it, and beside it the
+    accepting state moves up (see `compile_bool`).  The subsets step
+    through `compile_bool`'s memo, so Boolean provenance and counting
+    share it."""
     subsets = lazy_determinize(compile_bool(UCQ(disjuncts)))
     sink = frozenset([_SINK])
 
-    def collapse(states):
-        return sink if any(map(subsets.is_final, states)) else states
+    def collapse(states):  # a subset is final iff it holds _ACCEPT
+        return sink if any(_ACCEPT in s for s in states) else states
 
     def delta(s1, s2, l):
         if s1 == _SINK or s2 == _SINK:
@@ -360,6 +374,11 @@ def placement_automaton(cq, any_count=False):
     dropped variable still occurs in an unplaced atom: its element has
     left scope for good.  `delta` projects both children first.
     """
+    return _placement(cq, any_count)[0]
+
+
+def _placement(cq, any_count):
+    """`placement_automaton` and merge, its delta on projected states."""
     index = {v: i for i, v in enumerate(cq.variables)}
     atom_vars = [tuple(index[v] for v in a.vars) for a in cq.atoms]
     occurs = [0] * len(index)  # per variable, the mask of its atoms
@@ -426,6 +445,14 @@ def placement_automaton(cq, any_count=False):
     def iota(label):
         return place(unbound, 0, label)
 
+    def merge(d1, d2, label):
+        if d1[1] & d2[1]:
+            return EMPTY
+        slots = bind(d1[0], [(v, s) for v, s in enumerate(d2[0]) if s])
+        if slots is None:
+            return EMPTY
+        return place(slots, d1[1] | d2[1], label)
+
     def delta(q1, q2, label):
         if q1[1] & q2[1]:
             return EMPTY
@@ -433,12 +460,9 @@ def placement_automaton(cq, any_count=False):
         d2 = project(q2, label)
         if d1 is None or d2 is None:
             return EMPTY
-        slots = bind(d1[0], [(v, s) for v, s in enumerate(d2[0]) if s])
-        if slots is None:
-            return EMPTY
-        return place(slots, d1[1] | d2[1], label)
+        return merge(d1, d2, label)
 
-    return BNTA(iota, delta, lambda q: q[1] == full, project=project)
+    return BNTA(iota, delta, lambda q: q[1] == full, project=project), merge
 
 
 def compile_bag(cq, p=None):
@@ -473,6 +497,6 @@ def nx_provenance(q, instance, k=None):
     return _nx_circuit(automaton, enc.nodes(), enc.node_fact, ALL, p)[0]
 
 
-def _nx_automaton(disjuncts):
-    return memoized(_union_unless_one([placement_automaton(d)
-                                       for d in disjuncts]))
+def _nx_automaton(disjuncts):  # one disjunct's states carry no tag
+    parts = [placement_automaton(d) for d in disjuncts]
+    return memoized(parts[0] if len(parts) == 1 else union(parts))

@@ -99,23 +99,28 @@ def test_compile_union_is_deterministic(capsys, tmp_path):
     """A union compiles to one determinised automaton: its subsets carry
     no disjunct tag, and each holding a full match of either disjunct is
     the one accepting state.  The output is the same under two hash
-    seeds."""
+    seeds, also for R(x,y),R(y,x), whose states print as sets of several
+    partial matches."""
     sig = tmp_path / "sig.json"
     sig.write_text(json.dumps({"R": 2, "S": 1}))
-    args = ["compile", "--query", "R(x,y);S(x)", "--width", "1",
-            "--signature", str(sig)]
-    code, out = run_main(capsys, *args)
-    assert code == 0
-    data = json.loads(out)
-    assert len(data["states"]) == 2
-    assert all(len(e["states"]) == 1 for e in data["iota"] + data["delta"])
     src = str(Path(__file__).resolve().parent.parent / "src")
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        assert subprocess.run([sys.executable, "-m", "treeprov.cli", *args],
-                              env=env, capture_output=True, check=True,
-                              text=True).stdout == out
+    for query, n_states in (("R(x,y);S(x)", 2), ("R(x,y),R(y,x)", 14)):
+        args = ["compile", "--query", query, "--width", "1",
+                "--signature", str(sig)]
+        code, out = run_main(capsys, *args)
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["states"]) == n_states
+        assert all(len(e["states"]) == 1
+                   for e in data["iota"] + data["delta"])
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                    if p]))
+            assert subprocess.run(
+                [sys.executable, "-m", "treeprov.cli", *args], env=env,
+                capture_output=True, check=True, text=True).stdout == out
 
 
 def test_provenance_bool(capsys, instance_file):
@@ -348,6 +353,37 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("invalid input: ")
         assert captured.err.count("\n") == 1 and needle in captured.err
+
+
+_FACT = {"rel": "R", "args": ["a", "b"]}
+
+
+@pytest.mark.parametrize("flag, data, needle", [
+    ("--bid", {"signature": {"R": 2}, "facts": [dict(_FACT, prob=[1])]},
+     "fact 1 'prob' is not a number"),
+    ("--bid", {"signature": {"R": 2},
+               "facts": [dict(_FACT, args=5, prob="1/2")]},
+     "fact 1 'args' is not a list"),
+    ("--pc", {"signature": {"R": 2}, "facts": [_FACT], "events": []},
+     "events is not a JSON object"),
+    ("--prxml", {"tree": {"label": "r", "children": 5}},
+     "document node 'children' is not a list"),
+    ("--prxml", {"tree": {"label": "r"}, "events": 5},
+     "events is not a JSON object"),
+    ("--prxml", {"tree": {"label": "r"}, "events": []},
+     "events is not a JSON object"),
+], ids=["bid-prob-list", "fact-args-int", "pc-events-list",
+        "prxml-children-int", "prxml-events-int", "prxml-events-list"])
+def test_wrong_typed_field_exit_code(capsys, tmp_path, flag, data, needle):
+    """A loader field of the wrong JSON type is refused with exit code 4
+    and one stderr line that names it, not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["prob", "--query", "R(x,y)", flag, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert captured.err.count("\n") == 1 and needle in captured.err
 
 
 def test_prob_prxml(capsys, tmp_path):

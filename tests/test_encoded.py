@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from treeprov import encoding
 from treeprov.circuits import circuit_to_json
 from treeprov.encoding import _ENCODED, _encoded
 from treeprov.errors import NoDecomposition
@@ -120,3 +121,31 @@ def test_a_refusal_is_raised_on_every_call():
         with pytest.raises(NoDecomposition):
             call()
     assert set(_ENCODED[inst]) == {2}
+
+
+def test_repeated_counts_build_one_encoding(monkeypatch):
+    """count_matches keeps its counting instance per instance and free
+    variables, so counting twice builds one encoding, and other free
+    variables get their own; warm counts equal cold ones."""
+    builds = []
+    real = encoding.encode
+
+    def counted(instance, decomposition):
+        builds.append(instance)
+        return real(instance, decomposition)
+
+    monkeypatch.setattr(encoding, "encode", counted)
+    inst = _marked_cycle()
+    by_x = parse_ucq(QUERIES[1], free=("x",))
+    by_xy = parse_ucq(QUERIES[0], free=("x", "y"))
+    cold = [count_matches(by_x, inst, 2), count_matches(by_xy, inst, 2)]
+    assert len(builds) == 2
+    assert [count_matches(by_x, inst, 2), count_matches(by_xy, inst, 2)] \
+        == cold
+    assert len(builds) == 2
+    # another query with the same free variables shares the entry
+    assert count_matches(parse_ucq(QUERIES[2], free=("x",)), inst, 2) == \
+        count_matches(parse_ucq(QUERIES[2], free=("x",)), _marked_cycle(), 2)
+    assert len(builds) == 3
+    assert cold == [count_matches(by_x, _marked_cycle(), 2),
+                    count_matches(by_xy, _marked_cycle(), 2)]

@@ -1,7 +1,9 @@
 """Every name a module imports is used in that module, every parameter
 of a package function is read, the package never sorts by ``repr``, no
 package function calls itself, one function builds the tree encoding
-of an instance from scratch, and one determinises a query's automaton.
+of an instance from scratch, one determinises a query's automaton, and
+every private module-level function or class is read somewhere in the
+package, so a helper that a change leaves without callers goes.
 
 The import scan covers the package modules and the test files;
 ``__init__.py`` is left out, since its imports are the package's
@@ -240,3 +242,54 @@ def test_one_determinisation_per_query():
                    for _line, name in determinizers(path.read_text()))
     assert found == sorted(DETERMINIZERS_ALLOWED), \
         "lazy_determinize taken by %s" % found
+
+
+def private_definitions(source):
+    """(line, name) of each module-level def or class whose name starts
+    with one underscore."""
+    return sorted((node.lineno, node.name) for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__"))
+
+
+def names_read(source, skip=None):
+    """Names read in source, bare or as an attribute, outside the
+    module-level definition named skip."""
+    out = set()
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) == skip:
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+    return out
+
+
+def test_scanner_flags_unreferenced_private_definitions():
+    source = ("def _used():\n    return 1\n"
+              "def _self(n):\n    return _self(n - 1)\n"
+              "class _Kept:\n    pass\n"
+              "def public():\n    return _used(), m._Kept\n"
+              "def __dunder__():\n    pass\n")
+    assert private_definitions(source) == [(1, "_used"), (3, "_self"),
+                                           (5, "_Kept")]
+    assert "_self" not in names_read(source, skip="_self")
+    assert {"_used", "_Kept"} <= names_read(source, skip="_self")
+
+
+def test_every_private_definition_is_referenced():
+    """A private helper that nothing in the package reads any more (the
+    tests aside) is dead code and goes."""
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    found = []
+    for name, source in sources.items():
+        for line, defined in private_definitions(source):
+            if not any(defined in names_read(
+                    other, skip=defined if other_name == name else None)
+                    for other_name, other in sources.items()):
+                found.append((name, line, defined))
+    assert not found, "private definitions never referenced: %s" % found

@@ -232,8 +232,12 @@ def build(grid, pcc, marked, branched):
                                  pcc)
     unions = [query_provenance_circuit(compile_bool(parse_ucq(q)), marked,
                                        None)[0].circuit for q in %r]
-    unions.append(query_provenance_circuit(
-        compile_bool(parse_ucq(%r)), branched, 2)[0].circuit)
+    branched_union = compile_bool(parse_ucq(%r))
+    unions.append(query_provenance_circuit(branched_union, branched,
+                                           2)[0].circuit)
+    # the same union on another instance, its steps warm from branched
+    unions.append(query_provenance_circuit(branched_union, marked,
+                                           2)[0].circuit)
     nx = nx_provenance(parse_ucq("R(x,y),R(y,z)"), marked)
     return [circuit_to_json(c)
             for c in [res.circuit, lineage, *unions, nx]]
@@ -250,11 +254,12 @@ print(json.dumps(build(*load())))
 
 def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
     """Boolean provenance (library and CLI, one disjunct and unions, at
-    widths 1 and 2), lineage and N[X] (library and CLI) circuits come
-    out byte for byte the same under two hash seeds, and the library's
-    the same again when built a second time in the process, on warm
-    automata and instance encodings, and a third, on warm automata and
-    new instances."""
+    widths 1 and 2, and a union on steps kept from another instance),
+    lineage and N[X] (library and CLI) circuits come out byte for byte
+    the same under two hash seeds, and the library's the same again
+    when built a second time in the process, on warm automata and
+    instance encodings, and a third, on warm automata and new
+    instances."""
     grid, branched = tmp_path / "grid.json", tmp_path / "branched.json"
     for path, edges in ((grid, _GRID_EDGES), (branched, _BRANCHED_EDGES)):
         path.write_text(json.dumps({"signature": {"R": 2}, "facts": [
@@ -290,7 +295,7 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
         outs.append((lib, cli))
     cold, warm, reloaded = outs[0][0].splitlines()
     assert [c["kind"] for c in json.loads(cold)] == \
-        ["bool"] * 5 + ["semiring"]
+        ["bool"] * 6 + ["semiring"]
     assert cold == warm == reloaded
     assert all(out.startswith("{") for out in outs[0][1])
     assert outs[0] == outs[1]
