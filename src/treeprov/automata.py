@@ -23,9 +23,10 @@ the projection of a child whose domain lies inside the parent's.  The
 placement automaton of `ucq` sets it: its state is a descriptor
 (slots, placed), a tuple holding each query variable's slot (0 while
 unbound) and the bitmask of the atoms placed below, and its projection
-drops the slots outside the parent's domain.  `union` tags projected
-states with their disjunct and `memoized` keeps the field; the other
-constructions, and table-backed and JSON automata, carry none.
+drops the slots outside the parent's domain; `compile_bool`'s projects
+a tagged state through its disjunct's.  No other automaton carries one
+(`memoized` and `union` keep none): their runs are correct, only
+unprojected.
 """
 
 import itertools
@@ -98,8 +99,7 @@ def memoized(automaton):
         return v
 
     return BNTA(miota, mdelta, automaton.is_final,
-                states=automaton.states, labels=automaton.labels,
-                project=automaton.project)
+                states=automaton.states, labels=automaton.labels)
 
 
 def reachable_sets(automaton, root):
@@ -200,22 +200,10 @@ def union(automata):
         i, q = s
         return automata[i].is_final(q)
 
-    projects = [a.project for a in automata]
-
-    def project(s, l):
-        i, q = s
-        if projects[i] is None:
-            return s
-        p = projects[i](q, l)
-        if p is None:
-            return None
-        return s if p is q else (i, p)
-
     states = None
     if all(a.states is not None for a in automata):
         states = [(i, q) for i, a in enumerate(automata) for q in a.states]
-    return BNTA(iota, delta, is_final, states=states,
-                project=project if any(projects) else None)
+    return BNTA(iota, delta, is_final, states=states)
 
 
 def intersect(a1, a2):

@@ -11,9 +11,6 @@ from fractions import Fraction
 from .errors import SizeCap
 from .relational import Fact, Instance, json_field
 
-BOOL_TYPES = ("inp", "not", "and", "or")
-SEMIRING_TYPES = ("inp", "add", "mul")
-
 
 class Circuit:
     """kind is 'bool' or 'semiring'."""

@@ -9,9 +9,10 @@ fresh elements for slots not shared with the parent.
 An instance's encoding depends only on the instance and the width bound,
 so `_encoded` builds it once per process: it keeps, weakly per
 `Instance` object and once per bound, the encoding of the instance's
-normalized decomposition, with its postorder node tuple, and rebuilds it
-when `instance.facts` has been replaced.  An encoding it returns is
-shared by every later call on that instance and must not be changed.
+normalized decomposition (and none of its bags), with its postorder
+node tuple, and rebuilds it when `instance.facts` has been replaced.  An
+encoding it returns is shared by every later call on that instance and
+must not be changed.
 """
 
 import weakref
@@ -76,12 +77,11 @@ _PAD = KFact(frozenset())  # the label of every padding leaf
 class TreeEncoding:
     """Binary full KFact-tree plus the fact-id <-> node bijection."""
 
-    def __init__(self, root, k, fact_nodes=None, node_bag=None):
+    def __init__(self, root, k, fact_nodes=None):
         self.root = root
         self.k = k
         self.fact_nodes = dict(fact_nodes or {})  # fact id -> Node
         self.node_fact = {id(n): fid for fid, n in self.fact_nodes.items()}
-        self.node_bag = node_bag or {}  # id(Node) -> source Bag
         self._nodes = None
 
     def nodes(self):
@@ -96,7 +96,9 @@ def encode(instance, decomposition):
 
     Slot choice: shared elements reuse the parent's slots; fresh elements
     take the smallest slots not used by the parent, in sorted element
-    order.  The root bag maps its elements to slots 1.. in sorted order.
+    order, so a slot that two adjacent nodes share names the same
+    element in both.  The root bag maps its elements to slots 1.. in
+    sorted order.
     """
     if not decomposition.normalized:
         if decomposition.instance is None:
@@ -105,7 +107,6 @@ def encode(instance, decomposition):
     k = max(decomposition.width, 0)
     slots = range(1, 2 * k + 3)
     fact_nodes = {}
-    node_bag = {}
     done = []  # the nodes of finished bags
     # (bag, its parent's slots, False) on the way down, then (bag, its
     # slots, True) on the way up, once its children are pushed
@@ -113,9 +114,7 @@ def encode(instance, decomposition):
     while stack:
         bag, slot_of, up = stack.pop()
         if not (up or bag.dom or bag.facts or bag.children):
-            node = Node(_PAD)  # a padding leaf needs no slots
-            node_bag[id(node)] = bag
-            done.append(node)
+            done.append(Node(_PAD))  # a padding leaf needs no slots
             continue
         if not up:
             used = set(slot_of.values())
@@ -136,9 +135,8 @@ def encode(instance, decomposition):
         del done[cut:]
         if bag.facts:
             fact_nodes[bag.facts[0]] = node
-        node_bag[id(node)] = bag
         done.append(node)
-    return TreeEncoding(done[0], k, fact_nodes, node_bag)
+    return TreeEncoding(done[0], k, fact_nodes)
 
 
 _ENCODED = weakref.WeakKeyDictionary()  # Instance -> {k: (facts, encoding)}

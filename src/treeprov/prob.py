@@ -3,11 +3,13 @@ probabilities as Fractions, and match counting.
 
 The determinised query automaton runs bottom-up over a tree encoding,
 summing integer world weights; no lineage circuit is built:
-- BID: over the instance's own encoding, keyed by state and the blocks
+- BID: over the instance's own encoding, the one `_encoded` keeps and
+  `bid_to_pcc` routes its circuit along, keyed by state and the blocks
   chosen below (`_bid_dp`).  Match counting reduces to that: one
   uniform block per free variable (`count_matches`).
-- pcc, pc and PrXML: over a cc-encoding of data and circuit, keyed by
-  state and the values of gates shared with the parent (`_pcc_dp`).
+- pcc and pc: over a cc-encoding of data and circuit, whose nodes keep
+  their gates, keyed by state and the values of gates shared with the
+  parent (`_pcc_dp`).
 `message_passing_prob` is `_pcc_dp` without the automaton, over any
 decomposition of a circuit, such as `lineage_circuit`'s; the two DPs
 step a bag's gates with one helper, `_bag_step`.
@@ -26,7 +28,7 @@ from .provcirc import _bool_circuit, _neutered
 from .relational import (Bag, Fact, Instance, TreeDecomposition,
                          instance_from_json, instance_to_json, json_field,
                          normalize_decomposition, tree_decomposition)
-from .trees import fold, parents
+from .trees import children, fold, parents
 from .ucq import CQ, UCQ, Atom, _compile_det
 
 
@@ -214,12 +216,12 @@ class BIDInstance:
 
 
 class CCEncoding:
-    """Tree encoding of the instance part, a same-skeleton decomposition
-    of the circuit, and the per-bag selected gate chi."""
+    """Tree encoding of the instance part, the circuit gates at each of
+    its nodes, and the selected gate chi of each fact node."""
 
-    def __init__(self, encoding, circuit_decomposition, chi):
+    def __init__(self, encoding, gates, chi):
         self.encoding = encoding
-        self.circuit_decomposition = circuit_decomposition
+        self.gates = gates  # id(encoding node) -> frozenset of gate ids
         self.chi = chi  # id(encoding node) -> gate id
 
 
@@ -412,29 +414,27 @@ def cc_encode(pcc, decomposition):
     over its ("plus", rel) facts only: one chain node per data fact and
     none per gate fact.  Each bag splits into its data elements, which
     `encode` turns into the tree encoding of pcc.instance, and its
-    gates, the circuit bag of the same node; chi maps each fact's node
-    to the fact's gate.  Normalizing reads only the facts of the
-    decomposition's instance, so it gets the plus facts as they are,
-    validated already."""
+    gates, kept at its node (`fold` and `nodes()` share the postorder);
+    chi maps each fact's node to the fact's gate.  Normalizing reads
+    only the facts of the decomposition's instance, so it gets the plus
+    facts as they are, validated already."""
     decomposition = normalize_decomposition(TreeDecomposition(
         decomposition.root, SimpleNamespace(facts=[
             f for f in decomposition.instance.facts
             if isinstance(f.rel, tuple) and f.rel[0] == "plus"])))
+    gates = []  # each bag's gate ids, in postorder
 
     def split(bag, kids):
-        gates = {e for e in bag.dom
+        elems = {e for e in bag.dom
                  if isinstance(e, tuple) and len(e) == 2 and e[0] == "g"}
-        facts = [fid[1] for fid in bag.facts]
-        return (Bag(bag.dom - gates, [d for d, _ in kids], facts),
-                Bag({e[1] for e in gates}, [c for _, c in kids]))
+        gates.append(frozenset(e[1] for e in elems))
+        return Bag(bag.dom - elems, kids, [fid[1] for fid in bag.facts])
 
-    data_root, circuit_root = fold(decomposition.root,
-                                   lambda bag: bag.children, split)
-    enc = encode(pcc.instance, TreeDecomposition(data_root, pcc.instance,
+    root = fold(decomposition.root, lambda bag: bag.children, split)
+    enc = encode(pcc.instance, TreeDecomposition(root, pcc.instance,
                                                  normalized=True))
     chi = {id(node): pcc.phi[fid] for fid, node in enc.fact_nodes.items()}
-    return CCEncoding(enc, TreeDecomposition(circuit_root, normalized=True),
-                      chi)
+    return CCEncoding(enc, dict(zip(map(id, enc.nodes()), gates)), chi)
 
 
 def _cc_encoding(pcc, k):
@@ -451,10 +451,11 @@ def lineage_circuit(automaton, pcc, k=None):
     possible world, with a bounded-width decomposition: the arity-two
     pcc circuit drives the provenance circuit of the cc-encoding, whose
     fact inputs become their chi gates, and each bag is the union of
-    the two circuits' bags at one encoding node."""
+    the provenance circuit's bag and the pcc gates at one encoding
+    node."""
     c2, cc = _cc_encoding(pcc, k)
-    inner, decomp = _bool_circuit(automaton, cc.encoding.nodes(), cc.chi,
-                                  _neutered)
+    nodes = cc.encoding.nodes()
+    inner, decomp = _bool_circuit(automaton, nodes, cc.chi, _neutered)
     named = set(cc.chi.values())
 
     # keep the lineage gates out of the pcc circuit's id space
@@ -466,13 +467,9 @@ def lineage_circuit(automaton, pcc, k=None):
         if g not in named:
             gates[("prov", g)] = (t, tuple(wrap(i) for i in ins))
 
-    def union(bags, kids):
-        cbag, rbag = bags
-        return Bag(cbag.dom | {wrap(g) for g in rbag.dom}, kids)
-
-    root = fold((cc.circuit_decomposition.root, decomp.root),
-                lambda bags: list(zip(bags[0].children, bags[1].children)),
-                union)
+    homes = iter(nodes)  # fold visits the bags in the nodes' postorder
+    root = fold(decomp.root, lambda bag: bag.children, lambda bag, kids: Bag(
+        cc.gates[id(next(homes))] | {wrap(g) for g in bag.dom}, kids))
     return (Circuit("bool", gates, wrap(inner.output)),
             TreeDecomposition(root, normalized=True))
 
@@ -517,33 +514,27 @@ def _pcc_dp(step, circuit, cc, probs):
     runs would count a world once per run; see `_with_step`) run
     bottom-up over the cc-encoding cc of an arity-two circuit with input
     probabilities probs: a message maps (state, values of the node's
-    gates kept in the parent's bag) to an integer weight.  `_bag_step`
-    steps each bag, so every gate needs a bag holding it and its inputs.
-    A node reads its label if it has no chi gate or its chi is true,
-    else the neutered label."""
+    gates that its parent holds too) to an integer weight.  `_bag_step`
+    steps each node's gates, `cc.gates`, so every gate needs a node
+    holding it and its inputs.  A node reads its label if it has no chi
+    gate or its chi is true, else the neutered label."""
     pos = {g: i for i, g in enumerate(circuit.topo_order())}
     weights = _input_weights(circuit, probs)
-    # children first: (node, {its gates in topological order: index},
-    # those kept for the parent)
-    order = []
-    stack = [(cc.encoding.root, cc.circuit_decomposition.root, frozenset())]
-    while stack:
-        n, b, up = stack.pop()
-        at = {g: i for i, g in enumerate(sorted(b.dom, key=pos.__getitem__))}
-        order.append((n, at, [g for g in at if g in up]))
-        if not n.is_leaf():
-            stack.append((n.left, b.children[0], b.dom))
-            stack.append((n.right, b.children[1], b.dom))
+    parent = parents(cc.encoding.root)
     homed = set()
     messages = {}  # id(node) -> (kept gates, {their values: {state: weight}})
-    for n, at, keep in reversed(order):
-        children = () if n.is_leaf() else \
+    for n in cc.encoding.nodes():
+        # its gates in topological order: index; its parent's are kept
+        at = {g: i for i, g in enumerate(sorted(cc.gates[id(n)],
+                                                key=pos.__getitem__))}
+        up = cc.gates[id(parent[n])] if n in parent else ()
+        keep = [g for g in at if g in up]
+        kids = () if n.is_leaf() else \
             (messages.pop(id(n.left)), messages.pop(id(n.right)))
         chi = at[cc.chi[id(n)]] if id(n) in cc.chi else None
         keep_at = [at[g] for g in keep]
         out = {}
-        for payloads, rows in _bag_step(circuit, at, children, homed,
-                                        weights):
+        for payloads, rows in _bag_step(circuit, at, kids, homed, weights):
             runs = [(None, None, 1)]  # a leaf: iota, no child states
             if payloads:
                 qs1, qs2 = payloads
@@ -614,33 +605,35 @@ def pc_to_pcc(pc, k=None):
 
 
 def bid_to_pcc(bid, k=None):
-    """Per-block mutually-exclusive selection circuits routed along a
-    normalized decomposition; Pr[g_in(b)] is the block's fact mass at or
-    below b (invariant_probs).  One bottom-up pass sums each block's mass
-    per bag until it is whole; routing starts at that bag and walks down
-    the children that carry mass.  Those bags lie between two bags that
-    hold the block's key, so the cost is linear in the data."""
-    bags = normalize_decomposition(tree_decomposition(bid.instance, k)).bags()
-    # gate ids number a bag by its place in bags(), not by its address
-    number = {id(b): n for n, b in enumerate(bags)}
+    """Per-block mutually-exclusive selection circuits routed along the
+    instance's kept encoding (`_encoded`); Pr[g_in(n)] is the block's
+    fact mass at or below node n (invariant_probs).  One bottom-up pass
+    sums each block's mass per node until it is whole; routing starts
+    there and walks down the children that carry mass.  Those nodes lie
+    between two nodes that hold the block's key, so the cost is linear."""
+    enc = _encoded(bid.instance, k)
+    # gate ids number a node by its place parents first, right child
+    # before left (as bags() lists bags), not by its address
+    number = {id(n): i for i, n in enumerate(reversed(enc.nodes()))}
     blocks = [facts for _, facts in sorted(bid.blocks().items(),
                                            key=lambda kv: repr(kv[0]))]
     block_of = {f.id: bi for bi, facts in enumerate(blocks) for f in facts}
     total = [sum(bid.probs[f.id] for f in facts) for facts in blocks]
 
-    below = {}  # id(bag) -> {block: its fact mass at or below the bag}
-    start = {}  # block -> the lowest bag with its whole mass below
-    for b in reversed(bags):  # bags() lists parents first
+    below = {}  # id(node) -> {block: its fact mass at or below the node}
+    start = {}  # block -> the lowest node with its whole mass below
+    for n in enc.nodes():
         mass = {}
-        for c in b.children:
+        for c in children(n):
             for bi, m in below[id(c)].items():
                 if bi not in start:
                     mass[bi] = mass.get(bi, 0) + m
-        for fid in b.facts:  # a normalized bag holds at most one fact
+        fid = enc.node_fact.get(id(n))  # a node encodes at most one fact
+        if fid is not None:
             bi = block_of[fid]
             mass[bi] = mass.get(bi, 0) + bid.probs[fid]
-        start.update((bi, b) for bi, m in mass.items() if m == total[bi])
-        below[id(b)] = mass
+        start.update((bi, n) for bi, m in mass.items() if m == total[bi])
+        below[id(n)] = mass
 
     gates, probs, phi, invariant_probs = {}, {}, {}, {}
 
@@ -655,16 +648,17 @@ def bid_to_pcc(bid, k=None):
             g_root = add(("bid", bi, "root"), "and")  # constant 1
         else:
             g_root = add(("bid", bi, "root"), "inp", p=total[bi])
-        stack = [(start[bi], g_root)]  # (bag, its gate), parents first
+        stack = [(start[bi], g_root)]  # (node, its gate), parents first
         while stack:
-            b, g_in = stack.pop()
-            nb = number[id(b)]
-            wc = below[id(b)][bi]
+            n, g_in = stack.pop()
+            nb = number[id(n)]
+            wc = below[id(n)][bi]
             invariant_probs[g_in] = wc
-            own = [f for f in b.facts if block_of[f] == bi]  # at most one
-            rest = wc - sum(bid.probs[f] for f in own)
+            f = enc.node_fact.get(id(n))
+            own = block_of.get(f) == bi
+            rest = wc - bid.probs[f] if own else wc
             cond = g_in
-            for f in own:
+            if own:
                 phi[f] = g_in
                 if rest:
                     gh = add(("bid", bi, nb, "h"), "inp", p=bid.probs[f] / wc)
@@ -672,7 +666,7 @@ def bid_to_pcc(bid, k=None):
                     ngh = add(("bid", bi, nb, "nh"), "not", gh)
                     cond = add(("bid", bi, nb, "rest"), "and", g_in, ngh)
             if rest:
-                kids = [c for c in b.children if bi in below[id(c)]]
+                kids = [c for c in children(n) if bi in below[id(c)]]
                 if len(kids) == 1:
                     stack.append((kids[0], cond))
                 else:
@@ -707,8 +701,9 @@ def _bid_dp(step, bid, k):
     (present) and on the neutered label (absent).  A one-fact block
     weighs its absent branch d_B - a_f.  A block of several facts is
     tracked in the message key as "chosen below", two children that
-    both chose it are dropped, and at the top of the subtree of bags
-    holding its key elements the unchosen entries take d_B - sum a_f.
+    both chose it are dropped, and at the top of the subtree of nodes
+    holding its key elements (climbing while the parent's label domain
+    holds the key's slots) the unchosen entries take d_B - sum a_f.
     The automaton must be deterministic here: summing the runs of a
     nondeterministic one would count a world once per accepting run.
     """
@@ -732,10 +727,10 @@ def _bid_dp(step, bid, k):
         multi += 1
         for f in facts:
             branch_weights[f.id] = (a[f.id], 1, bit)
-        key_elems = set(block[1])
         top = enc.fact_nodes[facts[0].id]
-        while top in parent and key_elems <= enc.node_bag[
-                id(parent[top])].dom:
+        key = {s for s, e in zip(top.label.args, facts[0].args)
+               if e in block[1]}
+        while top in parent and key <= parent[top].label.dom:
             top = parent[top]
         closings.setdefault(id(top), []).append((bit, d - sum(a.values())))
 

@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from treeprov import encoding
+from treeprov import encoding, prob
 from treeprov.circuits import circuit_to_json
 from treeprov.encoding import _ENCODED, _encoded
 from treeprov.errors import NoDecomposition
 from treeprov.prob import (BIDInstance, bid_to_pcc, count_matches,
-                           lineage_circuit, query_probability_bid)
+                           lineage_circuit, query_probability_bid,
+                           query_probability_pcc)
 from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import Instance, make_instance
 from treeprov.ucq import compile_bool, nx_provenance, parse_ucq
@@ -149,3 +150,53 @@ def test_repeated_counts_build_one_encoding(monkeypatch):
     assert len(builds) == 3
     assert cold == [count_matches(by_x, _marked_cycle(), 2),
                     count_matches(by_xy, _marked_cycle(), 2)]
+
+
+def test_the_cache_keeps_no_normalized_bag(monkeypatch):
+    """An entry keeps the encoding alone: the normalized decomposition it
+    was built from, bags and all, goes as soon as it is built."""
+    roots = []
+    real = encoding.normalize_decomposition
+
+    def watched(decomposition):
+        normalized = real(decomposition)
+        roots.append(weakref.ref(normalized.root))
+        return normalized
+
+    monkeypatch.setattr(encoding, "normalize_decomposition", watched)
+    inst = _marked_cycle()
+    enc = _encoded(inst, 2)
+    gc.collect()
+    assert len(roots) == 1
+    assert roots[0]() is None
+    assert _encoded(inst, 2) is enc
+
+
+@pytest.mark.parametrize("pcc_first", [False, True])
+def test_bid_to_pcc_shares_the_cached_encoding(monkeypatch, pcc_first):
+    """BID probability and `bid_to_pcc` on one instance, in either
+    order, decompose it once, and the pcc has the same probability."""
+    calls = []
+
+    def counted(module):
+        real = module.tree_decomposition
+
+        def wrapped(*args, **kwargs):
+            calls.append(module.__name__)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "tree_decomposition", wrapped)
+
+    for module in (encoding, prob):
+        counted(module)
+    inst = _marked_cycle()
+    bid = BIDInstance(inst, {"R": (0,), "S": ()},
+                      {f.id: Fraction(1, 3) for f in inst.facts})
+    q = parse_ucq(QUERIES[1])
+    if pcc_first:
+        pcc = bid_to_pcc(bid, 2)
+    want = query_probability_bid(q, bid, 2)
+    if not pcc_first:
+        pcc = bid_to_pcc(bid, 2)
+    assert calls == ["treeprov.encoding"]
+    assert query_probability_pcc(q, pcc) == want

@@ -14,7 +14,9 @@ walk that recurses fails with ``RecursionError`` on an input about
 ``trees.fold``, ``postorder``/``preorder`` or a loop.  An instance's
 encoding is kept across calls by ``encoding._encoded``, so a function
 that chains ``tree_decomposition``, ``normalize_decomposition`` and
-``encode`` itself builds, on every call, what that function keeps.
+``encode`` itself builds, on every call, what that function keeps, and
+one that normalizes a decomposition of an instance it decomposed
+rebuilds the normalized decomposition that the kept encoding is of.
 Likewise ``ucq._det_automaton`` determinises ``compile_bool``'s
 automaton once per query, under one state cap, so no other function
 takes ``lazy_determinize`` but the two that determinise an automaton
@@ -157,13 +159,13 @@ def test_package_walks_do_not_recurse():
     assert not found, "self-recursive functions: %s" % found
 
 
-_CHAIN = {"tree_decomposition", "normalize_decomposition", "encode"}
+_DECOMPOSE = {"tree_decomposition", "normalize_decomposition"}
+_CHAIN = _DECOMPOSE | {"encode"}
 
 
-def encoding_chains(source):
+def callers_of_all(source, names):
     """(line, function) of each def whose body, nested functions
-    included, calls all of tree_decomposition, normalize_decomposition
-    and encode."""
+    included, calls every one of names, bare or as an attribute."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -171,9 +173,22 @@ def encoding_chains(source):
                       else getattr(n.func, "attr", None)
                       for stmt in node.body for n in ast.walk(stmt)
                       if isinstance(n, ast.Call)}
-            if _CHAIN <= called:
+            if names <= called:
                 out.append((node.lineno, node.name))
     return sorted(out)
+
+
+def encoding_chains(source):
+    """(line, function) of each def whose body, nested functions
+    included, calls all of tree_decomposition, normalize_decomposition
+    and encode."""
+    return callers_of_all(source, _CHAIN)
+
+
+def decomposition_chains(source):
+    """(line, function) of each def whose body, nested functions
+    included, calls both tree_decomposition and normalize_decomposition."""
+    return callers_of_all(source, _DECOMPOSE)
 
 
 def test_scanner_flags_encoding_chains():
@@ -198,6 +213,37 @@ def test_only_the_cache_encodes_an_instance():
                    for line, name in encoding_chains(path.read_text())
                    if (path.name, name) not in ENCODING_CHAINS_ALLOWED)
     assert not found, "encodes an instance outside _encoded: %s" % found
+
+
+def test_scanner_flags_decomposition_chains():
+    source = ("def f(i, k):\n"
+              "    return normalize_decomposition(\n"
+              "        relational.tree_decomposition(i, k)).bags()\n"
+              "def g(i, k):\n    d = tree_decomposition(i, k)\n"
+              "    def h():\n        return r.normalize_decomposition(d)\n"
+              "    return h\n"
+              "def m(i, d):\n"
+              "    return tree_decomposition(i), normalize_decomposition(d)\n"
+              "def n(i, k):\n    return tree_decomposition(i, k)\n")
+    assert decomposition_chains(source) == [(1, "f"), (4, "g"), (9, "m")]
+
+
+# the cache, and the CLI commands that print a normalized decomposition
+# or an encoding
+DECOMPOSITION_CHAINS_ALLOWED = {("encoding.py", "_encoded"),
+                                ("cli.py", "cmd_encode"),
+                                ("cli.py", "cmd_decompose")}
+
+
+def test_only_the_cache_normalizes_an_instance_decomposition():
+    """The encoding that `_encoded` keeps is of the instance's normalized
+    decomposition, so a function that needs those bags reads the kept
+    encoding's nodes instead of normalizing a decomposition again."""
+    found = sorted((path.name, line, name) for path in PACKAGE
+                   for line, name in decomposition_chains(path.read_text())
+                   if (path.name, name) not in DECOMPOSITION_CHAINS_ALLOWED)
+    assert not found, \
+        "normalizes an instance decomposition outside _encoded: %s" % found
 
 
 def determinizers(source):

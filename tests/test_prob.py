@@ -21,6 +21,7 @@ from treeprov.prob import (BIDInstance, PCCInstance, PCInstance,
                            query_probability_bid, query_probability_pcc)
 from treeprov.relational import (make_instance, normalize_decomposition,
                                  tree_decomposition)
+from treeprov.trees import parents
 from treeprov.ucq import (compile_bool, enumerate_matches, parse_ucq,
                           satisfies)
 
@@ -278,6 +279,18 @@ def test_cc_encode_decodes_to_data_instance():
             sorted(f.id for f in pcc.instance.facts)
         for fid, node in cc.encoding.fact_nodes.items():
             assert cc.chi[id(node)] == pcc2.phi[fid]
+            assert cc.chi[id(node)] in cc.gates[id(node)]
+        # every gate has a node holding it and its inputs, and the nodes
+        # holding a gate are connected: one of them has a parent that
+        # does not hold it (or is the root)
+        nodes = cc.encoding.nodes()
+        parent = parents(cc.encoding.root)
+        assert set(cc.gates) == {id(n) for n in nodes}
+        for g, (_t, ins) in c2.gates.items():
+            assert any({g, *ins} <= cc.gates[id(n)] for n in nodes)
+            tops = [n for n in nodes if g in cc.gates[id(n)] and (
+                n not in parent or g not in cc.gates[id(parent[n])])]
+            assert len(tops) == 1
 
 
 # ---------------------------------------------------------------------------
