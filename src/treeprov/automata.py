@@ -8,25 +8,29 @@ carry explicit state and label sets and support JSON round-trips.
 
 An automaton may also carry `project(q, label)`: the part of state q
 that a parent node with this label reads, or None when no run through
-q continues there.  It may depend only on the label's domain, and
-delta(q1, q2, l) == delta(project(q1, l), project(q2, l), l), which is
-EMPTY when either side is None; None as the field means the identity.
-A step reads the label's domain only through `project`: iota(l), and
-delta on states that project to themselves, read only l's fact (all
-of l but its domain), so a step can be kept for every label with the
-same fact.
+q continues there.  It may depend only on the label's domain.  Its
+partner is `step(p1, p2, label)`, delta on states already projected
+onto the label: such an automaton is given iota, project and step, and
+`BNTA` builds delta(q1, q2, l) as step(project(q1, l), project(q2, l),
+l), EMPTY when either side is None.  Without `project` (None as the
+field means the identity), step is delta.  A step reads the label's
+domain only through `project`: iota(l), and step, read only l's fact
+(all of l but its domain), so a step can be kept for every label with
+the same fact.
 A state reached at a node binds only slots of that node's label
-domain, so project(q, l) is q whenever l's domain contains the node's.
-A provenance circuit then pairs a child's projected states, so states
-that differ only in what the parent drops are paired once, and skips
-the projection of a child whose domain lies inside the parent's.  The
-placement automaton of `ucq` sets it: its state is a descriptor
-(slots, placed), a tuple holding each query variable's slot (0 while
-unbound) and the bitmask of the atoms placed below, and its projection
-drops the slots outside the parent's domain; `compile_bool`'s projects
-a tagged state through its disjunct's.  No other automaton carries one
-(`memoized` and `union` keep none): their runs are correct, only
-unprojected.
+domain, so project(q, l) is q whenever l's domain contains the node's,
+and step takes such a child's states as they are.  A provenance
+circuit then projects each child's states once per node, pairs the
+projected states by `step`, so states that differ only in what the
+parent drops are paired once, and skips the projection of a child
+whose domain lies inside the parent's.  The placement automaton of
+`ucq` sets it: its state is a descriptor (slots, placed), a tuple
+holding each query variable's slot (0 while unbound) and the bitmask
+of the atoms placed below, its projection drops the slots outside the
+parent's domain, and its step merges two descriptors and places atoms
+on the label's fact; `compile_bool`'s projects a tagged state through
+its disjunct's.  No other automaton carries one (`memoized` and
+`union` keep none): their runs are correct, only unprojected.
 """
 
 import itertools
@@ -34,6 +38,7 @@ import os
 
 from .encoding import label_from_json, label_to_json, teval_label
 from .errors import StateBlowup
+from .relational import json_field, json_list
 from .trees import postorder
 
 EMPTY = frozenset()
@@ -50,12 +55,19 @@ def state_cap(override=None):
 
 class BNTA:
     """states/labels may be None for lazily-defined automata; project,
-    if not None, is the projection of the module docstring."""
+    if not None, is the projection of the module docstring, and step
+    its partner: given a step, delta is None and is built from the two,
+    and without one, step is delta."""
 
     def __init__(self, iota, delta, is_final, states=None, labels=None,
-                 project=None):
+                 project=None, step=None):
+        if step is None:
+            step = delta
+        elif delta is None:
+            delta = _stepped(project, step)
         self.iota = iota
         self.delta = delta
+        self.step = step
         self.is_final = is_final
         self.project = project
         self.states = list(states) if states is not None else None
@@ -77,6 +89,21 @@ class BNTA:
         a.delta_map = delta_map
         a.final = final
         return a
+
+
+def _stepped(project, step):
+    """delta from a projection and a step on projected states."""
+
+    def delta(q1, q2, l):
+        p1 = project(q1, l)
+        if p1 is None:
+            return EMPTY
+        p2 = project(q2, l)
+        if p2 is None:
+            return EMPTY
+        return step(p1, p2, l)
+
+    return delta
 
 
 def memoized(automaton):
@@ -326,11 +353,13 @@ def _ser_label(label):
     return label_to_json(label)
 
 
-def _de_label(data):
-    base = label_from_json(data)
-    if "ann" in data:
-        return (base, data["ann"])
-    return base
+def _de_label(data, where):
+    base = label_from_json(data, where)
+    if "ann" not in data:
+        return base
+    if type(data["ann"]) is not int:
+        raise ValueError("%s 'ann' is not an integer" % where)
+    return (base, data["ann"])
 
 
 def automaton_to_json(automaton):
@@ -352,13 +381,34 @@ def automaton_to_json(automaton):
 
 
 def automaton_from_json(data):
-    states = list(range(len(data["states"])))
-    final = set(data["final"])
+    """A table-backed automaton read from JSON, or ValueError naming the
+    field that is missing or of the wrong type."""
+    n = len(json_list(data, "states", "automaton"))
+
+    def state(q, where):
+        if type(q) is not int or not 0 <= q < n:
+            raise ValueError("%s is %r, not a state index below %d"
+                             % (where, q, n))
+        return q
+
+    def state_at(e, key, where):
+        return state(json_field(e, key, where), "%s %r" % (where, key))
+
+    def targets(e, where):
+        return frozenset(state(q, where + " 'states'")
+                         for q in json_list(e, "states", where))
+
+    final = {state(q, "automaton 'final'")
+             for q in json_list(data, "final", "automaton")}
     iota_map = {}
-    for e in data["iota"]:
-        iota_map[_de_label(e["label"])] = frozenset(e["states"])
+    for e in json_list(data, "iota", "automaton"):
+        label = _de_label(json_field(e, "label", "iota entry"), "iota label")
+        iota_map[label] = targets(e, "iota entry")
     delta_map = {}
-    for e in data["delta"]:
-        delta_map[(e["left"], e["right"], _de_label(e["label"]))] = \
-            frozenset(e["states"])
-    return BNTA.from_tables(states, final, iota_map, delta_map)
+    for e in json_list(data, "delta", "automaton"):
+        key = (state_at(e, "left", "delta entry"),
+               state_at(e, "right", "delta entry"),
+               _de_label(json_field(e, "label", "delta entry"),
+                         "delta label"))
+        delta_map[key] = targets(e, "delta entry")
+    return BNTA.from_tables(range(n), final, iota_map, delta_map)

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .automata import automaton_from_json, automaton_to_json, materialize
-from .circuits import (BUILTIN_SEMIRINGS, circuit_to_json,
+from .circuits import (BUILTIN_SEMIRINGS, SECURITY_ORDER, circuit_to_json,
                        expand_polynomial)
 from .encoding import (decode, encode, encoding_from_json,
                        encoding_to_json, kfact_labels)
@@ -36,7 +36,7 @@ from .prxml import (doc_from_json, doc_to_json, fie_to_pc,
                     prxml_query_probability)
 from .relational import (decomposition_to_json, instance_from_json,
                          instance_to_json, normalize_decomposition,
-                         tree_decomposition)
+                         signature_from_json, tree_decomposition)
 from .ucq import _compile_det, compile_bool, nx_provenance, parse_ucq
 from . import prob as _prob
 
@@ -110,10 +110,13 @@ def cmd_decode(args):
 
 def cmd_compile(args):
     q = _query(args)
+    if args.width < 1:
+        raise ValueError("width bound must be >= 1")
     if args.instance:
         signature = _load_instance(args.instance).signature
     else:
-        signature = _load_json(args.signature)
+        signature = signature_from_json(_load_json(args.signature),
+                                        "signature")
     labels = kfact_labels(signature, args.width)
     automaton = _compile_det(q, lambda step: materialize(step, labels))
     _emit(automaton_to_json(automaton), args.output)
@@ -133,10 +136,12 @@ def cmd_provenance(args):
                 assign = {}
                 if args.assign:
                     assign = _load_json(args.assign)
+                    if not isinstance(assign, dict):
+                        raise ValueError("assignment is not a JSON object")
                 values = {}
                 for m, _ in poly.monomials.items():
                     for v, _e in m:
-                        values[v] = _parse_value(args.semiring,
+                        values[v] = _parse_value(args.semiring, str(v),
                                                  assign.get(str(v)), semiring)
                 _println(str(poly.evaluate(semiring, values)), args.output)
             else:
@@ -156,9 +161,14 @@ def cmd_provenance(args):
 _POSBOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _parse_value(name, raw, semiring):
+def _parse_value(name, var, raw, semiring):
+    """The --assign value raw of input var in the semiring named name."""
     if raw is None:
         return semiring.one
+    if isinstance(raw, (list, dict)) or name == "security" and \
+            raw not in SECURITY_ORDER:
+        raise ValueError("assignment of %s is %s, not a %s value"
+                         % (var, json.dumps(raw), name))
     if name == "N":
         return int(raw)
     if name == "posbool":

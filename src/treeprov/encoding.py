@@ -18,8 +18,9 @@ must not be changed.
 import weakref
 from dataclasses import dataclass, field
 
-from .relational import (Fact, Instance, TreeDecomposition,
-                         normalize_decomposition, tree_decomposition)
+from .relational import (Fact, Instance, TreeDecomposition, json_field,
+                         json_list, normalize_decomposition,
+                         tree_decomposition)
 from .trees import Node, children, fold, map_labels, postorder
 
 
@@ -98,7 +99,7 @@ def encode(instance, decomposition):
     take the smallest slots not used by the parent, in sorted element
     order, so a slot that two adjacent nodes share names the same
     element in both.  The root bag maps its elements to slots 1.. in
-    sorted order.
+    sorted order.  Nodes with equal labels share one KFact.
     """
     if not decomposition.normalized:
         if decomposition.instance is None:
@@ -107,6 +108,7 @@ def encode(instance, decomposition):
     k = max(decomposition.width, 0)
     slots = range(1, 2 * k + 3)
     fact_nodes = {}
+    labels = {}  # (slot domain, fact) -> its KFact
     done = []  # the nodes of finished bags
     # (bag, its parent's slots, False) on the way down, then (bag, its
     # slots, True) on the way up, once its children are pushed
@@ -129,7 +131,10 @@ def encode(instance, decomposition):
         if bag.facts:
             f = instance.by_id[bag.facts[0]]
             struct = (f.rel, tuple(slot_of[a] for a in f.args))
-        label = alphabet_label({slot_of[a] for a in bag.dom}, struct, k)
+        key = (frozenset(slot_of[a] for a in bag.dom), struct)
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = alphabet_label(*key, k)
         cut = len(done) - len(bag.children)
         node = Node(label, *done[cut:])
         del done[cut:]
@@ -246,14 +251,26 @@ def label_to_json(label):
     return out
 
 
-def label_from_json(data):
-    struct = None
-    if "fact" in data:
-        struct = (data["fact"]["rel"], tuple(data["fact"]["args"]))
-    dom = frozenset(data["dom"])
-    if struct is None:
-        return KFact(dom)
-    return KFact(dom, struct[0], struct[1])
+def label_from_json(data, where):
+    """A KFact read from JSON, or ValueError naming what is wrong."""
+    dom = json_list(data, "dom", where)
+    _check_slots(dom, "%s 'dom'" % where)
+    if "fact" not in data:
+        return KFact(frozenset(dom))
+    fact = data["fact"]
+    rel = json_field(fact, "rel", where + " fact")
+    if not isinstance(rel, str):
+        raise ValueError("%s fact 'rel' is not a string" % where)
+    args = json_list(fact, "args", where + " fact")
+    _check_slots(args, "%s fact 'args'" % where)
+    if not set(args) <= set(dom):
+        raise ValueError("%s fact 'args' lie outside its 'dom'" % where)
+    return KFact(frozenset(dom), rel, tuple(args))
+
+
+def _check_slots(values, where):
+    if not all(type(s) is int for s in values):
+        raise ValueError("%s holds a slot that is not an integer" % where)
 
 
 def encoding_to_json(encoding):
@@ -272,13 +289,27 @@ def encoding_to_json(encoding):
 
 
 def encoding_from_json(data):
+    k = json_field(data, "k", "encoding")
+    if type(k) is not int:
+        raise ValueError("encoding 'k' is not an integer")
     fact_nodes = {}
 
+    def children_of(d):
+        if not isinstance(d, dict):
+            raise ValueError("encoding node is not a JSON object")
+        out = d.get("children") or []
+        if not isinstance(out, list):
+            raise ValueError("encoding node 'children' is not a list")
+        return out[:2]
+
     def conv(d, kids):
-        node = Node(label_from_json(d), *kids)
+        node = Node(label_from_json(d, "encoding node"), *kids)
         if "fact_id" in d:
+            if not isinstance(d["fact_id"], (str, int)):
+                raise ValueError("encoding node 'fact_id' is not a string "
+                                 "or an integer")
             fact_nodes[d["fact_id"]] = node
         return node
 
-    root = fold(data["tree"], lambda d: (d.get("children") or ())[:2], conv)
-    return TreeEncoding(root, data["k"], fact_nodes)
+    root = fold(json_field(data, "tree", "encoding"), children_of, conv)
+    return TreeEncoding(root, k, fact_nodes)

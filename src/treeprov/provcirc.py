@@ -13,6 +13,8 @@ node under some valuation, which keeps circuits linear in |T| for a
 fixed automaton.
 """
 
+import weakref
+
 from .automata import EMPTY
 from .circuits import Circuit
 from .encoding import _encoded
@@ -45,7 +47,7 @@ def _state_key(q):
 
 
 class _StateKeys(dict):
-    """`_state_key` of each state met while building one circuit."""
+    """`_state_key` of each state met, kept per automaton in `_KEPT`."""
 
     def __missing__(self, q):
         key = self[q] = _state_key(q)
@@ -54,9 +56,14 @@ class _StateKeys(dict):
 
 def _in_order(states, keys):
     """The states one transition returns, in an order that does not
-    depend on how they hash; keys is the build's `_StateKeys`."""
+    depend on how they hash; keys is a `_StateKeys`."""
     return sorted(states, key=keys.__getitem__) if len(states) > 1 else \
         states
+
+
+# automaton -> (its `_StateKeys`, its plans, its input-free leaves), for
+# as long as the automaton lives (see `_bool_circuit`)
+_KEPT = weakref.WeakKeyDictionary()
 
 
 def _bool_circuit(automaton, nodes, name_of, labels, monotone=False):
@@ -79,17 +86,31 @@ def _bool_circuit(automaton, nodes, name_of, labels, monotone=False):
     once per node, on the label read on 1 (it depends only on the
     label's domain); the gates of states that project alike are ORed
     into one gate, states that project to None are dropped, and only
-    then are the two children's states paired.  A child whose label
-    domain lies inside the node's is not projected: its states bind
-    only slots of its own domain, so they project to themselves (see
-    `automata`).
+    then are the two children's states paired, by `step`.  A child
+    whose label domain lies inside the node's is not projected: its
+    states bind only slots of its own domain, so they project to
+    themselves (see `automata`).  Without a `project`, an automaton's
+    step is its delta.
+
+    What is read off the automaton's transitions alone is kept in
+    `_KEPT`, weakly per automaton, across builds: each state's
+    `_state_key`; per pair (s0, s1) of transition results, its plan, the
+    states on both, on 1 only and on 0 only, each in `_state_key` order
+    (a plan with states on 0 only refuses a monotone build each time it
+    is used); and per label, the reach {state: None} of a leaf with no
+    input, which gets no gate and an empty bag.  A plan and a leaf
+    depend only on the states they are made of and their keys, so a
+    build on a warm automaton emits what a cold one emits.  No reach
+    dict is changed once made, as leaves share theirs.
     Returns (circuit, decomposition)."""
     project = automaton.project
+    step = automaton.step
+    keys, plans, leaves = _KEPT.setdefault(automaton,
+                                           (_StateKeys(), {}, {}))
     last = len(nodes) - 1
     gates = {}
     reach = {}  # id(node) -> {state: gate, or None for 1}, first seen first
     bags = {}
-    keys = _StateKeys()
 
     def add(gid, gtype, ins=()):
         gates[gid] = (gtype, ins)
@@ -119,27 +140,27 @@ def _bool_circuit(automaton, nodes, name_of, labels, monotone=False):
     def follow(g, s0, s1, js):
         """At the node being built, send g (the children's part of a run,
         None at a leaf) to the states reached on reading 0 (s0) or 1
-        (s1); js numbers the child states in gate ids."""
+        (s1), by their plan; js numbers the child states in gate ids."""
         nonlocal neg
-        if not s0:
-            g1 = conj(("pi", i) + js, g, x)
-            for q in _in_order(s1, keys):
-                targets.setdefault(q, []).append(g1)
-            return
-        if monotone and not s0 <= s1:
+        plan = plans.get((s0, s1))
+        if plan is None:
+            plan = plans[(s0, s1)] = tuple(
+                tuple(_in_order(s, keys)) for s in (s0 & s1, s1 - s0, s0 - s1))
+        both, on1, on0 = plan
+        if monotone and on0:
             raise NotMonotone("label %r reaches a state on 0 but not on 1"
                               % (tau,))
-        for q in _in_order(s0 & s1, keys):
+        for q in both:
             targets.setdefault(q, []).append(g)
-        if s1 - s0:
+        if on1:
             g1 = conj(("pi", i) + js, g, x)
-            for q in _in_order(s1 - s0, keys):
+            for q in on1:
                 targets.setdefault(q, []).append(g1)
-        if s0 - s1:
+        if on0:
             if neg is None:
                 neg = add(("ni", i), "not", (x,))
             g0 = conj(("pni", i) + js, g, neg)
-            for q in _in_order(s0 - s1, keys):
+            for q in on0:
                 targets.setdefault(q, []).append(g0)
 
     def projected(states, side):
@@ -156,40 +177,43 @@ def _bool_circuit(automaton, nodes, name_of, labels, monotone=False):
         tau = n.label
         l0, l1 = labels(tau)
         dom = []
+        kids = []
         x = name_of.get(id(n))
-        if x is not None:
-            add(x, "inp")
-        neg = None
-        targets = {}
-        if n.is_leaf():
-            s1 = automaton.iota(l1)
-            s0 = EMPTY if x is None else automaton.iota(l0)
-            follow(None, s0, s1, ())
-            kids = []
+        if x is None and n.is_leaf():
+            here = leaves.get(l1)
+            if here is None:
+                here = leaves[l1] = dict.fromkeys(
+                    _in_order(automaton.iota(l1), keys))
         else:
-            rl = reach.pop(id(n.left))
-            rr = reach.pop(id(n.right))
-            dom.extend(g for g in (*rl.values(), *rr.values())
-                       if g is not None)
-            if project is not None:
-                if not n.left.label.dom <= tau.dom:
-                    rl = projected(rl, "ul")
-                if not n.right.label.dom <= tau.dom:
-                    rr = projected(rr, "ur")
-            for jl, (ql, gl) in enumerate(rl.items()):
-                for jr, (qr, gr) in enumerate(rr.items()):
-                    s1 = automaton.delta(ql, qr, l1)
-                    s0 = EMPTY if x is None else \
-                        automaton.delta(ql, qr, l0)
-                    if s0 or s1:
-                        follow(conj(("p", i, jl, jr), gl, gr), s0, s1,
-                               (jl, jr))
-            kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
-        reach[id(n)] = {q: disj(("q", i, j), lst)
-                        for j, (q, lst) in enumerate(targets.items())}
+            if x is not None:
+                add(x, "inp")
+            neg = None
+            targets = {}
+            if n.is_leaf():
+                follow(None, automaton.iota(l0), automaton.iota(l1), ())
+            else:
+                rl = reach.pop(id(n.left))
+                rr = reach.pop(id(n.right))
+                dom.extend(g for g in (*rl.values(), *rr.values())
+                           if g is not None)
+                if project is not None:
+                    if not n.left.label.dom <= tau.dom:
+                        rl = projected(rl, "ul")
+                    if not n.right.label.dom <= tau.dom:
+                        rr = projected(rr, "ur")
+                for jl, (ql, gl) in enumerate(rl.items()):
+                    for jr, (qr, gr) in enumerate(rr.items()):
+                        s1 = step(ql, qr, l1)
+                        s0 = EMPTY if x is None else step(ql, qr, l0)
+                        if s0 or s1:
+                            follow(conj(("p", i, jl, jr), gl, gr), s0, s1,
+                                   (jl, jr))
+                kids = [bags.pop(id(n.left)), bags.pop(id(n.right))]
+            here = {q: disj(("q", i, j), lst)
+                    for j, (q, lst) in enumerate(targets.items())}
+        reach[id(n)] = here
         if i == last:
-            finals = [g for q, g in reach[id(n)].items()
-                      if automaton.is_final(q)]
+            finals = [g for q, g in here.items() if automaton.is_final(q)]
             out = disj(("out",), finals) if finals else \
                 add(("out",), "or")
             if out is None:

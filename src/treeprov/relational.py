@@ -462,14 +462,33 @@ def json_field(data, key, where):
     return data[key]
 
 
+def json_list(data, key, where):
+    """`json_field` that must be a JSON array."""
+    value = json_field(data, key, where)
+    if not isinstance(value, list):
+        raise ValueError("%s %r is not a list" % (where, key))
+    return value
+
+
+def signature_from_json(data, where):
+    """A signature read from JSON: an object from relation names to
+    positive integer arities, or ValueError naming what is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError("%s is not a JSON object" % where)
+    for rel, arity in data.items():
+        if type(arity) is not int or arity < 1:
+            raise ValueError("%s arity of %s is %r, not a positive integer"
+                             % (where, rel, arity))
+    return data
+
+
 def instance_from_json(data):
-    signature = json_field(data, "signature", "instance")
+    signature = signature_from_json(json_field(data, "signature", "instance"),
+                                    "instance 'signature'")
     facts = []
     for i, f in enumerate(data.get("facts", [])):
         where = "fact %d" % (i + 1)
-        args = json_field(f, "args", where)
-        if not isinstance(args, list):
-            raise ValueError("%s 'args' is not a list" % where)
+        args = json_list(f, "args", where)
         facts.append(Fact(json_field(f, "rel", where), tuple(args),
                           f.get("id", "F%d" % (i + 1))))
     return Instance(signature, facts)

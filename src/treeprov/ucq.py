@@ -217,11 +217,12 @@ def compile_bool(q):
 
 def _bool_automaton(disjuncts):
     """`compile_bool`'s automaton.  iota is memoized on the label's fact,
-    delta on the projected states and the fact (see `automata`), and
+    step on the projected states and the fact (see `automata`), and
     project on the state and the label's domain."""
-    parts, merges = zip(*(_placement(d, True) for d in disjuncts))
+    parts = [placement_automaton(d, True) for d in disjuncts]
+    merges = [a.step for a in parts]
     empty = [((0,) * len(d.variables), 0) for d in disjuncts]
-    iotas, deltas, views = {}, {}, {}
+    iotas, steps, views = {}, {}, {}
 
     def tag(i, states):
         return [_ACCEPT if parts[i].is_final(d) else _NONE if d == empty[i]
@@ -243,31 +244,28 @@ def _bool_automaton(disjuncts):
                                    for q in tag(i, a.iota(l)))
         return iotas[key]
 
-    def step(p1, p2, l):  # delta on projected states
-        if _ACCEPT in (p1, p2):
-            return _SINK if _NONE in (p1, p2) else EMPTY
-        if p1 == _NONE and p2 == _NONE:
-            return frozenset(q for i, e in enumerate(empty)
-                             for q in tag(i, merges[i](e, e, l)))
-        if p1 == _NONE:
-            p1 = (p2[0], empty[p2[0]])
-        elif p2 == _NONE:
-            p2 = (p1[0], empty[p1[0]])
-        elif p1[0] != p2[0]:
-            return EMPTY
-        return frozenset(tag(p1[0], merges[p1[0]](p1[1], p2[1], l)))
-
-    def delta(q1, q2, l):
-        p1, p2 = project(q1, l), project(q2, l)
-        if p1 is None or p2 is None:
-            return EMPTY
+    def step(p1, p2, l):  # computed once per projected pair and fact
         key = (p1, p2, l.rel, l.args)
-        out = deltas.get(key)
-        if out is None:
-            out = deltas[key] = step(p1, p2, l)
+        out = steps.get(key)
+        if out is not None:
+            return out
+        if _ACCEPT in (p1, p2):
+            out = _SINK if _NONE in (p1, p2) else EMPTY
+        elif p1 == _NONE and p2 == _NONE:
+            out = frozenset(q for i, e in enumerate(empty)
+                            for q in tag(i, merges[i](e, e, l)))
+        else:
+            if p1 == _NONE:
+                p1 = (p2[0], empty[p2[0]])
+            elif p2 == _NONE:
+                p2 = (p1[0], empty[p1[0]])
+            out = EMPTY if p1[0] != p2[0] else \
+                frozenset(tag(p1[0], merges[p1[0]](p1[1], p2[1], l)))
+        steps[key] = out
         return out
 
-    return BNTA(iota, delta, lambda q: q == _ACCEPT, project=project)
+    return BNTA(iota, None, lambda q: q == _ACCEPT, project=project,
+                step=step)
 
 
 def _compile_det(q, run):
@@ -372,13 +370,10 @@ def placement_automaton(cq, any_count=False):
     a slot the parent shares names the same element there, so bindings
     to slots outside the parent's domain are dropped.  It is None if a
     dropped variable still occurs in an unplaced atom: its element has
-    left scope for good.  `delta` projects both children first.
+    left scope for good.  `step` merges two projected descriptors and
+    places atoms on the label's fact; delta is the two composed (see
+    `automata`).
     """
-    return _placement(cq, any_count)[0]
-
-
-def _placement(cq, any_count):
-    """`placement_automaton` and merge, its delta on projected states."""
     index = {v: i for i, v in enumerate(cq.variables)}
     atom_vars = [tuple(index[v] for v in a.vars) for a in cq.atoms]
     occurs = [0] * len(index)  # per variable, the mask of its atoms
@@ -453,16 +448,8 @@ def _placement(cq, any_count):
             return EMPTY
         return place(slots, d1[1] | d2[1], label)
 
-    def delta(q1, q2, label):
-        if q1[1] & q2[1]:
-            return EMPTY
-        d1 = project(q1, label)
-        d2 = project(q2, label)
-        if d1 is None or d2 is None:
-            return EMPTY
-        return merge(d1, d2, label)
-
-    return BNTA(iota, delta, lambda q: q[1] == full, project=project), merge
+    return BNTA(iota, None, lambda q: q[1] == full, project=project,
+                step=merge)
 
 
 def compile_bag(cq, p=None):

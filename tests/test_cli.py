@@ -316,7 +316,12 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
         pcc, circuit=dict(pcc["circuit"], output=5)))
     phi_past_end = input_file("phi_past_end", dict(
         pcc, phi=[{"fact": "F1", "gate": 1}]))
+    signature = input_file("signature", {"R": 2})
     cases = [
+        (("compile", "--query", "R(x,y)", "--width", "0",
+          "--signature", signature), "width bound must be >= 1"),
+        (("compile", "--query", "R(x,y)", "--width", "-1",
+          "--signature", signature), "width bound must be >= 1"),
         (("prob", "--query", "R(x)", "--bid", str(bid_file)), "arity"),
         (("count", "--query", "R(x)", "--free", "x",
           "--instance", instance_file), "arity"),
@@ -356,30 +361,110 @@ def test_invalid_input_exit_code(capsys, instance_file, tmp_path):
 
 
 _FACT = {"rel": "R", "args": ["a", "b"]}
+_NODE = {"dom": [1]}
+_TABLE = {"states": ["q"], "final": [0], "iota": [], "delta": []}
+_PROB = ("prob", "--query", "R(x,y)")
+_COMPILE = ("compile", "--query", "R(x,y)", "--width", "1")
+_SUM = ("provenance", "--query", "R(x,y)", "--mode", "nx", "--semiring")
 
 
-@pytest.mark.parametrize("flag, data, needle", [
-    ("--bid", {"signature": {"R": 2}, "facts": [dict(_FACT, prob=[1])]},
-     "fact 1 'prob' is not a number"),
-    ("--bid", {"signature": {"R": 2},
-               "facts": [dict(_FACT, args=5, prob="1/2")]},
-     "fact 1 'args' is not a list"),
-    ("--pc", {"signature": {"R": 2}, "facts": [_FACT], "events": []},
-     "events is not a JSON object"),
-    ("--prxml", {"tree": {"label": "r", "children": 5}},
-     "document node 'children' is not a list"),
-    ("--prxml", {"tree": {"label": "r"}, "events": 5},
-     "events is not a JSON object"),
-    ("--prxml", {"tree": {"label": "r"}, "events": []},
-     "events is not a JSON object"),
-], ids=["bid-prob-list", "fact-args-int", "pc-events-list",
-        "prxml-children-int", "prxml-events-int", "prxml-events-list"])
-def test_wrong_typed_field_exit_code(capsys, tmp_path, flag, data, needle):
-    """A loader field of the wrong JSON type is refused with exit code 4
-    and one stderr line that names it, not a traceback."""
+@pytest.mark.parametrize("command, flag, data, needle", [
+    pytest.param(_PROB, "--bid", {"signature": {"R": 2},
+                                  "facts": [dict(_FACT, prob=[1])]},
+                 "fact 1 'prob' is not a number", id="bid-prob-list"),
+    pytest.param(_PROB, "--bid", {"signature": {"R": 2},
+                                  "facts": [dict(_FACT, args=5, prob="1/2")]},
+                 "fact 1 'args' is not a list", id="fact-args-int"),
+    pytest.param(_PROB, "--pc", {"signature": {"R": 2}, "facts": [_FACT],
+                                 "events": []},
+                 "events is not a JSON object", id="pc-events-list"),
+    pytest.param(_PROB, "--prxml", {"tree": {"label": "r", "children": 5}},
+                 "document node 'children' is not a list",
+                 id="prxml-children-int"),
+    pytest.param(_PROB, "--prxml", {"tree": {"label": "r"}, "events": 5},
+                 "events is not a JSON object", id="prxml-events-int"),
+    pytest.param(_PROB, "--prxml", {"tree": {"label": "r"}, "events": []},
+                 "events is not a JSON object", id="prxml-events-list"),
+    pytest.param(("decode",), "--encoding", {"k": 1},
+                 "encoding has no 'tree' key", id="encoding-no-tree"),
+    pytest.param(("decode",), "--encoding", {"tree": _NODE},
+                 "encoding has no 'k' key", id="encoding-no-k"),
+    pytest.param(("decode",), "--encoding", {"k": "1", "tree": _NODE},
+                 "encoding 'k' is not an integer", id="encoding-k-str"),
+    pytest.param(("decode",), "--encoding",
+                 {"k": 1, "tree": dict(_NODE, fact={"rel": "R"})},
+                 "encoding node fact has no 'args' key",
+                 id="encoding-fact-no-args"),
+    pytest.param(("decode",), "--encoding", {"k": 1, "tree": {"dom": 5}},
+                 "encoding node 'dom' is not a list", id="encoding-dom-int"),
+    pytest.param(("decode",), "--encoding", {"k": 1, "tree": {"dom": [[1]]}},
+                 "encoding node 'dom' holds a slot that is not an integer",
+                 id="encoding-dom-slot-list"),
+    pytest.param(("decode",), "--encoding",
+                 {"k": 1, "tree": dict(_NODE, fact={"rel": "R",
+                                                    "args": [2]})},
+                 "encoding node fact 'args' lie outside its 'dom'",
+                 id="encoding-args-outside-dom"),
+    pytest.param(("decode",), "--encoding",
+                 {"k": 1, "tree": dict(_NODE, children=5)},
+                 "encoding node 'children' is not a list",
+                 id="encoding-children-int"),
+    pytest.param(("decode",), "--encoding",
+                 {"k": 1, "tree": dict(_NODE, children=[1, 2])},
+                 "encoding node is not a JSON object",
+                 id="encoding-child-int"),
+    pytest.param(("decode",), "--encoding", [1],
+                 "encoding is not a JSON object", id="encoding-list"),
+    pytest.param(("provenance",), "--automaton", {"states": []},
+                 "automaton has no 'final' key", id="automaton-no-final"),
+    pytest.param(("provenance",), "--automaton", [1],
+                 "automaton is not a JSON object", id="automaton-list"),
+    pytest.param(("provenance",), "--automaton", dict(_TABLE, final=[1]),
+                 "automaton 'final' is 1, not a state index below 1",
+                 id="automaton-final-past-end"),
+    pytest.param(("provenance",), "--automaton",
+                 dict(_TABLE, iota=[{"label": _NODE}]),
+                 "iota entry has no 'states' key",
+                 id="automaton-iota-no-states"),
+    pytest.param(("provenance",), "--automaton", dict(_TABLE, delta=[
+        {"left": "0", "right": 0, "label": _NODE, "states": [0]}]),
+                 "delta entry 'left' is '0', not a state index below 1",
+                 id="automaton-left-str"),
+    pytest.param(("provenance",), "--automaton", dict(_TABLE, delta=[
+        {"left": 0, "right": 0, "label": dict(_NODE, ann="1"),
+         "states": [0]}]), "delta label 'ann' is not an integer",
+                 id="automaton-ann-str"),
+    pytest.param(_COMPILE, "--signature", [1, 2],
+                 "signature is not a JSON object", id="signature-list"),
+    pytest.param(_COMPILE, "--signature", {"R": "x"},
+                 "signature arity of R is 'x', not a positive integer",
+                 id="signature-arity-str"),
+    pytest.param(_COMPILE, "--signature", {"R": 0},
+                 "signature arity of R is 0, not a positive integer",
+                 id="signature-arity-0"),
+    pytest.param(_SUM + ("N",), "--assign", [],
+                 "assignment is not a JSON object", id="assign-list"),
+    pytest.param(_SUM + ("N",), "--assign", {"F1": [1]},
+                 "assignment of F1 is [1], not a N value",
+                 id="assign-N-list"),
+    pytest.param(_SUM + ("tropical",), "--assign", {"F1": [1]},
+                 "assignment of F1 is [1], not a tropical value",
+                 id="assign-tropical-list"),
+    pytest.param(_SUM + ("security",), "--assign", {"F1": "public"},
+                 "assignment of F1 is \"public\", not a security value",
+                 id="assign-security-unknown"),
+])
+def test_wrong_typed_field_exit_code(capsys, tmp_path, instance_file,
+                                     command, flag, data, needle):
+    """A field of an input file that is missing or of the wrong JSON type
+    is refused with exit code 4 and one stderr line that names it, not a
+    traceback."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    assert main(["prob", "--query", "R(x,y)", flag, str(path)]) == 4
+    args = [*command, flag, str(path)]
+    if command[0] == "provenance":
+        args += ["--instance", instance_file]
+    assert main(args) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid input: ")

@@ -20,7 +20,10 @@ rebuilds the normalized decomposition that the kept encoding is of.
 Likewise ``ucq._det_automaton`` determinises ``compile_bool``'s
 automaton once per query, under one state cap, so no other function
 takes ``lazy_determinize`` but the two that determinise an automaton
-they are given."""
+they are given.  An automaton with a projection is given its step on
+projected states, and ``automata`` alone builds delta from the two, so
+no other ``delta`` projects its states (again, when a provenance
+circuit has projected them already)."""
 
 import ast
 from pathlib import Path
@@ -288,6 +291,32 @@ def test_one_determinisation_per_query():
                    for _line, name in determinizers(path.read_text()))
     assert found == sorted(DETERMINIZERS_ALLOWED), \
         "lazy_determinize taken by %s" % found
+
+
+def projecting_deltas(source):
+    """(line, function) of each def named delta whose body, nested
+    functions included, calls project, bare or as an attribute."""
+    return [(line, name) for line, name in callers_of_all(source, {"project"})
+            if name == "delta"]
+
+
+def test_scanner_flags_projecting_deltas():
+    source = ("def delta(q1, q2, l):\n"
+              "    return step(project(q1, l), a.project(q2, l), l)\n"
+              "def build(a):\n    def delta(q1, q2, l):\n"
+              "        return a.project(q1, l)\n    return delta\n"
+              "def step(p1, p2, l):\n    return project(p1, l)\n"
+              "def delta(q1, q2, l):\n    return step(q1, q2, l)\n")
+    assert projecting_deltas(source) == [(1, "delta"), (4, "delta")]
+
+
+def test_only_automata_composes_project_with_step():
+    """The one delta that projects its states is the one `automata`
+    builds from an automaton's project and step."""
+    found = [(path.name, name) for path in PACKAGE
+             for _line, name in projecting_deltas(path.read_text())]
+    assert found == [("automata.py", "delta")], \
+        "deltas that project their states: %s" % found
 
 
 def private_definitions(source):

@@ -207,11 +207,25 @@ _BRANCHED_UNION = "R(x,y),R(y,z);R(x,y),R(z,y)"
 _BUILD = """
 import json
 from fractions import Fraction
+import random
+from treeprov.automata import BNTA
 from treeprov.circuits import circuit_to_json
 from treeprov.prob import BIDInstance, bid_to_pcc, lineage_circuit
-from treeprov.provcirc import query_provenance_circuit
+from treeprov.provcirc import bool_provenance_circuit, query_provenance_circuit
 from treeprov.relational import instance_from_json, make_instance
+from treeprov.trees import Node
 from treeprov.ucq import compile_bool, nx_provenance, parse_ucq
+
+# a table automaton over generic (tau, b) labels, with no project: its
+# states are strings, so a transition's states hash apart under the seeds
+rng = random.Random(3)
+states = ["q%%d" %% i for i in range(5)]
+table = BNTA.from_tables(
+    states, states[:2],
+    {(t, b): [q for q in states if rng.random() < 0.5]
+     for t in "ab" for b in (0, 1)},
+    {(q1, q2, (t, b)): [q for q in states if rng.random() < 0.4]
+     for q1 in states for q2 in states for t in "ab" for b in (0, 1)})
 
 
 def load():
@@ -222,10 +236,13 @@ def load():
                                  {f.id: Fraction(1, 2) for f in path.facts}))
     marked = instance_from_json(json.load(open(%r)))
     branched = instance_from_json(json.load(open(%r)))
-    return grid, pcc, marked, branched
+    tree = Node("a", Node("b"), Node("a"))
+    for t in "babba":
+        tree = Node(t, Node(t, tree, Node("b")), Node("a"))
+    return grid, pcc, marked, branched, tree
 
 
-def build(grid, pcc, marked, branched):
+def build(grid, pcc, marked, branched, tree):
     res, _ = query_provenance_circuit(
         compile_bool(parse_ucq("R(x,y),R(y,z),R(z,w)")), grid, 2)
     lineage, _ = lineage_circuit(compile_bool(parse_ucq("R(x,y),R(y,z)")),
@@ -239,12 +256,14 @@ def build(grid, pcc, marked, branched):
     unions.append(query_provenance_circuit(branched_union, marked,
                                            2)[0].circuit)
     nx = nx_provenance(parse_ucq("R(x,y),R(y,z)"), marked)
+    on_table = bool_provenance_circuit(table, tree).circuit
     return [circuit_to_json(c)
-            for c in [res.circuit, lineage, *unions, nx]]
+            for c in [res.circuit, lineage, *unions, nx, on_table]]
 
 
-# the second build runs on the automata, with their memos, and on the
-# instance encodings of the first; the third on the automata only
+# the second build runs on the automata, with their memos and kept
+# plans, and on the instance encodings of the first; the third on the
+# automata only
 inputs = load()
 print(json.dumps(build(*inputs)))
 print(json.dumps(build(*inputs)))
@@ -254,12 +273,12 @@ print(json.dumps(build(*load())))
 
 def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
     """Boolean provenance (library and CLI, one disjunct and unions, at
-    widths 1 and 2, and a union on steps kept from another instance),
-    lineage and N[X] (library and CLI) circuits come out byte for byte
-    the same under two hash seeds, and the library's the same again
-    when built a second time in the process, on warm automata and
-    instance encodings, and a third, on warm automata and new
-    instances."""
+    widths 1 and 2, a union on steps kept from another instance, and a
+    table automaton with generic labels), lineage and N[X] (library and
+    CLI) circuits come out byte for byte the same under two hash seeds,
+    and the library's the same again when built a second time in the
+    process, on warm automata and instance encodings, and a third, on
+    warm automata and new inputs."""
     grid, branched = tmp_path / "grid.json", tmp_path / "branched.json"
     for path, edges in ((grid, _GRID_EDGES), (branched, _BRANCHED_EDGES)):
         path.write_text(json.dumps({"signature": {"R": 2}, "facts": [
@@ -295,7 +314,8 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
         outs.append((lib, cli))
     cold, warm, reloaded = outs[0][0].splitlines()
     assert [c["kind"] for c in json.loads(cold)] == \
-        ["bool"] * 6 + ["semiring"]
+        ["bool"] * 6 + ["semiring", "bool"]
+    assert len(json.loads(cold)[-1]["gates"]) > 20
     assert cold == warm == reloaded
     assert all(out.startswith("{") for out in outs[0][1])
     assert outs[0] == outs[1]

@@ -1,20 +1,30 @@
 """`compile_bool`'s automaton keeps each step under the projected states
-and the label's fact: a circuit does not depend on the builds before it,
-agrees with the possible worlds, and a cold build takes few placement
-steps."""
+and the label's fact, and `provcirc._bool_circuit` keeps its transition
+plans and input-free leaves per automaton: a circuit does not depend on
+the builds before it, agrees with the possible worlds, and a cold build
+takes few placement steps and projects each child state once."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 
-from treeprov import ucq
+import pytest
+
+from treeprov import provcirc, ucq
+from treeprov.automata import BNTA
 from treeprov.circuits import circuit_to_json
-from treeprov.prob import BIDInstance
-from treeprov.provcirc import query_provenance_circuit
+from treeprov.errors import NotMonotone
+from treeprov.prob import BIDInstance, lineage_circuit
+from treeprov.provcirc import (bool_provenance_circuit,
+                               monotone_provenance_circuit,
+                               query_provenance_circuit)
 from treeprov.relational import make_instance
+from treeprov.trees import Node
 from treeprov.ucq import CQ, UCQ, Atom, compile_bool, parse_ucq, satisfies
 
-from genutil import rand_fraction, rand_instance, rand_ucq
+from genutil import (rand_bool_automaton, rand_fraction, rand_instance,
+                     rand_pcc, rand_tree, rand_ucq)
 from oracles import bid_worlds, brute_force_prob
 
 # the benchmark's path query, 3-disjunct union and diseq query
@@ -42,22 +52,24 @@ def _path24():
 
 
 def _counted_placement_steps(monkeypatch):
-    """The list every placement step (delta on projected descriptors) of
-    an automaton compiled from now on is appended to; compiled automata
-    are dropped, so the next call compiles."""
+    """The list every placement step (`step`, on projected descriptors)
+    of an automaton compiled from now on is appended to; compiled
+    automata are dropped, so the next call compiles."""
     steps = []
-    placement = ucq._placement
+    placement = ucq.placement_automaton
 
-    def counted(cq, any_count):
-        automaton, merge = placement(cq, any_count)
+    def counted(cq, any_count=False):
+        automaton = placement(cq, any_count)
+        step = automaton.step
 
-        def counted_merge(d1, d2, label):
+        def counted_step(d1, d2, label):
             steps.append((d1, d2, label))
-            return merge(d1, d2, label)
+            return step(d1, d2, label)
 
-        return automaton, counted_merge
+        automaton.step = counted_step
+        return automaton
 
-    monkeypatch.setattr(ucq, "_placement", counted)
+    monkeypatch.setattr(ucq, "placement_automaton", counted)
     ucq._COMPILED.clear()
     return steps
 
@@ -122,3 +134,98 @@ def test_a_cold_union_call_takes_few_placement_steps(monkeypatch):
     assert res.circuit.gates
     assert 0 < len(steps) <= 46
     ucq._COMPILED.clear()
+
+
+def _calls(code, run):
+    """How many times run() enters a function with this code object."""
+    count = 0
+
+    def profile(frame, event, _arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_a_cold_build_projects_each_child_state_once():
+    """Counted work, not time: on the fixed 24-edge path at width 1, a
+    cold build of the benchmark's 3-disjunct union calls the automaton's
+    `project` only where `_bool_circuit` projects a child's states, once
+    per state and node, and never per stepped pair: 178 calls, where the
+    delta that projected both states again made 590."""
+    ucq._COMPILED.clear()
+    automaton = compile_bool(QUERIES[1])
+    project = automaton.project
+    asked = []
+
+    def counted(q, label):
+        asked.append(q)
+        return project(q, label)
+
+    automaton.project = counted  # what `_bool_circuit` reads
+    calls = _calls(project.__code__, lambda: query_provenance_circuit(
+        automaton, _path24(), 1))
+    assert 0 < calls == len(asked) <= 178
+    ucq._COMPILED.clear()
+
+
+def _table_automaton():
+    """A table automaton over generic (tau, b) labels, with no project."""
+    automaton = rand_bool_automaton(random.Random(7), ("a", "b"), 5)
+    assert automaton.project is None and automaton.step is automaton.delta
+    return automaton
+
+
+def test_warm_plans_change_no_lineage_or_table_circuit():
+    """Lineage on pcc B, and the provenance circuit of a table automaton
+    on tree B, come out byte for byte the same built cold, after A on
+    the same automaton, and after B itself: plans and leaves kept from
+    other inputs change nothing."""
+    rng = random.Random(28)
+    pcc_a, pcc_b = rand_pcc(rng, max_facts=6), rand_pcc(rng, max_facts=6)
+    tree_a, tree_b = rand_tree(rng, 12), rand_tree(rng, 14)
+    table = _table_automaton()
+
+    def lineage(q):
+        return lambda pcc: json.dumps(circuit_to_json(
+            lineage_circuit(compile_bool(q), pcc)[0]))
+
+    def table_circuit(tree):
+        return json.dumps(circuit_to_json(
+            bool_provenance_circuit(table, tree).circuit))
+
+    cases = [(lineage(q), pcc_a, pcc_b) for q in QUERIES]
+    cases.append((table_circuit, tree_a, tree_b))
+    for build, a, b in cases:
+        ucq._COMPILED.clear()
+        provcirc._KEPT.clear()
+        cold = build(b)
+        ucq._COMPILED.clear()
+        provcirc._KEPT.clear()
+        build(a)
+        assert build(b) == cold  # on what A kept
+        assert build(b) == cold  # on what B kept
+    ucq._COMPILED.clear()
+
+
+def test_a_kept_plan_still_refuses_a_monotone_build():
+    """A plan with a state on 0 only, kept by a general build, makes a
+    monotone build on the same automaton raise NotMonotone, at a leaf
+    and at an inner node."""
+    on_leaf = BNTA.from_tables([0, 1], [0], {("a", 0): [1], ("a", 1): [0]},
+                               {})
+    inner = BNTA.from_tables(
+        [0, 1], [0], {("a", 0): [0], ("a", 1): [0]},
+        {(0, 0, ("b", 0)): [1], (0, 0, ("b", 1)): [0]})
+    for automaton, tree in ((on_leaf, Node("a")),
+                            (inner, Node("b", Node("a"), Node("a")))):
+        assert bool_provenance_circuit(automaton, tree).circuit.gates
+        assert provcirc._KEPT[automaton][1]  # the plans kept
+        with pytest.raises(NotMonotone):
+            monotone_provenance_circuit(automaton, tree)
