@@ -8,9 +8,10 @@ monomial cap, running out of memory, or an output that nests deeper
 than the json module can write, about 1,000 levels of arrays and
 objects), and 4 invalid input: a missing or unreadable file, malformed
 JSON or JSON nested deeper than the json module can read, an input file
-without a required key, a query or formula that does not parse, a query
-atom whose arity disagrees with the instance, or a PrXML document with
-a probability outside [0, 1] or a fie node where mux/ind are expected.
+without a required key, an --assign value outside its semiring, a query
+or formula that does not parse, a query atom whose arity disagrees with
+the instance, or a PrXML document with a probability outside [0, 1] or
+a fie node where mux/ind are expected.
 Each error is one line on stderr.  The tree-shaped formats
 (decompositions, encodings, PrXML documents) nest two or three levels
 per tree level, so their depth limit comes from the json module.
@@ -18,6 +19,7 @@ per tree level, so their depth limit comes from the json module.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -162,16 +164,31 @@ _POSBOOL_STRINGS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def _parse_value(name, var, raw, semiring):
-    """The --assign value raw of input var in the semiring named name."""
+    """The --assign value raw of input var in the semiring named name:
+    N takes a non-negative integer, tropical an integer or "inf" (each
+    integer a JSON integer or its decimal string), fuzzy a number in
+    [0, 1] (as a fraction string too), security a level, and posbool a
+    truth value.  Any other value is a ValueError, not a value rounded
+    or read into the semiring."""
     if raw is None:
         return semiring.one
-    if isinstance(raw, (list, dict)) or name == "security" and \
-            raw not in SECURITY_ORDER:
-        raise ValueError("assignment of %s is %s, not a %s value"
-                         % (var, json.dumps(raw), name))
-    if name == "N":
+    # JSON true and false are bools, not integers
+    integer = type(raw) is int or isinstance(raw, str) and \
+        re.fullmatch("-?[0-9]+", raw) is not None
+    if name == "N" and integer and int(raw) >= 0:
         return int(raw)
-    if name == "posbool":
+    if name == "tropical" and (integer or raw == "inf"):
+        return None if raw == "inf" else int(raw)
+    if name == "fuzzy" and type(raw) in (int, float, str):
+        try:
+            value = Fraction(raw)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            value = None
+        if value is not None and 0 <= value <= 1:
+            return value
+    if name == "security" and raw in SECURITY_ORDER:
+        return raw
+    if name == "posbool" and not isinstance(raw, (list, dict)):
         if isinstance(raw, bool):
             return raw
         if isinstance(raw, str) and raw in _POSBOOL_STRINGS:
@@ -179,11 +196,8 @@ def _parse_value(name, var, raw, semiring):
         raise SystemExit("--semiring posbool takes true, false, \"true\", "
                          "\"false\", \"1\" or \"0\", not %s"
                          % json.dumps(raw))
-    if name == "tropical":
-        return None if raw == "inf" else int(raw)
-    if name == "security":
-        return raw
-    return Fraction(raw)
+    raise ValueError("assignment of %s is %s, not a %s value"
+                     % (var, json.dumps(raw), name))
 
 
 def cmd_prob(args):

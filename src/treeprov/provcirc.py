@@ -292,7 +292,19 @@ def _nx_circuit(automaton, nodes, name_of, l, p):
     needs one, as circuits have no repeated wires.  States are numbered
     as in `_bool_circuit`, so the circuit does not depend on how they
     hash.  The bag of a node holds its own gates and its children's
-    state gates.  Returns (circuit, decomposition)."""
+    state gates.
+
+    If the automaton has a `project`, each child's states are projected
+    once per node, on the label read with multiplicity 0 (it depends
+    only on the label's domain), states that project to None are
+    dropped, and the projected states are paired by `step`; a child
+    whose label domain lies inside the node's is not projected (see
+    `automata`).  Each (state, m) keeps its own gate and number, even
+    where two project alike, so a pair's gates are those of its
+    unprojected states.  Without a `project`, an automaton's step is
+    its delta.  Returns (circuit, decomposition)."""
+    project = automaton.project
+    step = automaton.step
     restricted = l != ALL
     limit = l if restricted else p
     last = len(nodes) - 1
@@ -338,6 +350,15 @@ def _nx_circuit(automaton, nodes, name_of, l, p):
         for q in _in_order(states, keys):
             targets.setdefault((q, m if restricted else 0), []).append(g)
 
+    def read(states, child):
+        """A child's [(j, state, m, gate)] as the node being built reads
+        it: j numbers its (state, m) in gate ids."""
+        out = [(j, q, m, g) for j, ((q, m), g) in enumerate(states.items())]
+        if project is None or child.label.dom <= tau.dom:
+            return out
+        out = [(j, project(q, l0), m, g) for j, q, m, g in out]
+        return [entry for entry in out if entry[1] is not None]
+
     for i, n in enumerate(nodes):
         tau = n.label
         dom = []
@@ -356,9 +377,11 @@ def _nx_circuit(automaton, nodes, name_of, l, p):
         else:
             rl = reach.pop(id(n.left))
             rr = reach.pop(id(n.right))
-            for jl, ((ql, l1), gl) in enumerate(rl.items()):
-                for jr, ((qr, l2), gr) in enumerate(rr.items()):
-                    moves = [(ann, automaton.delta(ql, qr, (tau, ann)))
+            l0 = (tau, 0)
+            right = read(rr, n.right)
+            for jl, ql, l1, gl in read(rl, n.left):
+                for jr, qr, l2, gr in right:
+                    moves = [(ann, step(ql, qr, (tau, ann)))
                              for ann in range(min(top, limit - l1 - l2) + 1)]
                     moves = [(ann, states) for ann, states in moves if states]
                     if moves:

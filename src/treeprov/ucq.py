@@ -7,17 +7,20 @@ atoms placed in the subtree.  A variable whose element leaves scope
 while it still occurs in an unplaced atom kills its match, two children
 never both place one atom, and two variables required distinct never
 share a slot (elements out of scope are distinct from all in scope).
+A fact may hold any number of atoms.
 
-- Annotated view: a fact node annotated `ann` places exactly `ann`
-  atoms on its fact, so accepting runs are the query's matches.  This
-  gives N[X] provenance (`nx_provenance`) and, made monotone in the
-  annotation, bag semantics (`compile_bag`).
-- Boolean view (`compile_bool`): a fact may hold any number of atoms,
-  and a UCQ is monotone, so all full descriptors are one absorbing
-  accepting state.  It stays nondeterministic: a provenance circuit
-  gets one gate per descriptor a node can hold.  Where worlds are
-  counted, `_compile_det` determinises it on demand, once for the
-  whole union, through the same transition memo.
+- Annotated view (`_nx_automaton`): a fact node annotated `ann` takes
+  the placements of exactly `ann` atoms on its fact, so accepting runs
+  are the query's matches.  One placement step per projected pair and
+  fact, grouped by how many atoms it placed, serves every annotation.
+  This gives N[X] provenance (`nx_provenance`) and, made monotone in
+  the annotation, bag semantics (`compile_bag`).
+- Boolean view (`compile_bool`): every placement at once, and a UCQ
+  is monotone, so all full descriptors are one absorbing accepting
+  state.  It stays nondeterministic: a provenance circuit gets one
+  gate per descriptor a node can hold.  Where worlds are counted,
+  `_compile_det` determinises it on demand, once for the whole union,
+  through the same transition memo.
 
 An automaton depends only on the query, so each of `compile_bool`,
 `_compile_det` and `nx_provenance` compiles a query once per process:
@@ -34,7 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .automata import (BNTA, EMPTY, lazy_determinize, memoized, monotonize,
-                       state_cap, union)
+                       state_cap)
 from .circuits import Polynomial
 from .encoding import _encoded
 from .errors import StateBlowup
@@ -219,23 +222,15 @@ def _bool_automaton(disjuncts):
     """`compile_bool`'s automaton.  iota is memoized on the label's fact,
     step on the projected states and the fact (see `automata`), and
     project on the state and the label's domain."""
-    parts = [placement_automaton(d, True) for d in disjuncts]
+    parts = [placement_automaton(d) for d in disjuncts]
     merges = [a.step for a in parts]
     empty = [((0,) * len(d.variables), 0) for d in disjuncts]
-    iotas, steps, views = {}, {}, {}
+    iotas, steps = {}, {}
+    project = _tagged_projection(parts)
 
     def tag(i, states):
         return [_ACCEPT if parts[i].is_final(d) else _NONE if d == empty[i]
                 else (i, d) for d in states]
-
-    def project(q, l):
-        if not q or q.__class__ is str:  # _NONE or _ACCEPT
-            return q
-        key = (q, l.dom)
-        if key not in views:
-            p = parts[q[0]].project(q[1], l)
-            views[key] = q if p is q[1] else None if p is None else (q[0], p)
-        return views[key]
 
     def iota(l):
         key = (l.rel, l.args)
@@ -266,6 +261,25 @@ def _bool_automaton(disjuncts):
 
     return BNTA(iota, None, lambda q: q == _ACCEPT, project=project,
                 step=step)
+
+
+def _tagged_projection(parts):
+    """project(q, kf) of a state q = (i, d) tagged with its disjunct i,
+    through parts[i], the disjunct's placement automaton; memoized on q
+    and kf's domain, all a projection reads of its label.  A state with
+    no tag, `_NONE` or `_ACCEPT`, is its own projection."""
+    views = {}
+
+    def project(q, kf):
+        if not q or q.__class__ is str:  # _NONE or _ACCEPT
+            return q
+        key = (q, kf.dom)
+        if key not in views:
+            p = parts[q[0]].project(q[1], kf)
+            views[key] = q if p is q[1] else None if p is None else (q[0], p)
+        return views[key]
+
+    return project
 
 
 def _compile_det(q, run):
@@ -350,12 +364,10 @@ def _compiled(key):
     return value
 
 
-def placement_automaton(cq, any_count=False):
-    """bNTA over (KFact, annotation) labels whose accepting runs on a
-    valid annotated encoding are in bijection with the matches of cq
-    that place exactly `ann` atoms on the fact of each fact node
-    annotated `ann`; other nodes must be annotated 0.  With any_count,
-    labels are bare KFacts and a fact node places any number of atoms.
+def placement_automaton(cq):
+    """bNTA over KFact labels whose accepting runs on a valid encoding
+    place each atom of cq on a fact of the tree, a fact node placing any
+    number of atoms on its fact.
 
     A state is one descriptor (slots, placed): slots has one entry per
     variable of cq.variables, the slot (1..2k+2) it is bound to or 0
@@ -363,7 +375,9 @@ def placement_automaton(cq, any_count=False):
     subtree.  Children that both placed an atom are rejected, so each
     atom sits on exactly one fact.  Two variables required distinct
     never share a slot (elements out of scope are distinct from all in
-    scope).
+    scope).  How many atoms a step placed on the label's fact is the
+    growth of placed, which `_nx_automaton` reads to give each fact
+    node an annotation.
 
     `project(q, label)` is a child's descriptor seen from a parent
     labelled label: a descriptor binds only slots of its own node, and
@@ -405,7 +419,7 @@ def placement_automaton(cq, any_count=False):
     in_scope = {}  # dom -> dom and 0: the slot values dom keeps
 
     def project(q, label):
-        dom = (label if any_count else label[0]).dom
+        dom = label.dom
         slots, placed = q
         keeps = in_scope.get(dom)
         if keeps is None:
@@ -418,18 +432,14 @@ def placement_automaton(cq, any_count=False):
         return (tuple(s if s in dom else 0 for s in slots), placed)
 
     def place(slots, placed, label):
-        kf, ann = (label, 0) if any_count else label
-        fit = [idx for idx in by_sig.get((kf.rel, len(kf.args)), ())
+        args = label.args
+        fit = [idx for idx in by_sig.get((label.rel, len(args)), ())
                if not placed >> idx & 1]  # none on a node without a fact
-        if any_count or not ann:  # placing no atom keeps the descriptor
-            out = {(slots, placed)}
-            sizes = range(1, len(fit) + 1) if any_count else ()
-        else:
-            out, sizes = set(), [ann]
-        for n in sizes:
+        out = {(slots, placed)}  # placing no atom keeps the descriptor
+        for n in range(1, len(fit) + 1):
             for chosen in itertools.combinations(fit, n):
                 new = bind(slots, [(v, s) for idx in chosen
-                                   for v, s in zip(atom_vars[idx], kf.args)])
+                                   for v, s in zip(atom_vars[idx], args)])
                 if new is not None:
                     mask = placed
                     for idx in chosen:
@@ -456,12 +466,12 @@ def compile_bag(cq, p=None):
     """bNTA over (KFact, {0..p}) accepting an annotated encoding iff its
     bag instance satisfies the CQ under bag-homomorphism semantics: some
     match uses each fact at most as many times as its annotation, i.e.
-    the placement automaton made monotone in the annotation."""
+    `_nx_automaton`'s annotated view made monotone in the annotation."""
     if p is None:
         p = len(cq.atoms)
     if p < len(cq.atoms):
         raise ValueError("p must be at least the total atom multiplicity")
-    return memoized(monotonize(placement_automaton(cq)))
+    return memoized(monotonize(_nx_automaton((cq,))))
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +480,11 @@ def compile_bag(cq, p=None):
 
 def nx_provenance(q, instance, k=None):
     """N[X] provenance circuit of a UCQ on a treelike instance, with the
-    fact ids as inputs.  The union of the disjuncts' placement automata
-    has one accepting run per match of a disjunct, and the circuit
-    weighs each run by the product of the facts its match uses.  The
-    memoized union is compiled once per query and state cap (see
-    `_compiled`), and the instance's encoding once per instance and k
-    (see `encoding._encoded`)."""
+    fact ids as inputs.  `_nx_automaton` has one accepting run per match
+    of a disjunct, and the circuit weighs each run by the product of the
+    facts its match uses.  The automaton is compiled once per query and
+    state cap (see `_compiled`), and the instance's encoding once per
+    instance and k (see `encoding._encoded`)."""
     if isinstance(q, CQ):
         q = UCQ((q,))
     enc = _encoded(instance, k)
@@ -484,6 +493,65 @@ def nx_provenance(q, instance, k=None):
     return _nx_circuit(automaton, enc.nodes(), enc.node_fact, ALL, p)[0]
 
 
-def _nx_automaton(disjuncts):  # one disjunct's states carry no tag
+def _nx_automaton(disjuncts):
+    """The annotated view of the disjuncts' placement automata: a bNTA
+    over (KFact, ann) labels whose accepting runs on a valid annotated
+    encoding are in bijection with the matches of a disjunct that place
+    exactly ann atoms on the fact of each fact node annotated ann (other
+    nodes must be annotated 0).  A union tags each state with its
+    disjunct, as `automata.union` does, and pairs no states of two
+    disjuncts; one disjunct's states carry no tag.
+
+    project is the placement automaton's, memoized for a union (see
+    `_tagged_projection`).  iota and step are memoized on the label's
+    fact alone: one any-count placement per fact, and per projected pair
+    and fact, serves every annotation, its results grouped by how many
+    atoms they placed on the fact (the growth of the placed mask).  This
+    is exact: the any-count placement is the union over n of the
+    placements of exactly n atoms, and the mask tells each one's n."""
     parts = [placement_automaton(d) for d in disjuncts]
-    return memoized(parts[0] if len(parts) == 1 else union(parts))
+    single = len(parts) == 1
+    iotas, steps = {}, {}
+    view = parts[0].project if single else _tagged_projection(parts)
+
+    def project(q, l):
+        return view(q, l[0])
+
+    def count(groups, i, states, before):
+        """Add disjunct i's states, tagged, to groups under the number of
+        atoms each placed beyond the `before` placed below."""
+        for d in states:
+            groups.setdefault(d[1].bit_count() - before, set()).add(
+                d if single else (i, d))
+
+    def iota(l):
+        tau, ann = l
+        key = (tau.rel, tau.args)
+        groups = iotas.get(key)
+        if groups is None:
+            groups = {}
+            for i, a in enumerate(parts):
+                count(groups, i, a.iota(tau), 0)
+            groups = iotas[key] = {n: frozenset(g) for n, g in groups.items()}
+        return groups.get(ann, EMPTY)
+
+    def step(p1, p2, l):  # one placement per projected pair and fact
+        tau, ann = l
+        key = (p1, p2, tau.rel, tau.args)
+        groups = steps.get(key)
+        if groups is None:
+            (i, d1), (j, d2) = ((0, p1), (0, p2)) if single else (p1, p2)
+            groups = {}
+            if i == j:
+                count(groups, i, parts[i].step(d1, d2, tau),
+                      (d1[1] | d2[1]).bit_count())
+            groups = steps[key] = {n: frozenset(g) for n, g in groups.items()}
+        return groups.get(ann, EMPTY)
+
+    if single:
+        is_final = parts[0].is_final
+    else:
+        def is_final(q):
+            return parts[q[0]].is_final(q[1])
+
+    return BNTA(iota, None, is_final, project=project, step=step)

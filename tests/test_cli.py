@@ -207,6 +207,24 @@ def test_provenance_nx_posbool(capsys, instance_file, tmp_path):
         main(list(args))
 
 
+@pytest.mark.parametrize("semiring, values, want", [
+    ("N", {"F1": "2", "F2": 3, "F3": 0}, "4"),
+    ("tropical", {"F1": "-2", "F2": "inf", "F3": 5}, "-4"),
+    ("fuzzy", {"F1": "1/3", "F2": 0.5, "F3": 0}, "1/3"),
+])
+def test_provenance_nx_semiring_values(capsys, instance_file, tmp_path,
+                                       semiring, values, want):
+    """Values inside each semiring are read as they are: an integer
+    string in N and in tropical, "inf" in tropical, and a fraction
+    string or a number in [0, 1] in fuzzy."""
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps(values))
+    assert run_main(capsys, "provenance", "--instance", instance_file,
+                    "--query", "R(x,y),R(y,x)", "--mode", "nx",
+                    "--semiring", semiring, "--assign", str(assign)) == \
+        (0, want + "\n")
+
+
 def test_prob_pc(capsys, tmp_path):
     pc = {
         "signature": {"R": 1},
@@ -453,6 +471,33 @@ _SUM = ("provenance", "--query", "R(x,y)", "--mode", "nx", "--semiring")
     pytest.param(_SUM + ("security",), "--assign", {"F1": "public"},
                  "assignment of F1 is \"public\", not a security value",
                  id="assign-security-unknown"),
+    pytest.param(_SUM + ("N",), "--assign", {"F1": 1.5},
+                 "assignment of F1 is 1.5, not a N value",
+                 id="assign-N-float"),
+    pytest.param(_SUM + ("N",), "--assign", {"F1": True},
+                 "assignment of F1 is true, not a N value",
+                 id="assign-N-bool"),
+    pytest.param(_SUM + ("N",), "--assign", {"F1": -1},
+                 "assignment of F1 is -1, not a N value",
+                 id="assign-N-negative"),
+    pytest.param(_SUM + ("N",), "--assign", {"F1": "-1"},
+                 "assignment of F1 is \"-1\", not a N value",
+                 id="assign-N-negative-str"),
+    pytest.param(_SUM + ("tropical",), "--assign", {"F1": 2.7},
+                 "assignment of F1 is 2.7, not a tropical value",
+                 id="assign-tropical-float"),
+    pytest.param(_SUM + ("tropical",), "--assign", {"F1": True},
+                 "assignment of F1 is true, not a tropical value",
+                 id="assign-tropical-bool"),
+    pytest.param(_SUM + ("fuzzy",), "--assign", {"F1": 1.5},
+                 "assignment of F1 is 1.5, not a fuzzy value",
+                 id="assign-fuzzy-above-one"),
+    pytest.param(_SUM + ("fuzzy",), "--assign", {"F1": "-1/2"},
+                 "assignment of F1 is \"-1/2\", not a fuzzy value",
+                 id="assign-fuzzy-negative"),
+    pytest.param(_SUM + ("fuzzy",), "--assign", {"F1": "1/0"},
+                 "assignment of F1 is \"1/0\", not a fuzzy value",
+                 id="assign-fuzzy-zero-denominator"),
 ])
 def test_wrong_typed_field_exit_code(capsys, tmp_path, instance_file,
                                      command, flag, data, needle):

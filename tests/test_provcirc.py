@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from treeprov.automata import accepts, count_runs, memoized, union
+from treeprov.automata import BNTA, accepts, count_runs
 from treeprov.circuits import (Polynomial, circuit_to_json, eval_bool,
                                expand_polynomial)
 from treeprov.encoding import encode
@@ -20,9 +20,8 @@ from treeprov.provcirc import (ALL, _nx_circuit, bool_provenance_circuit,
 from treeprov.relational import (check_decomposition, make_instance,
                                  normalize_decomposition, tree_decomposition)
 from treeprov.trees import Node, postorder
-from treeprov.ucq import (compile_bool, nx_provenance,
-                          nx_provenance_bruteforce, parse_ucq,
-                          placement_automaton)
+from treeprov.ucq import (_nx_automaton, compile_bool, nx_provenance,
+                          nx_provenance_bruteforce, parse_ucq)
 
 from genutil import (rand_bool_automaton, rand_instance, rand_p_automaton,
                      rand_tree, rand_ucq)
@@ -162,15 +161,16 @@ def test_query_provenance_circuit_inputs_are_fact_ids():
 
 def test_nx_provenance_decomposition():
     """nx_provenance's circuit, rebuilt with its decomposition from the
-    same encoding and automaton, is decomposed by it; unions included."""
+    same encoding and the same automaton, unprojected, is decomposed by
+    it; unions included."""
     rng = random.Random(57)
     for _ in range(15):
         q = rand_ucq(rng, max_disjuncts=2, max_atoms=2)
         inst = rand_instance(rng, max_facts=4, max_dom=3)
         enc = encode(inst, normalize_decomposition(
             tree_decomposition(inst, None)))
-        automaton = memoized(union([placement_automaton(d)
-                                    for d in q.disjuncts]))
+        a = _nx_automaton(q.disjuncts)
+        automaton = BNTA(a.iota, a.delta, a.is_final)
         p = max(len(d.atoms) for d in q.disjuncts)
         circuit, decomp = _nx_circuit(automaton, enc.nodes(), enc.node_fact,
                                       ALL, p)
@@ -178,6 +178,30 @@ def test_nx_provenance_decomposition():
             circuit_to_json(nx_provenance(q, inst))
         assert decomposes_circuit(circuit, decomp)
         assert expand_polynomial(circuit) == nx_provenance_bruteforce(q, inst)
+
+
+def test_nx_circuit_projected_equals_unprojected():
+    """`_nx_circuit` on `_nx_automaton`, which projects each child's
+    states once per node and steps the projected pairs, emits the same
+    JSON as on its unprojected copy, whose delta projects every pair;
+    on unions, with l = ALL and with an integer l."""
+    rng = random.Random(29)
+    for case in range(20):
+        q = rand_ucq(rng, max_disjuncts=3, max_atoms=3)
+        if case == 0:
+            q = parse_ucq(_BRANCHED_UNION)
+        inst = rand_instance(rng, max_facts=6, max_dom=4)
+        enc = encode(inst, normalize_decomposition(
+            tree_decomposition(inst, None)))
+        p = max(len(d.atoms) for d in q.disjuncts)
+        for l in (ALL, 1, 2):
+            a = _nx_automaton(q.disjuncts)
+            plain = BNTA(a.iota, a.delta, a.is_final)
+            projected, unprojected = (
+                json.dumps(circuit_to_json(_nx_circuit(
+                    automaton, enc.nodes(), enc.node_fact, l, p)[0]))
+                for automaton in (a, plain))
+            assert projected == unprojected, (q, l)
 
 
 def test_nx_circuits_carry_no_constants():
@@ -249,16 +273,19 @@ def build(grid, pcc, marked, branched, tree):
                                  pcc)
     unions = [query_provenance_circuit(compile_bool(parse_ucq(q)), marked,
                                        None)[0].circuit for q in %r]
-    branched_union = compile_bool(parse_ucq(%r))
+    branched_query = parse_ucq(%r)
+    branched_union = compile_bool(branched_query)
     unions.append(query_provenance_circuit(branched_union, branched,
                                            2)[0].circuit)
     # the same union on another instance, its steps warm from branched
     unions.append(query_provenance_circuit(branched_union, marked,
                                            2)[0].circuit)
     nx = nx_provenance(parse_ucq("R(x,y),R(y,z)"), marked)
+    # a union's N[X] states, tagged with their disjunct
+    nx_union = nx_provenance(branched_query, branched, 2)
     on_table = bool_provenance_circuit(table, tree).circuit
     return [circuit_to_json(c)
-            for c in [res.circuit, lineage, *unions, nx, on_table]]
+            for c in [res.circuit, lineage, *unions, nx, nx_union, on_table]]
 
 
 # the second build runs on the automata, with their memos and kept
@@ -275,10 +302,10 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
     """Boolean provenance (library and CLI, one disjunct and unions, at
     widths 1 and 2, a union on steps kept from another instance, and a
     table automaton with generic labels), lineage and N[X] (library and
-    CLI) circuits come out byte for byte the same under two hash seeds,
-    and the library's the same again when built a second time in the
-    process, on warm automata and instance encodings, and a third, on
-    warm automata and new inputs."""
+    CLI, and a union at width 2) circuits come out byte for byte the
+    same under two hash seeds, and the library's the same again when
+    built a second time in the process, on warm automata and instance
+    encodings, and a third, on warm automata and new inputs."""
     grid, branched = tmp_path / "grid.json", tmp_path / "branched.json"
     for path, edges in ((grid, _GRID_EDGES), (branched, _BRANCHED_EDGES)):
         path.write_text(json.dumps({"signature": {"R": 2}, "facts": [
@@ -314,7 +341,7 @@ def test_bool_circuits_do_not_depend_on_the_hash_seed(tmp_path):
         outs.append((lib, cli))
     cold, warm, reloaded = outs[0][0].splitlines()
     assert [c["kind"] for c in json.loads(cold)] == \
-        ["bool"] * 6 + ["semiring", "bool"]
+        ["bool"] * 6 + ["semiring"] * 2 + ["bool"]
     assert len(json.loads(cold)[-1]["gates"]) > 20
     assert cold == warm == reloaded
     assert all(out.startswith("{") for out in outs[0][1])

@@ -1,8 +1,9 @@
-"""`compile_bool`'s automaton keeps each step under the projected states
-and the label's fact, and `provcirc._bool_circuit` keeps its transition
-plans and input-free leaves per automaton: a circuit does not depend on
-the builds before it, agrees with the possible worlds, and a cold build
-takes few placement steps and projects each child state once."""
+"""`compile_bool`'s and `nx_provenance`'s automata keep each step under
+the projected states and the label's fact, and `provcirc._bool_circuit`
+keeps its transition plans and input-free leaves per automaton: a
+circuit does not depend on the builds before it, agrees with the
+possible worlds or the brute-force polynomial, and a cold build takes
+few placement steps and projects each child state once."""
 
 import json
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from treeprov import provcirc, ucq
 from treeprov.automata import BNTA
-from treeprov.circuits import circuit_to_json
+from treeprov.circuits import circuit_to_json, expand_polynomial
 from treeprov.errors import NotMonotone
 from treeprov.prob import BIDInstance, lineage_circuit
 from treeprov.provcirc import (bool_provenance_circuit,
@@ -21,7 +22,8 @@ from treeprov.provcirc import (bool_provenance_circuit,
                                query_provenance_circuit)
 from treeprov.relational import make_instance
 from treeprov.trees import Node
-from treeprov.ucq import CQ, UCQ, Atom, compile_bool, parse_ucq, satisfies
+from treeprov.ucq import (CQ, UCQ, Atom, compile_bool, nx_provenance,
+                          nx_provenance_bruteforce, parse_ucq, satisfies)
 
 from genutil import (rand_bool_automaton, rand_fraction, rand_instance,
                      rand_pcc, rand_tree, rand_ucq)
@@ -58,8 +60,8 @@ def _counted_placement_steps(monkeypatch):
     steps = []
     placement = ucq.placement_automaton
 
-    def counted(cq, any_count=False):
-        automaton = placement(cq, any_count)
+    def counted(cq):
+        automaton = placement(cq)
         step = automaton.step
 
         def counted_step(d1, d2, label):
@@ -133,6 +135,50 @@ def test_a_cold_union_call_takes_few_placement_steps(monkeypatch):
     res, _ = query_provenance_circuit(compile_bool(QUERIES[1]), _path24(), 1)
     assert res.circuit.gates
     assert 0 < len(steps) <= 46
+    ucq._COMPILED.clear()
+
+
+# the N[X] benchmark's path query and a union whose disjuncts share no
+# state: counted on `_path24` at width 2
+NX_QUERIES = (parse_ucq("R(x,y),R(y,z)"), parse_ucq("R(x,y),S(y);S(x),R(y,x)"))
+
+
+def test_a_cold_nx_call_takes_few_placement_steps(monkeypatch):
+    """Counted work, not time: on the fixed 24-edge path at width 2, a
+    cold N[X] call computes one any-count placement step per projected
+    pair and fact, for every annotation at once: at most 32 steps for
+    the path query and 48 for the union, where stepping each (KFact,
+    annotation) label on unprojected states made 120 and 180."""
+    steps = _counted_placement_steps(monkeypatch)
+    inst = _path24()
+    for q, bound in zip(NX_QUERIES, (32, 48)):
+        ucq._COMPILED.clear()
+        steps.clear()
+        circuit = nx_provenance(q, inst, 2)
+        assert 0 < len(steps) <= bound, q
+        assert expand_polynomial(circuit) == nx_provenance_bruteforce(q, inst)
+    ucq._COMPILED.clear()
+
+
+def test_warm_nx_steps_change_no_circuit(monkeypatch):
+    """An N[X] circuit of instance B is byte for byte the same built
+    cold, after instance A on the same automaton, and after B itself,
+    which takes no new placement step."""
+    a = _graph([(0, 1), (2, 1), (2, 3), (3, 4), (4, 0)], (1, 3))
+    b = _graph([(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (5, 4)], (0, 2, 5))
+    steps = _counted_placement_steps(monkeypatch)
+    for q in NX_QUERIES + QUERIES[1:]:
+        def build(inst):
+            return json.dumps(circuit_to_json(nx_provenance(q, inst, 2)))
+
+        ucq._COMPILED.clear()
+        cold = build(b)
+        steps.clear()
+        assert build(b) == cold
+        assert not steps
+        ucq._COMPILED.clear()
+        build(a)
+        assert build(b) == cold
     ucq._COMPILED.clear()
 
 
