@@ -28,9 +28,11 @@ whose domain lies inside the parent's.  The placement automaton of
 holding each query variable's slot (0 while unbound) and the bitmask
 of the atoms placed below, its projection drops the slots outside the
 parent's domain, and its step merges two descriptors and places atoms
-on the label's fact; `compile_bool`'s and `nx_provenance`'s project a
-tagged state through its disjunct's, and `nx_provenance`'s serves
-every annotation of a fact from one placement step.  No other
+on the label's fact, and keeps no memo.  Every query automaton
+(`compile_bool`'s, `nx_provenance`'s) tags each state with its
+disjunct and projects it through that disjunct's, by one memo,
+`ucq._tagged_projection`; `nx_provenance`'s serves every annotation
+of a fact from one placement step.  No other
 automaton carries one (`memoized`, `monotonize` and `union` keep
 none): their runs are correct, only unprojected.
 """

@@ -470,13 +470,30 @@ def _gate_at(ids, j, where):
     return ids[j]
 
 
+# circuit kind -> its gate types
+_GATE_TYPES = {"bool": ("inp", "not", "and", "or"),
+              "semiring": ("inp", "add", "mul")}
+
+
 def circuit_from_json(data):
     ids = _gate_ids(data)
+    kind = data.get("kind", "bool")
+    if not isinstance(kind, str) or kind not in _GATE_TYPES:
+        raise ValueError("circuit 'kind' is %r, not bool or semiring"
+                         % (kind,))
     gates = {}
     for i, e in enumerate(data["gates"]):
         where = "gate %d" % i
-        gates[ids[i]] = (e["type"], tuple(
-            _gate_at(ids, j, where + " 'inputs'")
-            for j in json_field(e, "inputs", where)))
-    return Circuit(data.get("kind", "bool"), gates, _gate_at(
+        gtype = e["type"]
+        ins = tuple(_gate_at(ids, j, where + " 'inputs'")
+                    for j in json_field(e, "inputs", where))
+        if gtype not in _GATE_TYPES[kind]:
+            raise ValueError("%s 'type' is %r, not a %s gate type"
+                             % (where, gtype, kind))
+        arity = {"inp": 0, "not": 1}.get(gtype, len(ins))
+        if len(ins) != arity:
+            raise ValueError("%s of type %r has %d inputs, not %d"
+                             % (where, gtype, len(ins), arity))
+        gates[ids[i]] = (gtype, ins)
+    return Circuit(kind, gates, _gate_at(
         ids, json_field(data, "output", "circuit"), "circuit 'output'"))

@@ -2,8 +2,10 @@
 
 Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
-text.  Exit codes: 2 signals NoDecomposition or an invalid encoding,
-3 a resource cap (a state blowup, a polynomial expansion past its
+text.  Exit codes: 2 signals NoDecomposition, an invalid encoding or a
+usage error (argparse's: a required flag missing, two of the input
+flags that exclude each other, or `provenance --mode nx` without
+--query), 3 a resource cap (a state blowup, an `--expand` past its
 monomial cap, running out of memory, or an output that nests deeper
 than the json module can write, about 1,000 levels of arrays and
 objects), and 4 invalid input: a missing or unreadable file, malformed
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .automata import automaton_from_json, automaton_to_json, materialize
 from .circuits import (BUILTIN_SEMIRINGS, SECURITY_ORDER, circuit_to_json,
-                       expand_polynomial)
+                       eval_semiring, expand_polynomial)
 from .encoding import (decode, encode, encoding_from_json,
                        encoding_to_json, kfact_labels)
 from .errors import NoDecomposition, SizeCap, StateBlowup
@@ -128,26 +130,19 @@ def cmd_compile(args):
 def cmd_provenance(args):
     instance = _load_instance(args.instance)
     if args.mode == "nx":
-        if not args.query:
-            raise SystemExit("--mode nx needs --query")
         circuit = nx_provenance(_query(args), instance, args.width)
-        if args.expand or args.semiring:
-            poly = expand_polynomial(circuit)
-            if args.semiring:
-                semiring = BUILTIN_SEMIRINGS[args.semiring]
-                assign = {}
-                if args.assign:
-                    assign = _load_json(args.assign)
-                    if not isinstance(assign, dict):
-                        raise ValueError("assignment is not a JSON object")
-                values = {}
-                for m, _ in poly.monomials.items():
-                    for v, _e in m:
-                        values[v] = _parse_value(args.semiring, str(v),
-                                                 assign.get(str(v)), semiring)
-                _println(str(poly.evaluate(semiring, values)), args.output)
-            else:
-                _println(str(poly), args.output)
+        if args.semiring:
+            semiring = BUILTIN_SEMIRINGS[args.semiring]
+            assign = _load_json(args.assign) if args.assign else {}
+            if not isinstance(assign, dict):
+                raise ValueError("assignment is not a JSON object")
+            value = eval_semiring(circuit, semiring, {
+                g: _parse_value(args.semiring, str(g), assign.get(str(g)),
+                                semiring) for g in circuit.inputs()})
+            # tropical's zero, +infinity, is None
+            _println("inf" if value is None else str(value), args.output)
+        elif args.expand:
+            _println(str(expand_polynomial(circuit)), args.output)
         else:
             _emit(circuit_to_json(circuit), args.output)
         return 0
@@ -188,14 +183,10 @@ def _parse_value(name, var, raw, semiring):
             return value
     if name == "security" and raw in SECURITY_ORDER:
         return raw
-    if name == "posbool" and not isinstance(raw, (list, dict)):
-        if isinstance(raw, bool):
-            return raw
-        if isinstance(raw, str) and raw in _POSBOOL_STRINGS:
-            return _POSBOOL_STRINGS[raw]
-        raise SystemExit("--semiring posbool takes true, false, \"true\", "
-                         "\"false\", \"1\" or \"0\", not %s"
-                         % json.dumps(raw))
+    if name == "posbool" and type(raw) is bool:
+        return raw
+    if name == "posbool" and isinstance(raw, str) and raw in _POSBOOL_STRINGS:
+        return _POSBOOL_STRINGS[raw]
     raise ValueError("assignment of %s is %s, not a %s value"
                      % (var, json.dumps(raw), name))
 
@@ -211,11 +202,9 @@ def cmd_prob(args):
     elif args.bid:
         pr = query_probability_bid(q, bid_from_json(_load_json(args.bid)),
                                    args.width)
-    elif args.prxml:
+    else:
         pr = prxml_query_probability(q, doc_from_json(_load_json(args.prxml)),
                                      args.width)
-    else:
-        raise SystemExit("one of --pcc/--pc/--bid/--prxml is required")
     _println(format_fraction(pr), args.output)
     return 0
 
@@ -269,16 +258,19 @@ def build_parser():
     p.add_argument("--query", required=True)
     p.add_argument("--free", default="")
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--instance", help="take the signature from an instance")
-    p.add_argument("--signature", help="signature JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance",
+                        help="take the signature from an instance")
+    source.add_argument("--signature", help="signature JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("provenance", help="provenance circuit of a query")
     p.add_argument("--instance", required=True)
-    p.add_argument("--query")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--query")
+    source.add_argument("--automaton")
     p.add_argument("--free", default="")
-    p.add_argument("--automaton")
     p.add_argument("--width", type=int)
     p.add_argument("--mode", choices=("bool", "nx"), default="bool")
     p.add_argument("--expand", action="store_true")
@@ -290,10 +282,9 @@ def build_parser():
     p = sub.add_parser("prob", help="query probability")
     p.add_argument("--query", required=True)
     p.add_argument("--free", default="")
-    p.add_argument("--pcc")
-    p.add_argument("--pc")
-    p.add_argument("--bid")
-    p.add_argument("--prxml")
+    source = p.add_mutually_exclusive_group(required=True)
+    for flag in ("--pcc", "--pc", "--bid", "--prxml"):
+        source.add_argument(flag)
     p.add_argument("--width", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_prob)
@@ -316,7 +307,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "provenance" and args.mode == "nx" and args.automaton:
+        parser.error("provenance --mode nx needs --query, not --automaton")
     try:
         return args.func(args)
     except NoDecomposition as exc:

@@ -486,11 +486,17 @@ def instance_from_json(data):
     signature = signature_from_json(json_field(data, "signature", "instance"),
                                     "instance 'signature'")
     facts = []
-    for i, f in enumerate(data.get("facts", [])):
+    entries = data.get("facts", [])
+    if not isinstance(entries, list):
+        raise ValueError("instance 'facts' is not a list")
+    for i, f in enumerate(entries):
         where = "fact %d" % (i + 1)
         args = json_list(f, "args", where)
-        facts.append(Fact(json_field(f, "rel", where), tuple(args),
-                          f.get("id", "F%d" % (i + 1))))
+        fid = f.get("id", "F%d" % (i + 1))
+        if type(fid) not in (str, int):
+            raise ValueError("%s 'id' is %r, not a string or an integer"
+                             % (where, fid))
+        facts.append(Fact(json_field(f, "rel", where), tuple(args), fid))
     return Instance(signature, facts)
 
 

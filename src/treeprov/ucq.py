@@ -9,6 +9,10 @@ never both place one atom, and two variables required distinct never
 share a slot (elements out of scope are distinct from all in scope).
 A fact may hold any number of atoms.
 
+Every query automaton tags a partial match with its disjunct,
+(disjunct, descriptor), and projects it through that disjunct's by one
+memo, `_tagged_projection`.
+
 - Annotated view (`_nx_automaton`): a fact node annotated `ann` takes
   the placements of exactly `ann` atoms on its fact, so accepting runs
   are the query's matches.  One placement step per projected pair and
@@ -23,7 +27,8 @@ A fact may hold any number of atoms.
   through the same transition memo.
 
 An automaton depends only on the query, so each of `compile_bool`,
-`_compile_det` and `nx_provenance` compiles a query once per process:
+`_compile_det`, `nx_provenance` and `compile_bag` compiles a query once
+per process:
 `_compiled` keeps the automata, with their transition memos, of the
 `_COMPILED_MAX` queries used last, keyed by the query and the state cap
 in force.  A call on a warm entry returns what a cold one returns, and
@@ -267,7 +272,8 @@ def _tagged_projection(parts):
     """project(q, kf) of a state q = (i, d) tagged with its disjunct i,
     through parts[i], the disjunct's placement automaton; memoized on q
     and kf's domain, all a projection reads of its label.  A state with
-    no tag, `_NONE` or `_ACCEPT`, is its own projection."""
+    no tag, `_NONE` or `_ACCEPT`, is its own projection.  Every query
+    automaton projects through it, and nothing else memoizes one."""
     views = {}
 
     def project(q, kf):
@@ -384,9 +390,10 @@ def placement_automaton(cq):
     a slot the parent shares names the same element there, so bindings
     to slots outside the parent's domain are dropped.  It is None if a
     dropped variable still occurs in an unplaced atom: its element has
-    left scope for good.  `step` merges two projected descriptors and
-    places atoms on the label's fact; delta is the two composed (see
-    `automata`).
+    left scope for good.  It keeps no memo: the query automata reach it
+    through `_tagged_projection`'s, on a miss.  `step` merges two
+    projected descriptors and places atoms on the label's fact; delta
+    is the two composed (see `automata`).
     """
     index = {v: i for i, v in enumerate(cq.variables)}
     atom_vars = [tuple(index[v] for v in a.vars) for a in cq.atoms]
@@ -416,17 +423,12 @@ def placement_automaton(cq):
                 return None
         return tuple(new)
 
-    in_scope = {}  # dom -> dom and 0: the slot values dom keeps
-
     def project(q, label):
         dom = label.dom
         slots, placed = q
-        keeps = in_scope.get(dom)
-        if keeps is None:
-            keeps = in_scope[dom] = dom | {0}
-        if keeps.issuperset(slots):
+        gone = [v for v, s in enumerate(slots) if s and s not in dom]
+        if not gone:
             return q
-        gone = [v for v, s in enumerate(slots) if s not in keeps]
         if any(occurs[v] & ~placed for v in gone):
             return None
         return (tuple(s if s in dom else 0 for s in slots), placed)
@@ -466,12 +468,13 @@ def compile_bag(cq, p=None):
     """bNTA over (KFact, {0..p}) accepting an annotated encoding iff its
     bag instance satisfies the CQ under bag-homomorphism semantics: some
     match uses each fact at most as many times as its annotation, i.e.
-    `_nx_automaton`'s annotated view made monotone in the annotation."""
+    `_nx_automaton`'s annotated view, `nx_provenance`'s `_compiled`
+    entry, made monotone in the annotation."""
     if p is None:
         p = len(cq.atoms)
     if p < len(cq.atoms):
         raise ValueError("p must be at least the total atom multiplicity")
-    return memoized(monotonize(_nx_automaton((cq,))))
+    return memoized(monotonize(_compiled(_key(_nx_automaton, cq))))
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +501,19 @@ def _nx_automaton(disjuncts):
     over (KFact, ann) labels whose accepting runs on a valid annotated
     encoding are in bijection with the matches of a disjunct that place
     exactly ann atoms on the fact of each fact node annotated ann (other
-    nodes must be annotated 0).  A union tags each state with its
-    disjunct, as `automata.union` does, and pairs no states of two
-    disjuncts; one disjunct's states carry no tag.
+    nodes must be annotated 0).  A state is (disjunct, descriptor), as
+    in `compile_bool`, and no states of two disjuncts are paired.
 
-    project is the placement automaton's, memoized for a union (see
-    `_tagged_projection`).  iota and step are memoized on the label's
-    fact alone: one any-count placement per fact, and per projected pair
-    and fact, serves every annotation, its results grouped by how many
-    atoms they placed on the fact (the growth of the placed mask).  This
-    is exact: the any-count placement is the union over n of the
-    placements of exactly n atoms, and the mask tells each one's n."""
+    project is `_tagged_projection`, read on the label's KFact.  iota
+    and step are memoized on the label's fact alone: one any-count
+    placement per fact, and per projected pair and fact, serves every
+    annotation, its results grouped by how many atoms they placed on the
+    fact (the growth of the placed mask).  This is exact: the any-count
+    placement is the union over n of the placements of exactly n atoms,
+    and the mask tells each one's n."""
     parts = [placement_automaton(d) for d in disjuncts]
-    single = len(parts) == 1
     iotas, steps = {}, {}
-    view = parts[0].project if single else _tagged_projection(parts)
+    view = _tagged_projection(parts)
 
     def project(q, l):
         return view(q, l[0])
@@ -521,8 +522,7 @@ def _nx_automaton(disjuncts):
         """Add disjunct i's states, tagged, to groups under the number of
         atoms each placed beyond the `before` placed below."""
         for d in states:
-            groups.setdefault(d[1].bit_count() - before, set()).add(
-                d if single else (i, d))
+            groups.setdefault(d[1].bit_count() - before, set()).add((i, d))
 
     def iota(l):
         tau, ann = l
@@ -540,7 +540,7 @@ def _nx_automaton(disjuncts):
         key = (p1, p2, tau.rel, tau.args)
         groups = steps.get(key)
         if groups is None:
-            (i, d1), (j, d2) = ((0, p1), (0, p2)) if single else (p1, p2)
+            (i, d1), (j, d2) = p1, p2
             groups = {}
             if i == j:
                 count(groups, i, parts[i].step(d1, d2, tau),
@@ -548,10 +548,7 @@ def _nx_automaton(disjuncts):
             groups = steps[key] = {n: frozenset(g) for n, g in groups.items()}
         return groups.get(ann, EMPTY)
 
-    if single:
-        is_final = parts[0].is_final
-    else:
-        def is_final(q):
-            return parts[q[0]].is_final(q[1])
+    def is_final(q):
+        return parts[q[0]].is_final(q[1])
 
     return BNTA(iota, None, is_final, project=project, step=step)

@@ -1,15 +1,21 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from treeprov import cli
-from treeprov.circuits import expand_polynomial
+from treeprov.circuits import BUILTIN_SEMIRINGS, expand_polynomial
 from treeprov.cli import main
+from treeprov.relational import instance_to_json
+from treeprov.ucq import nx_provenance
+
+from genutil import rand_instance, rand_ucq
 
 EXAMPLE_INSTANCE = {
     "signature": {"R": 2},
@@ -202,9 +208,120 @@ def test_provenance_nx_posbool(capsys, instance_file, tmp_path):
     assert run_main(capsys, *args) == (0, "True\n")
     assign.write_text(json.dumps({"F1": "false", "F2": "true", "F3": "0"}))
     assert run_main(capsys, *args) == (0, "False\n")
-    assign.write_text(json.dumps({"F1": False, "F2": "yes"}))
-    with pytest.raises(SystemExit, match="posbool"):
+    for bad in ({"F1": False, "F2": "yes"}, {"F1": 1}):
+        assign.write_text(json.dumps(bad))
+        assert main(list(args)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "not a posbool value" in captured.err
+
+
+def test_provenance_nx_tropical_infinity(capsys, tmp_path):
+    """An infinite tropical answer prints as inf, as --assign writes it."""
+    inst = tmp_path / "path.json"
+    inst.write_text(json.dumps({"signature": {"R": 2}, "facts": [
+        {"rel": "R", "args": ["a", "b"], "id": "f1"},
+        {"rel": "R", "args": ["b", "c"], "id": "f2"}]}))
+    assign = tmp_path / "assign.json"
+    assign.write_text(json.dumps({"f1": "inf", "f2": 2}))
+    assert run_main(capsys, "provenance", "--instance", str(inst),
+                    "--query", "R(x,y),R(y,z)", "--mode", "nx",
+                    "--semiring", "tropical", "--assign", str(assign)) == \
+        (0, "inf\n")
+
+
+def test_provenance_nx_semiring_past_the_monomial_cap(capsys, monkeypatch,
+                                                     tmp_path):
+    """--semiring evaluates the circuit and expands nothing, so the
+    monomial cap bounds --expand only: S(x),S(y),S(z) on 6 unary facts
+    has 56 monomials, past a cap of 10, and its N value at 1 is 6^3."""
+    monkeypatch.setattr(cli, "expand_polynomial",
+                        functools.partial(expand_polynomial, cap=10))
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"signature": {"S": 1}, "facts": [
+        {"rel": "S", "args": ["a%d" % i], "id": "F%d" % i}
+        for i in range(6)]}))
+    args = ["provenance", "--instance", str(p), "--query", "S(x),S(y),S(z)",
+            "--mode", "nx"]
+    assert run_main(capsys, *args, "--semiring", "N") == (0, "216\n")
+    assert main(args + ["--expand"]) == 3
+    assert capsys.readouterr().err == \
+        "size cap: polynomial exceeded 10 monomials\n"
+
+
+def _rand_value(rng, name):
+    """A random --assign value of the semiring named name, as JSON, and
+    the semiring value it stands for."""
+    if name == "N":
+        n = rng.randint(0, 3)
+        return rng.choice([n, str(n)]), n
+    if name == "tropical":
+        return rng.choice([("inf", None)] + [(n, n) for n in range(-2, 4)])
+    if name == "fuzzy":
+        value = Fraction(rng.randint(0, 4), 4)
+        return str(value), value
+    if name == "security":
+        level = rng.choice(cli.SECURITY_ORDER)
+        return level, level
+    return rng.choice([(True, True), (False, False), ("true", True),
+                       ("0", False)])
+
+
+def test_provenance_nx_semiring_equals_the_expanded_polynomial(capsys,
+                                                              tmp_path):
+    """On random UCQs and instances, --semiring prints the value of the
+    expanded N[X] polynomial under the same assignment, in each built-in
+    semiring (tropical infinity as inf), with facts left out of
+    --assign valued 1."""
+    rng = random.Random(30)
+    inst_file, assign_file = tmp_path / "i.json", tmp_path / "a.json"
+    for _ in range(30):
+        q = rand_ucq(rng, max_disjuncts=3, max_atoms=3)
+        inst = rand_instance(rng, max_facts=5, max_dom=4)
+        inst_file.write_text(json.dumps(instance_to_json(inst)))
+        text = ";".join(",".join("%s(%s)" % (a.rel, ",".join(a.vars))
+                                 for a in d.atoms) for d in q.disjuncts)
+        poly = expand_polynomial(nx_provenance(q, inst))
+        for name, semiring in sorted(BUILTIN_SEMIRINGS.items()):
+            raw, values = {}, {}
+            for f in inst.facts:
+                if rng.random() < 0.8:
+                    raw[f.id], values[f.id] = _rand_value(rng, name)
+                else:
+                    values[f.id] = semiring.one
+            assign_file.write_text(json.dumps(raw))
+            want = poly.evaluate(semiring, values)
+            assert run_main(capsys, "provenance", "--instance",
+                            str(inst_file), "--query", text, "--mode", "nx",
+                            "--semiring", name, "--assign",
+                            str(assign_file)) == \
+                (0, "%s\n" % ("inf" if want is None else want))
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("provenance", "--instance", "I"), id="provenance-no-source"),
+    pytest.param(("provenance", "--instance", "I", "--query", "R(x,y)",
+                  "--automaton", "A"), id="provenance-two-sources"),
+    pytest.param(("provenance", "--instance", "I", "--automaton", "A",
+                  "--mode", "nx"), id="provenance-nx-automaton"),
+    pytest.param(("prob", "--query", "R(x,y)"), id="prob-no-input"),
+    pytest.param(("prob", "--query", "R(x,y)", "--bid", "B", "--pc", "P"),
+                 id="prob-two-inputs"),
+    pytest.param(("compile", "--query", "R(x,y)", "--width", "1"),
+                 id="compile-no-signature"),
+    pytest.param(("compile", "--query", "R(x,y)", "--width", "1",
+                  "--instance", "I", "--signature", "S"),
+                 id="compile-two-signatures"),
+])
+def test_usage_error_exit_code(capsys, args):
+    """A missing or doubled input flag is argparse's usage error, exit
+    code 2, before any file is read."""
+    with pytest.raises(SystemExit) as exc:
         main(list(args))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
 
 
 @pytest.mark.parametrize("semiring, values, want", [
@@ -384,6 +501,18 @@ _TABLE = {"states": ["q"], "final": [0], "iota": [], "delta": []}
 _PROB = ("prob", "--query", "R(x,y)")
 _COMPILE = ("compile", "--query", "R(x,y)", "--width", "1")
 _SUM = ("provenance", "--query", "R(x,y)", "--mode", "nx", "--semiring")
+_COUNT = ("count", "--query", "R(x,y)", "--free", "x")
+
+
+def _pcc(gate):
+    """A pcc file whose one fact reads gate 1, the gate given, over one
+    input gate 0."""
+    return {"instance": {"signature": {"R": 2}, "facts": [_FACT]},
+            "circuit": {"kind": "bool", "output": 1, "gates": [
+                {"type": "inp", "name": "e", "inputs": []}, gate]},
+            "phi": [{"fact": "F1", "gate": 1}],
+            "probs": [{"gate": 0, "prob": "1/2"}]}
+
 
 
 @pytest.mark.parametrize("command, flag, data, needle", [
@@ -498,6 +627,25 @@ _SUM = ("provenance", "--query", "R(x,y)", "--mode", "nx", "--semiring")
     pytest.param(_SUM + ("fuzzy",), "--assign", {"F1": "1/0"},
                  "assignment of F1 is \"1/0\", not a fuzzy value",
                  id="assign-fuzzy-zero-denominator"),
+    pytest.param(_COUNT, "--instance", {"signature": {"R": 2}, "facts": 5},
+                 "instance 'facts' is not a list", id="instance-facts-int"),
+    pytest.param(_COUNT, "--instance",
+                 {"signature": {"R": 2}, "facts": [dict(_FACT, id=["x"])]},
+                 "fact 1 'id' is ['x'], not a string or an integer",
+                 id="fact-id-list"),
+    pytest.param(_PROB, "--pcc", _pcc({"type": "xor", "inputs": [0]}),
+                 "gate 1 'type' is 'xor', not a bool gate type",
+                 id="pcc-gate-xor"),
+    pytest.param(_PROB, "--pcc", _pcc({"type": "not", "inputs": [0, 0]}),
+                 "gate 1 of type 'not' has 2 inputs, not 1",
+                 id="pcc-not-two-inputs"),
+    pytest.param(_PROB, "--pcc", _pcc({"type": "not", "inputs": []}),
+                 "gate 1 of type 'not' has 0 inputs, not 1",
+                 id="pcc-not-no-input"),
+    pytest.param(_PROB, "--pcc",
+                 _pcc({"type": "inp", "name": "f", "inputs": [0]}),
+                 "gate 1 of type 'inp' has 1 inputs, not 0",
+                 id="pcc-inp-with-input"),
 ])
 def test_wrong_typed_field_exit_code(capsys, tmp_path, instance_file,
                                      command, flag, data, needle):

@@ -16,8 +16,8 @@ from treeprov.prob import (BIDInstance, count_matches, lineage_circuit,
 from treeprov.provcirc import query_provenance_circuit
 from treeprov.prxml import prxml_query_probability
 from treeprov.relational import make_instance
-from treeprov.ucq import (CQ, UCQ, Atom, compile_bool, nx_provenance,
-                          parse_ucq)
+from treeprov.ucq import (CQ, UCQ, Atom, compile_bag, compile_bool,
+                          nx_provenance, parse_ucq)
 
 from genutil import rand_bid, rand_doc, rand_pcc
 
@@ -92,6 +92,18 @@ def test_cache_entries():
     assert len(ucq._COMPILED) == ucq._COMPILED_MAX
     assert compile_bool(others[0]) is first[0]
     assert compile_bool(others[1]) is not first[1]
+
+
+def test_compile_bag_shares_the_nx_entry():
+    """`compile_bag` compiles its annotated view into `_compiled`, and
+    `nx_provenance` of the same query then reads that one entry."""
+    ucq._COMPILED.clear()
+    q = parse_ucq("R(x,y),R(y,z)")
+    compile_bag(q.disjuncts[0])
+    assert list(ucq._COMPILED) == [ucq._key(ucq._nx_automaton, q)]
+    entry = list(ucq._COMPILED.values())
+    nx_provenance(q, _marked([(0, 1), (1, 2)], ()))
+    assert list(ucq._COMPILED.values()) == entry
 
 
 def _path_bid(edges):

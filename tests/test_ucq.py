@@ -12,8 +12,9 @@ from treeprov.provcirc import query_provenance_circuit
 from treeprov.relational import (Fact, Instance, make_instance,
                                  normalize_decomposition, subinstance,
                                  tree_decomposition)
-from treeprov.ucq import (CQ, UCQ, Atom, compile_bag, compile_bool,
-                          enumerate_matches, nx_provenance,
+from treeprov.trees import postorder
+from treeprov.ucq import (CQ, UCQ, Atom, _nx_automaton, compile_bag,
+                          compile_bool, enumerate_matches, nx_provenance,
                           nx_provenance_bruteforce, parse_ucq, satisfies)
 
 from genutil import rand_cq, rand_instance, rand_ucq
@@ -230,6 +231,30 @@ def test_compile_bag_oracle():
             ann_tree = annotate(enc, val, default=0)
             bag = {f.key(): val[f.id] for f in inst.facts if val[f.id]}
             assert accepts(a, ann_tree) == bag_satisfies(cq, bag)
+
+
+def test_nx_states_of_one_disjunct_are_tagged():
+    """`_nx_automaton` tags a one-disjunct query's states (0, descriptor),
+    as it tags a union's: every state a run on a 3-edge path reaches, at
+    every annotation, the accepting ones at the root among them."""
+    inst = make_instance({"R": 2}, [("R", ("a", "b")), ("R", ("b", "c")),
+                                    ("R", ("c", "d"))])
+    a = _nx_automaton(parse_ucq("R(x,y),R(y,z)").disjuncts)
+    enc = encode(inst, normalize_decomposition(tree_decomposition(inst)))
+    reach = {}
+    for n in postorder(enc.root):
+        labels = [(n.label, ann) for ann in range(3)]
+        if n.is_leaf():
+            reach[id(n)] = {q for l in labels for q in a.iota(l)}
+        else:
+            reach[id(n)] = {q for l in labels for q1 in reach[id(n.left)]
+                            for q2 in reach[id(n.right)]
+                            for q in a.delta(q1, q2, l)}
+    states = set().union(*reach.values())
+    assert states and all(
+        tag == 0 and len(slots) == 3 and type(placed) is int
+        for tag, (slots, placed) in states)
+    assert any(a.is_final(q) for q in reach[id(enc.root)])
 
 
 def test_nx_provenance_worked_example():
