@@ -4,11 +4,12 @@ Subcommands: decompose, encode, decode, compile, provenance, prob,
 count, prxml-convert.  All outputs are deterministic JSON or plain
 text.  Exit codes: 2 signals NoDecomposition, an invalid encoding or a
 usage error (argparse's: a required flag missing, two of the input
-flags that exclude each other, or `provenance --mode nx` without
---query), 3 a resource cap (a state blowup, an `--expand` past its
-monomial cap, running out of memory, or an output that nests deeper
-than the json module can write, about 1,000 levels of arrays and
-objects), and 4 invalid input: a missing or unreadable file, malformed
+flags that exclude each other, `provenance --mode nx` without --query,
+`provenance` --expand, --semiring or --assign without `--mode nx`, or
+`provenance` with a non-empty --free), 3 a resource cap (a state
+blowup, an `--expand` past its monomial cap, running out of memory, or
+an output that nests deeper than the json module can write, about
+1,000 levels of arrays and objects), and 4 invalid input: a missing or unreadable file, malformed
 JSON or JSON nested deeper than the json module can read, an input file
 without a required key, an --assign value outside its semiring, a query
 or formula that does not parse, a query atom whose arity disagrees with
@@ -309,8 +310,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "provenance" and args.mode == "nx" and args.automaton:
-        parser.error("provenance --mode nx needs --query, not --automaton")
+    if args.command == "provenance":
+        if args.mode == "nx" and args.automaton:
+            parser.error("provenance --mode nx needs --query, not --automaton")
+        for flag in ("expand", "semiring", "assign"):
+            if args.mode != "nx" and getattr(args, flag):
+                parser.error("provenance --%s needs --mode nx" % flag)
+        if args.free:  # circuits are of the Boolean query
+            parser.error("provenance takes no --free variables")
     try:
         return args.func(args)
     except NoDecomposition as exc:

@@ -226,9 +226,13 @@ def compile_bool(q):
 def _bool_automaton(disjuncts):
     """`compile_bool`'s automaton.  iota is memoized on the label's fact,
     step on the projected states and the fact (see `automata`), and
-    project on the state and the label's domain."""
+    project on the state and the label's domain.  A step beside `_NONE`
+    merges nothing: it places atoms on the other side's descriptor
+    (`placement_automaton`'s merge with the empty descriptor), keeps
+    that state on a label with no fact, and is iota beside `_NONE`."""
     parts = [placement_automaton(d) for d in disjuncts]
     merges = [a.step for a in parts]
+    places = [a._place for a in parts]
     empty = [((0,) * len(d.variables), 0) for d in disjuncts]
     iotas, steps = {}, {}
     project = _tagged_projection(parts)
@@ -251,14 +255,15 @@ def _bool_automaton(disjuncts):
             return out
         if _ACCEPT in (p1, p2):
             out = _SINK if _NONE in (p1, p2) else EMPTY
-        elif p1 == _NONE and p2 == _NONE:
-            out = frozenset(q for i, e in enumerate(empty)
-                            for q in tag(i, merges[i](e, e, l)))
+        elif _NONE in (p1, p2):
+            p = p1 or p2  # the other side; _NONE, the empty tuple, is false
+            if p == _NONE:
+                out = iota(l)
+            elif l.rel is None:
+                out = frozenset([p])
+            else:
+                out = frozenset(tag(p[0], places[p[0]](p[1], l)))
         else:
-            if p1 == _NONE:
-                p1 = (p2[0], empty[p2[0]])
-            elif p2 == _NONE:
-                p2 = (p1[0], empty[p1[0]])
             out = EMPTY if p1[0] != p2[0] else \
                 frozenset(tag(p1[0], merges[p1[0]](p1[1], p2[1], l)))
         steps[key] = out
@@ -392,8 +397,13 @@ def placement_automaton(cq):
     dropped variable still occurs in an unplaced atom: its element has
     left scope for good.  It keeps no memo: the query automata reach it
     through `_tagged_projection`'s, on a miss.  `step` merges two
-    projected descriptors and places atoms on the label's fact; delta
-    is the two composed (see `automata`).
+    projected descriptors slot by slot and places atoms on the label's
+    fact; delta is the two composed (see `automata`).  A placement reads
+    a table made once per CQ: per (rel, arity), each set of atoms of
+    that shape with its mask and (variable, argument position) pairs,
+    skipped where it overlaps the atoms placed already.  `_place(d,
+    label)` is that placement on one descriptor, the step of d beside
+    the empty descriptor, which `compile_bool` takes without a merge.
     """
     index = {v: i for i, v in enumerate(cq.variables)}
     atom_vars = [tuple(index[v] for v in a.vars) for a in cq.atoms]
@@ -403,25 +413,24 @@ def placement_automaton(cq):
         for v in vs:
             occurs[v] |= 1 << idx
         by_sig.setdefault((a.rel, len(vs)), []).append(idx)
+    tables = {sig: [(sum(1 << idx for idx in chosen),
+                     [(v, j) for idx in chosen
+                      for j, v in enumerate(atom_vars[idx])])
+                    for n in range(1, len(atoms) + 1)
+                    for chosen in itertools.combinations(atoms, n)]
+              for sig, atoms in by_sig.items()}
     diseqs = [(index[x], index[y]) for x, y in map(tuple, cq.diseqs)
               if x in index and y in index]
     full = (1 << len(cq.atoms)) - 1
-    unbound = (0,) * len(index)
+    empty = ((0,) * len(index), 0)
 
-    def bind(slots, pairs):
-        """slots extended by (variable, slot) pairs, or None if a
-        variable would get two slots or two variables required distinct
-        would share one."""
-        new = list(slots)
-        for v, s in pairs:
-            if not new[v]:
-                new[v] = s
-            elif new[v] != s:
-                return None
+    def distinct(slots):
+        """slots as a tuple, or None if two variables required distinct
+        share a slot."""
         for x, y in diseqs:
-            if new[x] and new[x] == new[y]:
+            if slots[x] and slots[x] == slots[y]:
                 return None
-        return tuple(new)
+        return tuple(slots)
 
     def project(q, label):
         dom = label.dom
@@ -433,35 +442,45 @@ def placement_automaton(cq):
             return None
         return (tuple(s if s in dom else 0 for s in slots), placed)
 
-    def place(slots, placed, label):
+    def place(d, label):
+        slots, placed = d
         args = label.args
-        fit = [idx for idx in by_sig.get((label.rel, len(args)), ())
-               if not placed >> idx & 1]  # none on a node without a fact
-        out = {(slots, placed)}  # placing no atom keeps the descriptor
-        for n in range(1, len(fit) + 1):
-            for chosen in itertools.combinations(fit, n):
-                new = bind(slots, [(v, s) for idx in chosen
-                                   for v, s in zip(atom_vars[idx], args)])
+        out = {d}  # placing no atom keeps the descriptor
+        for mask, pairs in tables.get((label.rel, len(args)), ()):
+            if mask & placed:
+                continue
+            new = list(slots)
+            for v, j in pairs:  # bind v to the slot of argument j
+                if not new[v]:
+                    new[v] = args[j]
+                elif new[v] != args[j]:
+                    break
+            else:
+                new = distinct(new)
                 if new is not None:
-                    mask = placed
-                    for idx in chosen:
-                        mask |= 1 << idx
-                    out.add((new, mask))
+                    out.add((new, placed | mask))
         return frozenset(out)
 
     def iota(label):
-        return place(unbound, 0, label)
+        return place(empty, label)
 
     def merge(d1, d2, label):
         if d1[1] & d2[1]:
             return EMPTY
-        slots = bind(d1[0], [(v, s) for v, s in enumerate(d2[0]) if s])
+        slots = []
+        for s1, s2 in zip(d1[0], d2[0]):
+            if s1 and s2 and s1 != s2:
+                return EMPTY
+            slots.append(s1 or s2)
+        slots = distinct(slots)
         if slots is None:
             return EMPTY
-        return place(slots, d1[1] | d2[1], label)
+        return place((slots, d1[1] | d2[1]), label)
 
-    return BNTA(iota, None, lambda q: q[1] == full, project=project,
-                step=merge)
+    automaton = BNTA(iota, None, lambda q: q[1] == full, project=project,
+                     step=merge)
+    automaton._place = place
+    return automaton
 
 
 def compile_bag(cq, p=None):

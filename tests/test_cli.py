@@ -313,10 +313,23 @@ def test_provenance_nx_semiring_equals_the_expanded_polynomial(capsys,
     pytest.param(("compile", "--query", "R(x,y)", "--width", "1",
                   "--instance", "I", "--signature", "S"),
                  id="compile-two-signatures"),
+    pytest.param(("provenance", "--instance", "I", "--query", "R(x,y)",
+                  "--expand"), id="provenance-bool-expand"),
+    pytest.param(("provenance", "--instance", "I", "--query", "R(x,y)",
+                  "--mode", "bool", "--semiring", "N"),
+                 id="provenance-bool-semiring"),
+    pytest.param(("provenance", "--instance", "I", "--automaton", "A",
+                  "--assign", "V"), id="provenance-bool-assign"),
+    pytest.param(("provenance", "--instance", "I", "--query", "R(x,y)",
+                  "--free", "x"), id="provenance-bool-free"),
+    pytest.param(("provenance", "--instance", "I", "--query", "R(x,y)",
+                  "--mode", "nx", "--expand", "--free", "x,y"),
+                 id="provenance-nx-free"),
 ])
 def test_usage_error_exit_code(capsys, args):
-    """A missing or doubled input flag is argparse's usage error, exit
-    code 2, before any file is read."""
+    """A missing or doubled input flag, a flag that the provenance mode
+    does not read, and free variables of a provenance query are argparse's
+    usage error, exit code 2, before any file is read."""
     with pytest.raises(SystemExit) as exc:
         main(list(args))
     assert exc.value.code == 2

@@ -15,6 +15,7 @@ import pytest
 from treeprov import provcirc, ucq
 from treeprov.automata import BNTA
 from treeprov.circuits import circuit_to_json, expand_polynomial
+from treeprov.encoding import KFact, kfact_labels
 from treeprov.errors import NotMonotone
 from treeprov.prob import BIDInstance, lineage_circuit
 from treeprov.provcirc import (bool_provenance_circuit,
@@ -25,8 +26,8 @@ from treeprov.trees import Node
 from treeprov.ucq import (CQ, UCQ, Atom, compile_bool, nx_provenance,
                           nx_provenance_bruteforce, parse_ucq, satisfies)
 
-from genutil import (rand_bool_automaton, rand_fraction, rand_instance,
-                     rand_pcc, rand_tree, rand_ucq)
+from genutil import (rand_bool_automaton, rand_cq, rand_fraction,
+                     rand_instance, rand_pcc, rand_tree, rand_ucq)
 from oracles import bid_worlds, brute_force_prob
 
 # the benchmark's path query, 3-disjunct union and diseq query
@@ -54,21 +55,27 @@ def _path24():
 
 
 def _counted_placement_steps(monkeypatch):
-    """The list every placement step (`step`, on projected descriptors)
-    of an automaton compiled from now on is appended to; compiled
-    automata are dropped, so the next call compiles."""
+    """The list every placement step of an automaton compiled from now
+    on is appended to: ("merge", d1, d2, label) for its `step` on two
+    projected descriptors, and ("place", d, label) for its `_place`, the
+    step of d beside the empty descriptor; compiled automata are
+    dropped, so the next call compiles."""
     steps = []
     placement = ucq.placement_automaton
 
     def counted(cq):
         automaton = placement(cq)
-        step = automaton.step
+        step, place = automaton.step, automaton._place
 
         def counted_step(d1, d2, label):
-            steps.append((d1, d2, label))
+            steps.append(("merge", d1, d2, label))
             return step(d1, d2, label)
 
-        automaton.step = counted_step
+        def counted_place(d, label):
+            steps.append(("place", d, label))
+            return place(d, label)
+
+        automaton.step, automaton._place = counted_step, counted_place
         return automaton
 
     monkeypatch.setattr(ucq, "placement_automaton", counted)
@@ -127,14 +134,84 @@ def test_circuits_agree_with_possible_worlds():
 
 def test_a_cold_union_call_takes_few_placement_steps(monkeypatch):
     """Counted work, not time: on the fixed 24-edge path at width 1, a
-    cold call of the benchmark's 3-disjunct union computes at most 46
-    placement steps (delta on projected descriptors), one per distinct
-    projected pair and fact: 58 placement deltas ran on this input when
-    the memo was keyed by the whole label."""
+    cold call of the benchmark's 3-disjunct union computes at most 14
+    placement steps, one per distinct projected pair and fact with a
+    side other than `_NONE`: 46 merges ran on this input when a step
+    beside `_NONE` merged with the empty descriptor, and 58 placement
+    deltas when the memo was keyed by the whole label."""
     steps = _counted_placement_steps(monkeypatch)
     res, _ = query_provenance_circuit(compile_bool(QUERIES[1]), _path24(), 1)
     assert res.circuit.gates
-    assert 0 < len(steps) <= 46
+    assert 0 < len(steps) <= 14
+    ucq._COMPILED.clear()
+
+
+def test_a_cold_path_build_merges_no_descriptors(monkeypatch):
+    """Counted work, not time: on the fixed 24-edge path at width 1, no
+    node of a cold build holds a descriptor on both children, so every
+    placement step is one-sided and no merge runs; the union made 46
+    merges when a step beside `_NONE` merged with the empty
+    descriptor."""
+    steps = _counted_placement_steps(monkeypatch)
+    for q in QUERIES:
+        ucq._COMPILED.clear()
+        steps.clear()
+        query_provenance_circuit(compile_bool(q), _path24(), 1)
+        assert steps and all(kind == "place" for kind, *_ in steps), q
+    ucq._COMPILED.clear()
+
+
+def _descriptors(automaton, labels, rng):
+    """Descriptors of a placement automaton reached from the empty one
+    by its steps beside the empty descriptor on every label, and by
+    merges of each with three found before it on random labels."""
+    empty = next(iter(automaton.iota(KFact(frozenset()))))
+    found = [empty]
+    for d in found:
+        for other in [empty] + rng.sample(found, min(3, len(found))):
+            for l in labels if other is empty else [rng.choice(labels)]:
+                p1, p2 = automaton.project(d, l), automaton.project(other, l)
+                if p1 is not None and p2 is not None:
+                    found += [n for n in automaton.step(p1, p2, l)
+                              if n not in found]
+    return found
+
+
+def test_a_step_beside_none_places_on_the_other_side():
+    """`compile_bool`'s step of a projected state beside `_NONE`, on
+    either side, is the disjunct's placement step of its descriptor and
+    the empty one, tagged (a full descriptor is `_ACCEPT`, the empty one
+    `_NONE`), and the step of two `_NONE` is that of every disjunct's
+    empty descriptors: on random CQs of up to 3 atoms, with
+    disequalities, over reached descriptors and labels of width 1 with
+    a fact and without."""
+    rng = random.Random(31)
+    labels = kfact_labels({"R": 2, "S": 1}, 1)
+    assert any(l.rel is None for l in labels)
+    for case in range(24):
+        cqs = (rand_cq(rng, 2, diseq=True),
+               rand_cq(rng, 3, diseq=case % 2 == 0))
+        automaton = compile_bool(UCQ(cqs))
+        parts = [ucq.placement_automaton(cq) for cq in cqs]
+        empties = [next(iter(a.iota(KFact(frozenset())))) for a in parts]
+
+        def tagged(i, d):
+            return ucq._ACCEPT if parts[i].is_final(d) else \
+                ucq._NONE if d == empties[i] else (i, d)
+
+        for l in labels:
+            assert automaton.step(ucq._NONE, ucq._NONE, l) == frozenset(
+                tagged(i, d) for i, a in enumerate(parts)
+                for d in a.step(empties[i], empties[i], l))
+        for d in _descriptors(parts[1], labels, rng):
+            for l in labels:
+                p = parts[1].project(d, l)
+                if p is None or p == empties[1]:
+                    continue
+                want = frozenset(tagged(1, n) for n in
+                                 parts[1].step(p, empties[1], l))
+                assert automaton.step(tagged(1, p), ucq._NONE, l) == want
+                assert automaton.step(ucq._NONE, tagged(1, p), l) == want
     ucq._COMPILED.clear()
 
 
